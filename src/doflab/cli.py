@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     _add_network_flags(p, with_scheme_dims=False)
     p.add_argument("--workers", type=int, default=None,
-                   help="trial parallelism (default: available cores)")
+                   help="ignored; kept for existing scripts and configs "
+                        "(trials run in stacked chunks)")
     p.add_argument("--assert", dest="assert_checks", action="store_true")
     _add_output_flags(p)
 
@@ -211,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--p-source", choices=("random", "nsia"), default="random")
     _add_network_flags(p, with_scheme_dims=False)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="ignored, as for lemma1")
     p.add_argument("--assert", dest="assert_checks", action="store_true")
     _add_output_flags(p)
 
@@ -307,7 +309,8 @@ def _run_slope(args):
     else:
         projectors, precoders = _build_scheme(cs, beta, args.scheme)
         scheme_report = schemes.verify_scheme(cs, precoders, projectors)
-        estimate = simulation.estimate_dof_slope(cs, precoders, grid, projectors)
+        estimate = simulation.estimate_dof_slope(cs, precoders, grid, projectors,
+                                                 report=scheme_report)
         ok = (scheme_report.decodable
               and abs(estimate.slope - expected) <= args.tol_slope * expected
               and estimate.r_squared >= args.min_r2)
@@ -320,7 +323,7 @@ def _run_slope(args):
 def _run_lemma1(args):
     report = simulation.monte_carlo_lemma1(
         args.m, args.n, args.l, args.trials, _fallback_seed(args.seed),
-        dist=args.dist, tol=Tolerance(args.rel_rank_tol), workers=args.workers)
+        dist=args.dist, tol=Tolerance(args.rel_rank_tol))
     doc = {"params": {"m": args.m, "n": args.n, "l": args.l,
                       "trials": args.trials, "seed": _fallback_seed(args.seed)},
            "result": report.to_dict()}
@@ -331,7 +334,7 @@ def _run_lemma2(args):
     report = simulation.monte_carlo_lemma2(
         args.M, args.N, args.trials, _fallback_seed(args.seed),
         p_source=args.p_source, dist=args.dist,
-        tol=Tolerance(args.rel_rank_tol), workers=args.workers)
+        tol=Tolerance(args.rel_rank_tol))
     doc = {"params": {"M": args.M, "N": args.N, "trials": args.trials,
                       "p_source": args.p_source,
                       "seed": _fallback_seed(args.seed)},
@@ -363,7 +366,7 @@ def _run_sweep(args):
                     projectors, precoders = _build_scheme(cs, beta, scheme)
                     report = schemes.verify_scheme(cs, precoders, projectors)
                     estimate = simulation.estimate_dof_slope(
-                        cs, precoders, grid, projectors)
+                        cs, precoders, grid, projectors, report=report)
                     row_ok = (report.decodable
                               and abs(estimate.slope - bound) <= args.tol_slope * bound
                               and estimate.r_squared >= args.min_r2)

@@ -74,12 +74,17 @@ class SubspaceBasis:
                     f"basis columns are not orthonormal (max Gram error {err:.3e})")
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a finite 2-D complex array."""
+def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """Validate and convert input to a finite 2-D complex array.
+
+    With ``stacked`` the input must instead be a (T, rows, cols) stack of
+    matrices.
+    """
     arr = np.asarray(a, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    ndim = 3 if stacked else 2
+    if arr.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
+    if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     return arr
 
@@ -106,19 +111,68 @@ def random_matrix(rows: int, cols: int, dist: str = "complex-gaussian",
     state.  ``rng`` is mandatory: every draw must be reproducible from a
     seed.
     """
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"matrix dimensions must be >= 1, got {rows}x{cols}")
+    return random_matrices([(rows, cols)], dist, [rng])[0][0]
+
+
+def random_matrices(shapes, dist: str, rngs) -> list[np.ndarray]:
+    """Draw one matrix of each shape from every generator, stacked.
+
+    Each generator fills its matrices with a single call, shape by shape
+    and real block before imaginary block: the order in which repeated
+    random_matrix calls consume it.  Returns one (len(rngs), rows, cols)
+    array per shape; slice t holds the draws of ``rngs[t]``.
+    """
+    for rows, cols in shapes:
+        if rows < 1 or cols < 1:
+            raise DimensionError(
+                f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if dist not in DISTRIBUTIONS:
         raise InputError(f"unknown distribution {dist!r}, expected one of {DISTRIBUTIONS}")
-    if rng is None:
+    if any(rng is None for rng in rngs):
         raise InputError("rng is required; build one with seeded_rng(seed, ...)")
-    if dist == "complex-gaussian":
-        re = rng.standard_normal((rows, cols))
-        im = rng.standard_normal((rows, cols))
-        return (re + 1j * im) / np.sqrt(2.0)
-    re = rng.uniform(-1.0, 1.0, (rows, cols))
-    im = rng.uniform(-1.0, 1.0, (rows, cols))
-    return re + 1j * im
+    sizes = [rows * cols for rows, cols in shapes]
+    raw = np.empty((len(rngs), 2 * sum(sizes)))
+    for row, rng in zip(raw, rngs):
+        if dist == "complex-gaussian":
+            rng.standard_normal(out=row)
+        else:
+            row[:] = rng.uniform(-1.0, 1.0, row.size)
+    blocks = []
+    start = 0
+    for (rows, cols), size in zip(shapes, sizes):
+        re = raw[:, start:start + size].reshape(-1, rows, cols)
+        im = raw[:, start + size:start + 2 * size].reshape(-1, rows, cols)
+        start += 2 * size
+        if dist == "complex-gaussian":
+            blocks.append((re + 1j * im) / np.sqrt(2.0))
+        else:
+            blocks.append(re + 1j * im)
+    return blocks
+
+
+def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False,
+              stacked: bool = False):
+    """The rank rule, for one matrix or a (T, rows, cols) stack.
+
+    Counts the singular values above
+    ``tol.absolute(rows, cols, max(sigma_max, scale))``.  Singular values
+    are non-negative, so a zero reference gives rank 0.  ``scale`` is a
+    float, or one value per matrix of a stack.  Returns the rank (an int,
+    or an int array over the stack) and, with ``vectors``, the full
+    ``(rank, u, vh)`` of the SVD.
+    """
+    arr = as_matrix(a, stacked=stacked)
+    rows, cols = arr.shape[-2:]
+    if vectors:
+        u, s, vh = np.linalg.svd(arr, full_matrices=True)
+    else:
+        s = np.linalg.svd(arr, compute_uv=False)
+    ref = s[..., :1]  # sigma_max, kept as an axis so a stack broadcasts
+    if scale is not None:
+        ref = np.maximum(ref, np.reshape(scale, (-1, 1)) if stacked else scale)
+    above = s > tol.absolute(rows, cols, ref)
+    rank = above.sum(axis=-1) if stacked else int(np.count_nonzero(above))
+    return (rank, u, vh) if vectors else rank
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> int:
@@ -130,14 +184,7 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     singular values may all cancel, otherwise a fully cancelled product
     (entries at rounding level) would still count as rank >= 1.
     """
-    arr = as_matrix(a)
-    if arr.size == 0:
-        return 0
-    s = np.linalg.svd(arr, compute_uv=False)
-    ref = max(s[0], scale or 0.0)
-    if ref == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.absolute(*arr.shape, ref)))
+    return _rank_svd(a, tol, scale)
 
 
 def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
@@ -149,25 +196,15 @@ def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
     output is deterministic for a given input.  ``scale`` as in
     numeric_rank.
     """
-    arr = as_matrix(a)
-    rows, cols = arr.shape
-    _, s, vh = np.linalg.svd(arr, full_matrices=True)
-    rank = 0
-    ref = max(s[0], scale or 0.0) if s.size else 0.0
-    if ref > 0.0:
-        rank = int(np.count_nonzero(s > tol.absolute(rows, cols, ref)))
+    rank, _, vh = _rank_svd(a, tol, scale, vectors=True)
+    cols = vh.shape[0]
     return SubspaceBasis(cols, cols - rank, vh[rank:].conj().T)
 
 
 def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space (range) of A."""
-    arr = as_matrix(a)
-    rows, cols = arr.shape
-    u, s, _ = np.linalg.svd(arr, full_matrices=True)
-    rank = 0
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol.absolute(rows, cols, s[0])))
-    return SubspaceBasis(rows, rank, u[:, :rank])
+    rank, u, _ = _rank_svd(a, tol, vectors=True)
+    return SubspaceBasis(u.shape[0], rank, u[:, :rank])
 
 
 def intersection_dim(u: SubspaceBasis, v: SubspaceBasis,

@@ -116,25 +116,32 @@ def generate_channels(config: NetworkConfig) -> ChannelSet:
 
     Each matrix gets its own RNG stream keyed by (seed, m, l, k), so the
     set is bit-reproducible and individual links can be regenerated in
-    isolation.  A draw that fails the nondegeneracy check (numeric rank
-    below min(M, N), probability zero at double precision) is logged and
-    redrawn from the same stream.
+    isolation with draw_channel.
     """
     cfg = config
-    full_rank = min(cfg.M, cfg.N)
-    channels = {}
-    for m in range(1, cfg.L + 1):
-        for l in range(1, cfg.L + 1):
-            for k in range(1, cfg.K + 1):
-                rng = linalg.seeded_rng(cfg.seed, m, l, k)
-                h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-                while linalg.numeric_rank(h, cfg.tol) < full_rank:
-                    log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
-                                "redrawing", m, l, k)
-                    h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-                h.setflags(write=False)
-                channels[(m, l, k)] = h
+    channels = {(m, l, k): draw_channel(cfg, m, l, k)
+                for m in range(1, cfg.L + 1)
+                for l in range(1, cfg.L + 1)
+                for k in range(1, cfg.K + 1)}
     return ChannelSet(cfg, channels)
+
+
+def draw_channel(config: NetworkConfig, m: int, l: int, k: int) -> np.ndarray:
+    """Channel from user (l, k) to base station m, read-only.
+
+    Drawn from the (seed, m, l, k) stream.  A draw that fails the
+    nondegeneracy check (numeric rank below min(M, N), probability zero at
+    double precision) is logged and redrawn from the same stream.
+    """
+    cfg = config
+    rng = linalg.seeded_rng(cfg.seed, m, l, k)
+    h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
+    while linalg.numeric_rank(h, cfg.tol) < min(cfg.M, cfg.N):
+        log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
+                    "redrawing", m, l, k)
+        h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
+    h.setflags(write=False)
+    return h
 
 
 def desired_channels(cs: ChannelSet, m: int) -> list[np.ndarray]:
@@ -176,14 +183,20 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
         if set(entry) != {"m", "l", "k", "re", "im"}:
             raise InputError("channel entry must have exactly the keys "
                              "'m', 'l', 'k', 're', 'im'")
+        index = (entry["m"], entry["l"], entry["k"])
+        # bool is an int subclass, and True would silently index cell 1
+        if not all(isinstance(i, int) and not isinstance(i, bool) for i in index):
+            raise InputError(f"channel indices (m, l, k) must be integers, "
+                             f"got {index!r}")
+        name = "channel (m={}, l={}, k={})".format(*index)
         h = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"],
                                                                    dtype=float)
         if h.shape != (cfg.N, cfg.M):
             raise InputError(
-                f"channel (m={entry['m']}, l={entry['l']}, k={entry['k']}) has "
-                f"shape {h.shape}, expected ({cfg.N}, {cfg.M})")
+                f"{name} has shape {h.shape}, expected ({cfg.N}, {cfg.M})")
+        h = linalg.as_matrix(h, name=name)
         h.setflags(write=False)
-        channels[(entry["m"], entry["l"], entry["k"])] = h
+        channels[index] = h
     expected = {(m, l, k)
                 for m in range(1, cfg.L + 1)
                 for l in range(1, cfg.L + 1)

@@ -15,6 +15,7 @@ Two closed-form constructions deliver 2*K*beta interference-free streams:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,24 +130,12 @@ def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
     cfg = cs.config
     _require_profile(cs, beta, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
-    kb = cfg.K * beta
     projectors = {}
     precoders = {}
     for m in (1, 2):
         src = other_cell(m)
-        blocks = []
-        for k in range(1, cfg.K + 1):
-            null = linalg.null_space_basis(cs.channel(m, src, k).conj().T, cfg.tol)
-            if null.dim != beta:
-                raise DegeneracyError(
-                    f"null space of conjugated cross channel (m={m}, l={src}, "
-                    f"k={k}) has dimension {null.dim}, expected {beta}")
-            blocks.append(null.basis)
-        p_raw = np.hstack(blocks).conj().T
-        if linalg.numeric_rank(p_raw, cfg.tol) != kb:
-            raise DegeneracyError(
-                f"stacked alignment plane at base station {m} lost rank")
-        p = linalg.orthonormalize_rows(p_raw, cfg.tol)
+        p = alignment_plane([cs.channel(m, src, k) for k in range(1, cfg.K + 1)],
+                            beta, cfg.tol, m)
         projectors[m] = p
         for k in range(1, cfg.K + 1):
             h = cs.channel(m, src, k)
@@ -162,6 +151,30 @@ def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
             precoders[(src, k)] = null.basis
     return (ProjectorSet(projectors, row_orthonormalized=True),
             PrecoderSet(beta, precoders))
+
+
+def alignment_plane(cross: list[np.ndarray], beta: int, tol: Tolerance,
+                    m: int) -> np.ndarray:
+    """Row-orthonormal alignment plane P_m of base station m.
+
+    ``cross`` holds the cross channels H_m,lk of the other cell's users in
+    user order.  Each conjugated H* needs a beta-dimensional null space;
+    user k's null-space basis fills rows (k-1)*beta+1 .. k*beta of P_m.
+    """
+    src = other_cell(m)
+    blocks = []
+    for k, h in enumerate(cross, start=1):
+        null = linalg.null_space_basis(h.conj().T, tol)
+        if null.dim != beta:
+            raise DegeneracyError(
+                f"null space of conjugated cross channel (m={m}, l={src}, "
+                f"k={k}) has dimension {null.dim}, expected {beta}")
+        blocks.append(null.basis)
+    p_raw = np.hstack(blocks).conj().T
+    if linalg.numeric_rank(p_raw, tol) != len(cross) * beta:
+        raise DegeneracyError(
+            f"stacked alignment plane at base station {m} lost rank")
+    return linalg.orthonormalize_rows(p_raw, tol)
 
 
 def desired_matrix(cs: ChannelSet, precoders: PrecoderSet, m: int) -> np.ndarray:
@@ -188,7 +201,9 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
     ||H_cross W||_F / ||H_cross||_F for plain precoding, with H_cross
     replaced by the projected cross channel when projectors are given.
     Decodable means every per-cell effective rank equals K*beta and the
-    residual is at or below the threshold.
+    residual is at or below the threshold.  A leakage that is not finite
+    (channel norms that overflow or underflow) raises DegeneracyError
+    naming the link instead of being folded into the residual.
     """
     cfg = cs.config
     if cfg.L != 2:
@@ -209,12 +224,17 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
                     f"precoder (l={src}, k={k}) has {w.shape[0]} rows, channel "
                     f"expects {h.shape[1]}")
             cross = h if p is None else p @ h
-            leak = np.linalg.norm(cross @ w) / np.linalg.norm(h)
-            residual = max(residual, float(leak))
+            leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(h))
+            # max() would drop a NaN and let the link pass
+            if not math.isfinite(leak):
+                raise DegeneracyError(
+                    f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
+                    f"channel magnitudes overflow or underflow double precision")
+            residual = max(residual, leak)
             if null_dims is not None:
                 scale = np.linalg.norm(p) * np.linalg.norm(h)
-                null_dims[(m, k)] = linalg.null_space_basis(
-                    cross, cfg.tol, scale=scale).dim
+                null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
+                    cross, cfg.tol, scale=scale)
         g = desired_matrix(cs, precoders, m)
         effective = g if p is None else p @ g
         effective_rank[m] = linalg.numeric_rank(effective, cfg.tol)

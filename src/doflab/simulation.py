@@ -3,28 +3,28 @@
 Rates are exact log-det expressions of the constructed schemes (no noise
 sampling), so a slope fit over a high-SNR window is a deterministic
 function of the channel seed.  The Monte Carlo harnesses sub-seed every
-trial from (seed, trial index), which makes results independent of worker
-count and aggregation order.
+trial from (seed, trial index) and run the trials in stacked chunks, so a
+pass count depends only on (seed, trials), never on the chunk size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import linalg, schemes
 from .errors import ContractError, InputError
 from .linalg import Tolerance
-from .network import ChannelSet, NetworkConfig, PowerPolicy, generate_channels
-from .schemes import PrecoderSet, ProjectorSet, SchemeReport, build_nsia, other_cell
+from .network import ChannelSet, NetworkConfig, PowerPolicy, draw_channel
+from .schemes import PrecoderSet, ProjectorSet, SchemeReport, other_cell
 
 LOG2 = math.log(2.0)
+# Monte Carlo trials whose linear algebra runs as one stack.  Memory per
+# chunk stays flat in the trial count; results do not depend on it.
+TRIAL_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,41 @@ def _log_det_rate(gram_eigs: np.ndarray, per_stream_power: float) -> float:
     return float(np.sum(np.log1p(per_stream_power * eigs)) / LOG2)
 
 
+def _cell_spectra(cs: ChannelSet, precoders: PrecoderSet,
+                  projectors: ProjectorSet | None,
+                  report: SchemeReport | None) -> list[np.ndarray]:
+    """Gram spectrum of each cell's effective desired channel G G*.
+
+    The spectra do not depend on rho, so one call serves a whole SNR grid.
+    Raises ContractError for a non-decodable scheme or for projectors
+    without orthonormal rows (the projected noise would not be white).
+    """
+    if projectors is not None and not projectors.row_orthonormalized:
+        raise ContractError("projectors must be row-orthonormalized for the "
+                            "white-noise rate formula")
+    if report is None:
+        report = schemes.verify_scheme(cs, precoders, projectors)
+    if not report.decodable:
+        raise ContractError(
+            f"scheme is not decodable (residual {report.residual_interference:.3e}, "
+            f"ranks {report.effective_rank})")
+    spectra = []
+    for m in (1, 2):
+        g = schemes.desired_matrix(cs, precoders, m)
+        if projectors is not None:
+            g = projectors.projector(m) @ g
+        spectra.append(np.linalg.eigvalsh(g @ g.conj().T))
+    return spectra
+
+
+def _spectra_rate(spectra: list[np.ndarray], rho: float, beta: int) -> float:
+    power = PowerPolicy(rho, beta)
+    total = 0.0
+    for eigs in spectra:
+        total += _log_det_rate(eigs, power.per_stream_power)
+    return total
+
+
 def sum_rate(cs: ChannelSet, precoders: PrecoderSet, rho: float,
              projectors: ProjectorSet | None = None,
              report: SchemeReport | None = None) -> float:
@@ -125,24 +160,8 @@ def sum_rate(cs: ChannelSet, precoders: PrecoderSet, rho: float,
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
-    if projectors is not None and not projectors.row_orthonormalized:
-        raise ContractError("projectors must be row-orthonormalized for the "
-                            "white-noise rate formula")
-    if report is None:
-        report = schemes.verify_scheme(cs, precoders, projectors)
-    if not report.decodable:
-        raise ContractError(
-            f"scheme is not decodable (residual {report.residual_interference:.3e}, "
-            f"ranks {report.effective_rank})")
-    power = PowerPolicy(rho, precoders.beta)
-    total = 0.0
-    for m in (1, 2):
-        g = schemes.desired_matrix(cs, precoders, m)
-        if projectors is not None:
-            g = projectors.projector(m) @ g
-        eigs = np.linalg.eigvalsh(g @ g.conj().T)
-        total += _log_det_rate(eigs, power.per_stream_power)
-    return total
+    return _spectra_rate(_cell_spectra(cs, precoders, projectors, report),
+                         rho, precoders.beta)
 
 
 def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
@@ -175,27 +194,46 @@ def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
     return total
 
 
+def _fit_line(x: np.ndarray, y: list[float]) -> tuple[float, float, float]:
+    """Least-squares (slope, intercept, r_squared) of y against x.
+
+    The same arithmetic as scipy.stats.linregress, so the numbers match it
+    bit for bit.  A constant y is fitted exactly by a flat line; its r² is
+    reported as 1.0 (linregress gives NaN there).
+    """
+    y = np.asarray(y)
+    if np.all(y == y[0]):
+        return 0.0, float(y[0]), 1.0
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y, None) - slope * np.mean(x, None)
+    return float(slope), float(intercept), float(r ** 2)
+
+
 def estimate_dof_slope(cs: ChannelSet, precoders: PrecoderSet,
                        grid: SnrGrid = DEFAULT_SNR_GRID,
                        projectors: ProjectorSet | None = None,
-                       interference_limited: bool = False) -> SlopeEstimate:
+                       interference_limited: bool = False,
+                       report: SchemeReport | None = None) -> SlopeEstimate:
     """Fit sum rate against log2(rho) over the grid.
 
     For a verified optimal scheme the slope approaches 2*K*beta.  With
     ``interference_limited`` the rates come from the saturating baseline
     formula instead (no decodability requirement, projectors ignored).
+    ``report``, when given, is the scheme's verify_scheme result and saves
+    repeating the verification.
     """
     if interference_limited:
         rates = [interference_limited_rate(cs, precoders, rho)
                  for rho in grid.linear]
     else:
-        report = schemes.verify_scheme(cs, precoders, projectors)
-        rates = [sum_rate(cs, precoders, rho, projectors, report=report)
+        spectra = _cell_spectra(cs, precoders, projectors, report)
+        rates = [_spectra_rate(spectra, rho, precoders.beta)
                  for rho in grid.linear]
-    fit = linregress(np.log2(grid.linear), rates)
-    return SlopeEstimate(grid=grid, sum_rates=tuple(rates),
-                         slope=float(fit.slope), intercept=float(fit.intercept),
-                         r_squared=float(fit.rvalue ** 2))
+    slope, intercept, r_squared = _fit_line(np.log2(grid.linear), rates)
+    return SlopeEstimate(grid=grid, sum_rates=tuple(rates), slope=slope,
+                         intercept=intercept, r_squared=r_squared)
 
 
 def random_precoders(cs: ChannelSet, beta: int, seed: int) -> PrecoderSet:
@@ -213,17 +251,12 @@ def random_precoders(cs: ChannelSet, beta: int, seed: int) -> PrecoderSet:
     return PrecoderSet(beta, precoders)
 
 
-def _run_trials(trial: Callable[[int], bool], trials: int,
-                workers: int | None) -> int:
-    """Count passing trials; a commutative sum, so worker count is moot."""
+def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
+    """Sum the passes of trials 0..trials-1, TRIAL_CHUNK trials at a time."""
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1:
-        return sum(trial(i) for i in range(trials))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(trial, range(trials)))
+    return sum(chunk_passes(range(start, min(start + TRIAL_CHUNK, trials)))
+               for start in range(0, trials, TRIAL_CHUNK))
 
 
 def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
@@ -233,7 +266,9 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     """Check rank(A B) = min(m, l) for independent A (m x n), B (n x l).
 
     Requires n >= max(m, l), the hypothesis under which the product is
-    full rank with probability one.
+    full rank with probability one.  Trial i draws A then B from
+    seeded_rng(seed, i).  ``workers`` is ignored; it is kept so that
+    existing callers keep working.
     """
     if min(m, n, l) < 1:
         raise InputError(f"dimensions must be >= 1, got ({m}, {n}, {l})")
@@ -241,14 +276,38 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
         raise InputError(f"lemma requires n >= max(m, l), got n={n}, "
                          f"max(m, l)={max(m, l)}")
 
-    def trial(i: int) -> bool:
-        rng = linalg.seeded_rng(seed, i)
-        a = linalg.random_matrix(m, n, dist, rng)
-        b = linalg.random_matrix(n, l, dist, rng)
-        return linalg.numeric_rank(a @ b, tol) == min(m, l)
+    def chunk_passes(chunk: range) -> int:
+        a, b = linalg.random_matrices(
+            [(m, n), (n, l)], dist, [linalg.seeded_rng(seed, i) for i in chunk])
+        ranks = linalg._rank_svd(a @ b, tol, stacked=True)
+        return int(np.count_nonzero(ranks == min(m, l)))
 
-    passes = _run_trials(trial, trials, workers)
+    passes = _count_passes(chunk_passes, trials)
     return LemmaTrialReport(trials=trials, passes=passes, dims=(m, n, l))
+
+
+def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """dim null(P H) == dim(ran(H) ∩ null(P)) for each stacked pair.
+
+    The left side thresholds P H against the factor magnitudes; the right
+    side is dim U + dim V - rank([U V]) over orthonormal bases U of ran(H)
+    and V of null(P), evaluated per group of trials with equal dims.
+    """
+    scale = np.linalg.norm(p, axis=(1, 2)) * np.linalg.norm(h, axis=(1, 2))
+    lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, scale, stacked=True)
+    rank_h, u, _ = linalg._rank_svd(h, tol, vectors=True, stacked=True)
+    rank_p, _, vh = linalg._rank_svd(p, tol, vectors=True, stacked=True)
+    null_p = p.shape[2] - rank_p
+    rhs = np.zeros_like(lhs)
+    for dim_u, dim_v in set(zip(rank_h.tolist(), null_p.tolist())):
+        if dim_u == 0 or dim_v == 0:
+            continue
+        group = (rank_h == dim_u) & (null_p == dim_v)
+        bases = np.concatenate(
+            [u[group, :, :dim_u],
+             vh[group, p.shape[2] - dim_v:].conj().transpose(0, 2, 1)], axis=2)
+        rhs[group] = dim_u + dim_v - linalg._rank_svd(bases, tol, stacked=True)
+    return lhs == rhs
 
 
 def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
@@ -260,7 +319,11 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
 
     H is N x M with N > M and rank M; P is M x N, either generic or an
     alignment plane constructed by the null-space scheme (which makes both
-    sides equal beta = N - M instead of the generic zero).
+    sides equal beta = N - M instead of the generic zero).  A random trial
+    i draws H (redrawn while rank-deficient) then P from
+    seeded_rng(seed, i); an nsia trial builds P_1 and takes H = H_1,21 from
+    the channels of a network seeded from (seed, i).  ``workers`` is
+    ignored; it is kept so that existing callers keep working.
     """
     if min(M, N) < 1:
         raise InputError(f"dimensions must be >= 1, got ({M}, {N})")
@@ -276,26 +339,39 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
                 f"is an integer, got M={M}, N={N}")
         users = M // beta
 
-    def trial(i: int) -> bool:
+    def redraw(i: int) -> tuple[np.ndarray, np.ndarray]:
+        # one trial's draws in stream order, for a chunk whose stacked draw
+        # of H came out rank-deficient
         rng = linalg.seeded_rng(seed, i)
-        if p_source == "random":
+        h = linalg.random_matrix(N, M, dist, rng)
+        while linalg.numeric_rank(h, tol) < M:
             h = linalg.random_matrix(N, M, dist, rng)
-            while linalg.numeric_rank(h, tol) < M:
-                h = linalg.random_matrix(N, M, dist, rng)
-            p = linalg.random_matrix(M, N, dist, rng)
-        else:
+        return h, linalg.random_matrix(M, N, dist, rng)
+
+    def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+        h, p = linalg.random_matrices(
+            [(N, M), (M, N)], dist, [linalg.seeded_rng(seed, i) for i in chunk])
+        for t in np.flatnonzero(linalg._rank_svd(h, tol, stacked=True) < M):
+            h[t], p[t] = redraw(chunk[t])
+        return h, p
+
+    def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+        # only P_1 and H_1,21 enter the verdict, so only the channels from
+        # cell 2 into base station 1 are drawn
+        planes, channels = [], []
+        for i in chunk:
             sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
             cfg = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta,
                                 seed=sub_seed, dist=dist, tol=tol)
-            cs = generate_channels(cfg)
-            projectors, _ = build_nsia(cs, beta)
-            p = projectors.projector(1)
-            h = cs.channel(1, 2, 1)
-        scale = np.linalg.norm(p) * np.linalg.norm(h)
-        lhs = linalg.null_space_basis(p @ h, tol, scale=scale).dim
-        rhs = linalg.intersection_dim(linalg.range_basis(h, tol),
-                                      linalg.null_space_basis(p, tol), tol)
-        return lhs == rhs
+            cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
+            planes.append(schemes.alignment_plane(cross, beta, tol, 1))
+            channels.append(cross[0])
+        return np.stack(channels), np.stack(planes)
 
-    passes = _run_trials(trial, trials, workers)
+    pairs = random_pairs if p_source == "random" else nsia_pairs
+
+    def chunk_passes(chunk: range) -> int:
+        return int(np.count_nonzero(_lemma2_holds(*pairs(chunk), tol)))
+
+    passes = _count_passes(chunk_passes, trials)
     return LemmaTrialReport(trials=trials, passes=passes, dims=(M, N))

@@ -230,6 +230,54 @@ def test_channel_dump_and_replay(tmp_path, capsys):
     assert strip_timestamp(replayed) == strip_timestamp(fresh)
 
 
+def scaled_dump(tmp_path, capsys, factor, mutate=None):
+    dump = tmp_path / "channels.json"
+    assert run(["zf", "--K", "2", "--seed", "3", "--dump-channels", str(dump)]) == 0
+    capsys.readouterr()
+    doc = json.loads(dump.read_text())
+    for entry in doc["channels"]:
+        entry["re"] = [[v * factor for v in row] for row in entry["re"]]
+        entry["im"] = [[v * factor for v in row] for row in entry["im"]]
+    if mutate is not None:
+        mutate(doc)
+    dump.write_text(json.dumps(doc))
+    return dump
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_replay_with_non_finite_leakage_exits_1(tmp_path, capsys, factor):
+    dump = scaled_dump(tmp_path, capsys, factor)
+    assert run(["zf", "--channels", str(dump), "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cross link (m=1, l=2, k=1)" in captured.err
+
+
+def test_replay_rejects_nan_entries(tmp_path, capsys):
+    def poison(doc):
+        doc["channels"][0]["re"][0][0] = float("nan")
+    dump = scaled_dump(tmp_path, capsys, 1.0, poison)
+    assert "NaN" in dump.read_text()
+    assert run(["zf", "--channels", str(dump)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_replay_rejects_bool_indices(tmp_path, capsys):
+    def boolean(doc):
+        doc["channels"][0]["m"] = True
+    dump = scaled_dump(tmp_path, capsys, 1.0, boolean)
+    assert run(["zf", "--channels", str(dump)]) == 1
+    assert "must be integers" in capsys.readouterr().err
+
+
+def test_workers_flag_is_accepted_and_ignored(capsys):
+    argv = ["lemma2", "--M", "2", "--N", "3", "--trials", "50", "--seed", "4"]
+    _, plain = run_json(capsys, argv)
+    code, threaded = run_json(capsys, [*argv, "--workers", "4"])
+    assert code == 0
+    assert strip_timestamp(threaded) == strip_timestamp(plain)
+
+
 # ---------------------------------------------------------------------------
 # config files
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
+from doflab import linalg
 from doflab.errors import DimensionError, InputError, RankError
 from doflab.linalg import (SubspaceBasis, Tolerance, intersection_dim,
                            null_space_basis, numeric_rank,
@@ -92,6 +93,70 @@ def test_tolerance_validation():
         Tolerance(0.0)
     with pytest.raises(InputError):
         Tolerance(1.5)
+
+
+# ---------------------------------------------------------------------------
+# stacked rank kernel and batched draws
+# ---------------------------------------------------------------------------
+
+def rank_test_stack():
+    """3x4 slices: full rank, rank 1, zero, a cancelled product at rounding
+    level, a tiny full-rank matrix and one with a clear gap."""
+    rank_one = gaussian(3, 1, 30) @ gaussian(1, 4, 31)
+    gapped = gaussian(3, 4, 34)
+    u, s, vh = np.linalg.svd(gapped, full_matrices=False)
+    s[-1] *= 1e-13
+    return np.stack([gaussian(3, 4, 32), rank_one, np.zeros((3, 4)),
+                     1e-16 * gaussian(3, 4, 33), 1e-8 * gaussian(3, 4, 35),
+                     (u * s) @ vh])
+
+
+@pytest.mark.parametrize("scale", [None, 1.0, (0.0, 5.0, 1.0, 1.0, 0.0, 3.0)])
+def test_stacked_rank_matches_numeric_rank_slice_by_slice(scale):
+    stack = rank_test_stack()
+    per_slice = np.broadcast_to(np.nan if scale is None else scale, len(stack))
+    ranks = linalg._rank_svd(stack, TOL, scale, stacked=True)
+    expected = [numeric_rank(a, TOL, None if scale is None else float(sc))
+                for a, sc in zip(stack, per_slice)]
+    assert ranks.tolist() == expected
+
+
+def test_stacked_rank_covers_the_interesting_cases():
+    ranks = linalg._rank_svd(rank_test_stack(), TOL, stacked=True).tolist()
+    assert ranks == [3, 1, 0, 3, 3, 2]
+    anchored = linalg._rank_svd(rank_test_stack(), TOL, 1.0, stacked=True)
+    assert anchored.tolist() == [3, 1, 0, 0, 3, 2]
+
+
+def test_stacked_rank_validates_like_as_matrix():
+    bad = rank_test_stack()
+    bad[2, 0, 0] = np.nan
+    with pytest.raises(InputError):
+        linalg._rank_svd(bad, TOL, stacked=True)
+    with pytest.raises(DimensionError):
+        linalg._rank_svd(np.zeros((2, 3)), TOL, stacked=True)
+    with pytest.raises(DimensionError):
+        numeric_rank(np.zeros((2, 2, 3)), TOL)
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+def test_batched_draws_equal_per_trial_draws(dist):
+    shapes = [(2, 4), (4, 3), (1, 1)]
+    blocks = linalg.random_matrices(shapes, dist,
+                                    [seeded_rng(11, i) for i in range(5)])
+    assert [b.shape for b in blocks] == [(5, 2, 4), (5, 4, 3), (5, 1, 1)]
+    for i in range(5):
+        rng = seeded_rng(11, i)
+        for block, (rows, cols) in zip(blocks, shapes):
+            np.testing.assert_array_equal(block[i],
+                                          random_matrix(rows, cols, dist, rng))
+
+
+def test_batched_draws_validate_inputs():
+    with pytest.raises(InputError):
+        linalg.random_matrices([(2, 2)], "complex-gaussian", [seeded_rng(1), None])
+    with pytest.raises(DimensionError):
+        linalg.random_matrices([(2, 0)], "uniform-square", [seeded_rng(1)])
 
 
 # ---------------------------------------------------------------------------

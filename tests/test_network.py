@@ -184,6 +184,23 @@ def test_channel_deserialization_rejects_bad_docs():
         channel_set_from_dict(wrong_shape)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_channel_deserialization_rejects_non_finite_entries(bad):
+    doc = channel_set_to_dict(make_set(seed=9))
+    doc["channels"][3]["im"][1][0] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        channel_set_from_dict(doc)
+
+
+@pytest.mark.parametrize("index", [True, 1.0, "1"])
+def test_channel_deserialization_rejects_non_integer_indices(index):
+    doc = channel_set_to_dict(make_set(seed=9))
+    assert doc["channels"][0]["k"] == 1
+    doc["channels"][0]["k"] = index
+    with pytest.raises(InputError, match="integers"):
+        channel_set_from_dict(doc)
+
+
 def test_channel_accessor_validates_indices():
     cs = make_set()
     with pytest.raises(IndexError):

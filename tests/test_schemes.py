@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from doflab import bounds, linalg
-from doflab.errors import ConfigurationError, RankError
+from doflab.errors import ConfigurationError, DegeneracyError, RankError
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
-from doflab.network import NetworkConfig, generate_channels
+from doflab.network import ChannelSet, NetworkConfig, generate_channels
 from doflab.schemes import (build_nsia, build_zf_precoders, desired_matrix,
                             other_cell, pi_transform, verify_scheme)
 from doflab.simulation import random_precoders
@@ -46,6 +46,18 @@ def test_zf_single_user_closed_form():
         expected /= np.linalg.norm(expected)
         assert abs(abs(np.vdot(expected, w)) - 1.0) <= 1e-12
         assert abs(h @ w) <= 1e-12 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("factor", [1e200, 1e-200])
+def test_verify_refuses_non_finite_leakage(factor):
+    # the Frobenius norms overflow (1e200) or underflow to 0/0 (1e-200);
+    # a NaN leak must not fold into a zero residual and a pass
+    cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
+    scaled = ChannelSet(cs.config, {key: h * factor
+                                    for key, h in cs.channels.items()})
+    pre = build_zf_precoders(scaled, 1)
+    with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
+        verify_scheme(scaled, pre)
 
 
 def test_zf_rejects_wrong_profile():

@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from doflab import bounds
+from doflab import bounds, simulation
 from doflab.errors import ContractError, InputError
+from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
+                           numeric_rank, random_matrix, range_basis, seeded_rng)
 from doflab.network import NetworkConfig, generate_channels
-from doflab.schemes import build_nsia, build_zf_precoders, pi_transform
-from doflab.simulation import (LemmaTrialReport, SnrGrid, estimate_dof_slope,
+from doflab.schemes import (build_nsia, build_zf_precoders, pi_transform,
+                            verify_scheme)
+from doflab.simulation import (DEFAULT_SNR_GRID, LemmaTrialReport, SnrGrid,
+                               estimate_dof_slope,
                                interference_limited_rate, monte_carlo_lemma1,
                                monte_carlo_lemma2, random_precoders, sum_rate)
 
@@ -181,6 +185,29 @@ def test_slope_convergence_full_grid(K, beta):
     assert est.r_squared >= 0.999
 
 
+def test_slope_with_report_matches_slope_without():
+    cs, pre, projectors = nsia_setup(K=2)
+    report = verify_scheme(cs, pre, projectors)
+    assert estimate_dof_slope(cs, pre, projectors=projectors, report=report) == \
+        estimate_dof_slope(cs, pre, projectors=projectors)
+
+
+def test_line_fit_matches_scipy_linregress():
+    linregress = pytest.importorskip("scipy.stats").linregress
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x = np.sort(rng.uniform(0, 40, 5)) + np.arange(5)
+        y = list(rng.standard_normal(5) * 10 + 3 * x)
+        fit = linregress(x, y)
+        assert simulation._fit_line(x, y) == (
+            float(fit.slope), float(fit.intercept), float(fit.rvalue ** 2))
+
+
+def test_constant_rate_fit_is_flat_with_unit_r_squared():
+    x = np.log2(DEFAULT_SNR_GRID.linear)
+    assert simulation._fit_line(x, [4.25] * len(x)) == (0.0, 4.25, 1.0)
+
+
 def test_slope_estimate_serialization():
     cs, pre = zf_setup()
     doc = estimate_dof_slope(cs, pre).to_dict()
@@ -242,6 +269,42 @@ def test_lemma1_deterministic_and_worker_independent():
     b = monte_carlo_lemma1(2, 4, 3, trials=64, seed=5)
     c = monte_carlo_lemma1(2, 4, 3, trials=64, seed=5, workers=4)
     assert a == b == c
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_lemma_pass_counts_independent_of_chunk_size(chunk, monkeypatch):
+    # loose tolerances make some trials fail and some H draws get redrawn,
+    # so the counts pin individual verdicts, not just "all passed"
+    loose = Tolerance(0.2)
+    monkeypatch.setattr(simulation, "TRIAL_CHUNK", chunk)
+    counts = (monte_carlo_lemma1(2, 4, 3, trials=60, seed=2, tol=loose).passes,
+              monte_carlo_lemma2(2, 3, trials=60, seed=5, tol=loose).passes,
+              monte_carlo_lemma2(2, 4, trials=9, seed=4, p_source="nsia").passes)
+    assert counts == (5, 15, 9)
+
+
+def reference_lemma2_random(M, N, trials, seed, dist, tol):
+    """One trial at a time, in the documented stream order."""
+    passes = 0
+    for i in range(trials):
+        rng = seeded_rng(seed, i)
+        h = random_matrix(N, M, dist, rng)
+        while numeric_rank(h, tol) < M:
+            h = random_matrix(N, M, dist, rng)
+        p = random_matrix(M, N, dist, rng)
+        scale = np.linalg.norm(p) * np.linalg.norm(h)
+        lhs = null_space_basis(p @ h, tol, scale=scale).dim
+        rhs = intersection_dim(range_basis(h, tol), null_space_basis(p, tol), tol)
+        passes += lhs == rhs
+    return passes
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+@pytest.mark.parametrize("rel_tol", [1e-10, 0.05, 0.2])
+def test_lemma2_random_matches_per_trial_reference(dist, rel_tol):
+    tol = Tolerance(rel_tol)
+    got = monte_carlo_lemma2(2, 3, trials=80, seed=8, dist=dist, tol=tol)
+    assert got.passes == reference_lemma2_random(2, 3, 80, 8, dist, tol)
 
 
 def test_lemma2_random_planes():
