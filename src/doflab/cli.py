@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 from . import bounds, network, schemes, simulation
 from .errors import DoflabError, InputError
-from .linalg import Tolerance
+from .linalg import Tolerance, one_blas_thread
 from .network import NetworkConfig
 from .simulation import SnrGrid
 
@@ -460,7 +460,8 @@ def run(argv=None) -> int:
         return 1
 
     try:
-        doc, ok = _RUNNERS[args.command](args)
+        with one_blas_thread():
+            doc, ok = _RUNNERS[args.command](args)
     except (DoflabError, ValueError, IndexError, KeyError, OSError) as exc:
         print(f"doflab: error: {exc}", file=sys.stderr)
         return 1

@@ -3,17 +3,32 @@
 Numeric rank, null/range bases, subspace intersection and seeded random
 matrix generation.  Everything here is a pure function of its inputs; RNG
 state is always passed explicitly so results are reproducible from a seed.
+one_blas_thread pins OpenBLAS to one thread, which keeps large-matrix
+results independent of the core count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, InputError, RankError
 
+log = logging.getLogger(__name__)
+
 DISTRIBUTIONS = ("complex-gaussian", "uniform-square")
+
+# OpenBLAS thread-count setter/getter names, by wheel: scipy-openblas
+# ILP64 and LP64 builds (numpy >= 2), then numpy 1.x's bundled OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+)
 
 # Orthonormality slack for SubspaceBasis validation: 10x the default
 # relative rank tolerance.  SVD/QR factors are orthonormal to ~1e-15,
@@ -39,6 +54,15 @@ class Tolerance:
     def absolute(self, rows: int, cols: int, sigma_max: float) -> float:
         """Absolute singular-value threshold for a rows x cols matrix."""
         return self.rel_rank_tol * max(rows, cols) * sigma_max
+
+    def require_rankable(self, size: int, what: str):
+        """Refuse matrices whose larger side is ``size`` (named ``what``)
+        when the threshold reaches sigma_max: every rank would then be 0,
+        and a loop that redraws until full rank would never end."""
+        if self.rel_rank_tol * size >= 1.0:
+            raise InputError(
+                f"rel_rank_tol={self.rel_rank_tol} times {what}={size} is >= 1, "
+                f"so no singular value can pass the rank threshold")
 
 
 DEFAULT_TOL = Tolerance()
@@ -72,6 +96,55 @@ class SubspaceBasis:
             if err > _ORTHO_TOL:
                 raise RankError(
                     f"basis columns are not orthonormal (max Gram error {err:.3e})")
+
+
+@functools.cache
+def _openblas_threads():
+    """OpenBLAS's (set, get) thread-count functions, or None; resolved once.
+
+    dlsym on numpy's linalg extension also searches the libraries it links,
+    so this finds the BLAS numpy actually calls, whatever the wheel layout.
+    """
+    import ctypes
+    from numpy.linalg import _umath_linalg
+
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+        try:
+            set_threads, get_threads = getattr(lib, set_name), getattr(lib, get_name)
+        except AttributeError:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    log.debug("numpy's BLAS exposes no OpenBLAS thread-count functions; "
+              "one_blas_thread leaves its threading as it is")
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block's BLAS and LAPACK calls on one OpenBLAS thread.
+
+    At the sizes doflab reaches (about 130x130) a second thread costs more
+    CPU than it saves, and the threaded reductions round differently, so a
+    report would depend on the core count.  The previous thread count is
+    restored on exit, also when the block raises.  The setting is
+    process-wide: other threads' BLAS calls run on one thread meanwhile,
+    and blocks overlapping on several threads can restore out of order.
+    A BLAS other than OpenBLAS is left alone.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
 def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:

@@ -21,6 +21,12 @@ from .linalg import Tolerance
 log = logging.getLogger(__name__)
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool: bool is an int subclass, so a JSON true
+    would otherwise pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Dimensions and generation parameters for one network realization."""
@@ -37,14 +43,15 @@ class NetworkConfig:
     def __post_init__(self):
         for name in ("L", "K", "M", "N", "beta"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise InputError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dist not in linalg.DISTRIBUTIONS:
             raise InputError(
                 f"unknown distribution {self.dist!r}, expected one of "
                 f"{linalg.DISTRIBUTIONS}")
+        self.tol.require_rankable(max(self.M, self.N), "max(M, N)")
 
     def to_dict(self) -> dict:
         return {"L": self.L, "K": self.K, "M": self.M, "N": self.N,
@@ -185,7 +192,7 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
                              "'m', 'l', 'k', 're', 'im'")
         index = (entry["m"], entry["l"], entry["k"])
         # bool is an int subclass, and True would silently index cell 1
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in index):
+        if not all(_is_int(i) for i in index):
             raise InputError(f"channel indices (m, l, k) must be integers, "
                              f"got {index!r}")
         name = "channel (m={}, l={}, k={})".format(*index)

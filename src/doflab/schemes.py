@@ -170,11 +170,11 @@ def alignment_plane(cross: list[np.ndarray], beta: int, tol: Tolerance,
                 f"null space of conjugated cross channel (m={m}, l={src}, "
                 f"k={k}) has dimension {null.dim}, expected {beta}")
         blocks.append(null.basis)
-    p_raw = np.hstack(blocks).conj().T
-    if linalg.numeric_rank(p_raw, tol) != len(cross) * beta:
+    try:
+        return linalg.orthonormalize_rows(np.hstack(blocks).conj().T, tol)
+    except RankError as exc:
         raise DegeneracyError(
-            f"stacked alignment plane at base station {m} lost rank")
-    return linalg.orthonormalize_rows(p_raw, tol)
+            f"stacked alignment plane at base station {m} lost rank") from exc
 
 
 def desired_matrix(cs: ChannelSet, precoders: PrecoderSet, m: int) -> np.ndarray:

@@ -331,6 +331,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         raise InputError(f"lemma requires N > M, got M={M}, N={N}")
     if p_source not in ("random", "nsia"):
         raise InputError(f"p_source must be 'random' or 'nsia', got {p_source!r}")
+    tol.require_rankable(N, "N")
     if p_source == "nsia":
         beta = N - M
         if M % beta != 0:

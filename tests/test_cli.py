@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from doflab import linalg
 from doflab.cli import ExperimentConfig, parse_int_range, parse_snr, run
 from doflab.errors import InputError
 
@@ -268,6 +269,46 @@ def test_replay_rejects_bool_indices(tmp_path, capsys):
     dump = scaled_dump(tmp_path, capsys, 1.0, boolean)
     assert run(["zf", "--channels", str(dump)]) == 1
     assert "must be integers" in capsys.readouterr().err
+
+
+def test_replay_rejects_bool_config_values(tmp_path, capsys):
+    def boolean(doc):
+        doc["config"]["K"] = True
+    dump = scaled_dump(tmp_path, capsys, 1.0, boolean)
+    assert run(["zf", "--channels", str(dump)]) == 1
+    assert "K must be a positive integer" in capsys.readouterr().err
+
+
+def test_impossible_rank_tolerance_exits_1(capsys):
+    # 0.5 * max(M, N) = 1.5 >= 1: used to redraw the first channel forever
+    assert run(["zf", "--K", "2", "--rel-rank-tol", "0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no singular value can pass" in captured.err
+
+
+def test_large_report_does_not_depend_on_prior_blas_threads(capsys):
+    # N = 80 is past the size where OpenBLAS threads its kernels; run at 1
+    # and at 2 threads, these sum rates differ in the last digits
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+    set_threads, get_threads = blas
+    argv = ["slope", "--scheme", "nsia", "--K", "1", "--beta", "40", "--seed", "0"]
+    before = get_threads()
+    reports = []
+    try:
+        for threads in (1, 2):
+            set_threads(threads)
+            assert run(argv) == 0
+            assert get_threads() == threads
+            out = capsys.readouterr().out
+            reports.append([line for line in out.splitlines()
+                            if not line.startswith('  "timestamp": ')])
+    finally:
+        set_threads(before)
+    assert len(reports[0]) == len(out.splitlines()) - 1
+    assert reports[0] == reports[1]
 
 
 def test_workers_flag_is_accepted_and_ignored(capsys):

@@ -1,3 +1,6 @@
+import ctypes
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +96,15 @@ def test_tolerance_validation():
         Tolerance(0.0)
     with pytest.raises(InputError):
         Tolerance(1.5)
+
+
+def test_tolerance_refuses_sizes_where_no_singular_value_passes():
+    # at rel_rank_tol * size >= 1 the threshold reaches sigma_max
+    with pytest.raises(InputError, match="no singular value"):
+        Tolerance(0.2).require_rankable(5, "N")
+    Tolerance(0.2).require_rankable(4, "N")
+    assert numeric_rank(np.eye(4), Tolerance(0.2)) == 4
+    assert numeric_rank(np.eye(5), Tolerance(0.2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +292,67 @@ def test_orthonormalize_rows_rejects_rank_deficient():
     row = gaussian(1, 3, 22)
     with pytest.raises(RankError):
         orthonormalize_rows(np.vstack([row, row]), TOL)
+
+
+# ---------------------------------------------------------------------------
+# one_blas_thread
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test
+    and restored afterwards."""
+    blas = linalg._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def test_one_blas_thread_restores_the_previous_count(blas_threads):
+    with linalg.one_blas_thread():
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+    with pytest.raises(InputError):
+        with linalg.one_blas_thread():
+            assert blas_threads() == 1
+            raise InputError("refused inside the block")
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_nests(blas_threads):
+    with linalg.one_blas_thread():
+        with linalg.one_blas_thread():
+            pass
+        assert blas_threads() == 1
+    assert blas_threads() == 2
+
+
+def test_one_blas_thread_without_openblas_changes_nothing(blas_threads, monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    with linalg.one_blas_thread():
+        assert blas_threads() == 2
+    assert blas_threads() == 2
+
+
+def test_openblas_lookup_without_the_symbols_logs_once(monkeypatch, caplog):
+    # an object without attributes stands for a library lacking the symbols
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+    linalg._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level(logging.DEBUG, logger="doflab.linalg"):
+            with linalg.one_blas_thread():
+                assert linalg._openblas_threads() is None
+            with linalg.one_blas_thread():
+                pass
+    finally:
+        monkeypatch.undo()
+        linalg._openblas_threads.cache_clear()
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "OpenBLAS" in caplog.records[0].getMessage()
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,25 @@ def test_config_validation():
         NetworkConfig(L=1, K=1, M=1, N=1, dist="rayleigh")
 
 
+@pytest.mark.parametrize("key", ["L", "K", "M", "N", "beta", "seed"])
+def test_config_rejects_bool_dimensions_and_seed(key):
+    # True would pass as 1 and False as seed 0
+    doc = {"L": 2, "K": 1, "M": 2, "N": 1, "beta": 1, "seed": 0}
+    doc[key] = key != "seed"
+    with pytest.raises(InputError, match=f"^{key} must be"):
+        NetworkConfig.from_dict(doc)
+
+
+def test_config_refuses_a_tolerance_no_singular_value_can_pass():
+    # 0.5 * max(M, N) = 1.5: every channel would rank 0 and be redrawn forever
+    with pytest.raises(InputError, match="no singular value"):
+        NetworkConfig(L=2, K=2, M=3, N=2, tol=Tolerance(0.5))
+    with pytest.raises(InputError, match="no singular value"):
+        NetworkConfig.from_dict({"L": 2, "K": 2, "M": 3, "N": 2,
+                                 "rel_rank_tol": 0.5})
+    NetworkConfig(L=2, K=2, M=3, N=2, tol=Tolerance(0.3))
+
+
 def test_config_round_trip():
     cfg = NetworkConfig(L=2, K=3, M=4, N=3, beta=1, seed=5,
                         dist="uniform-square", tol=Tolerance(1e-9))

@@ -5,8 +5,9 @@ from doflab import bounds, linalg
 from doflab.errors import ConfigurationError, DegeneracyError, RankError
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
 from doflab.network import ChannelSet, NetworkConfig, generate_channels
-from doflab.schemes import (build_nsia, build_zf_precoders, desired_matrix,
-                            other_cell, pi_transform, verify_scheme)
+from doflab.schemes import (alignment_plane, build_nsia, build_zf_precoders,
+                            desired_matrix, other_cell, pi_transform,
+                            verify_scheme)
 from doflab.simulation import random_precoders
 
 TOL = Tolerance()
@@ -131,6 +132,15 @@ def test_nsia_two_streams():
     assert all(d == 2 for d in report.null_dims.values())
     assert report.effective_rank == {1: 4, 2: 4}
     assert report.decodable
+
+
+def test_rank_deficient_alignment_plane_raises_degeneracy():
+    # two users behind the same cross channel get the same null space, so
+    # the stacked 2 x 3 plane has rank 1
+    h = channels_for(2, 1, bounds.RX_HEAVY, seed=14).channel(1, 2, 1)
+    with pytest.raises(DegeneracyError) as exc:
+        alignment_plane([h, h], 1, TOL, 1)
+    assert str(exc.value) == "stacked alignment plane at base station 1 lost rank"
 
 
 def test_nsia_rejects_wrong_profile():

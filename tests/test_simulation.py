@@ -328,6 +328,12 @@ def test_lemma2_rejects_non_integer_user_count():
         monte_carlo_lemma2(3, 5, trials=10, seed=0, p_source="nsia")
 
 
+def test_lemma2_refuses_a_tolerance_no_singular_value_can_pass():
+    # 0.2 * N = 1: no H could pass the rank check, so the redraw never ends
+    with pytest.raises(InputError, match="no singular value"):
+        monte_carlo_lemma2(3, 5, trials=10, seed=0, tol=Tolerance(0.2))
+
+
 def test_lemma2_zero_plane_edge_case():
     # P = 0 makes both sides of the identity equal to M
     from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
