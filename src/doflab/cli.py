@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from . import bounds, network, schemes, simulation
@@ -66,74 +66,10 @@ def parse_snr(text: str) -> SnrGrid:
     return SnrGrid.from_range(start, step, stop)
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment as a JSON document; mirrors the command-line flags."""
-
-    command: str
-    K: "int | str | None" = None
-    L: int | None = None
-    M: int | None = None
-    N: int | None = None
-    beta: "int | str | None" = None
-    seed: int | None = None
-    seeds: "int | str | None" = None
-    dist: str | None = None
-    rel_rank_tol: float | None = None
-    scheme: str | None = None
-    schemes: str | None = None
-    profile: str | None = None
-    snr: str | None = None
-    trials: int | None = None
-    m: int | None = None
-    n: int | None = None
-    l: int | None = None
-    p_source: str | None = None
-    tol_slope: float | None = None
-    min_r2: float | None = None
-    workers: int | None = None
-    channels: str | None = None
-    dump_channels: str | None = None
-    assert_checks: bool = False
-    output_format: str | None = None
-    output_path: str | None = None
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)} - {"assert_checks"}
-        known |= {"assert"}
-        unknown = set(doc) - known
-        if unknown:
-            raise InputError(f"unknown config keys: {sorted(unknown)}")
-        if "command" not in doc:
-            raise InputError("config is missing the 'command' key")
-        doc = dict(doc)
-        assert_checks = bool(doc.pop("assert", False))
-        return cls(assert_checks=assert_checks, **doc)
-
-    def to_argv(self) -> list[str]:
-        argv = [self.command]
-        flag_names = {"p_source": "--p-source", "tol_slope": "--tol-slope",
-                      "min_r2": "--min-r2", "rel_rank_tol": "--rel-rank-tol",
-                      "dump_channels": "--dump-channels",
-                      "output_format": "--format", "output_path": "--output"}
-        for f in fields(self):
-            if f.name in ("command", "assert_checks"):
-                continue
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            flag = flag_names.get(f.name, f"--{f.name}")
-            argv += [flag, str(value)]
-        if self.assert_checks:
-            argv.append("--assert")
-        return argv
-
-
 def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="report format (csv is a lossy projection)")
-    p.add_argument("--output", default=None, metavar="PATH",
+    p.add_argument("--format", dest="output_format", choices=("json", "csv"),
+                   default="json", help="report format (csv is a lossy projection)")
+    p.add_argument("--output", dest="output_path", default=None, metavar="PATH",
                    help="write the report here instead of stdout")
 
 
@@ -148,6 +84,22 @@ def _add_network_flags(p: argparse.ArgumentParser, with_scheme_dims: bool):
     p.add_argument("--rel-rank-tol", type=float, default=1e-10)
 
 
+def _add_replay_flags(p: argparse.ArgumentParser):
+    p.add_argument("--channels", metavar="PATH",
+                   help="replay channels from a JSON dump instead of "
+                        "generating (overrides --K/--beta/--seed)")
+    p.add_argument("--dump-channels", metavar="PATH",
+                   help="write the generated channels to this JSON file")
+
+
+def _add_fit_flags(p: argparse.ArgumentParser):
+    p.add_argument("--snr", default="60:10:100", metavar="START:STEP:STOP",
+                   help="SNR grid in dB")
+    p.add_argument("--tol-slope", type=float, default=0.03,
+                   help="relative slope tolerance for --assert")
+    p.add_argument("--min-r2", type=float, default=0.999)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="doflab",
                      description="Degrees-of-freedom bounds and alignment "
@@ -156,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the experiment described by a JSON config "
                              "file instead of flags")
     sub = parser.add_subparsers(dest="command")
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("bound", parents=[], help="evaluate the DoF outer bound")
     p.add_argument("--K", type=int, required=True)
@@ -168,12 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
                             (schemes.NSIA, "build and verify null-space alignment")):
         p = sub.add_parser(name, help=help_text)
         _add_network_flags(p, with_scheme_dims=True)
-        p.add_argument("--channels", metavar="PATH",
-                       help="replay channels from a JSON dump instead of "
-                            "generating (overrides --K/--beta/--seed)")
-        p.add_argument("--dump-channels", metavar="PATH",
-                       help="write the generated channels to this JSON file")
-        p.add_argument("--assert", dest="assert_checks", action="store_true",
+        _add_replay_flags(p)
+        p.add_argument("--assert", action="store_true",
                        help="exit 2 unless the scheme verifies decodable")
         _add_output_flags(p)
 
@@ -183,15 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=bounds.VARIANTS, default=None,
                    help="antenna profile for --scheme random")
     _add_network_flags(p, with_scheme_dims=True)
-    p.add_argument("--snr", default="60:10:100", metavar="START:STEP:STOP",
-                   help="SNR grid in dB")
-    p.add_argument("--channels", metavar="PATH")
-    p.add_argument("--dump-channels", metavar="PATH")
-    p.add_argument("--assert", dest="assert_checks", action="store_true",
+    _add_replay_flags(p)
+    p.add_argument("--assert", action="store_true",
                    help="exit 2 when the slope misses its target")
-    p.add_argument("--tol-slope", type=float, default=0.03,
-                   help="relative slope tolerance for --assert")
-    p.add_argument("--min-r2", type=float, default=0.999)
+    _add_fit_flags(p)
     _add_output_flags(p)
 
     p = sub.add_parser("lemma1", help="Monte Carlo product-rank check")
@@ -203,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="ignored; kept for existing scripts and configs "
                         "(trials run in stacked chunks)")
-    p.add_argument("--assert", dest="assert_checks", action="store_true")
+    p.add_argument("--assert", action="store_true")
     _add_output_flags(p)
 
     p = sub.add_parser("lemma2", help="Monte Carlo null/intersection check")
@@ -214,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_flags(p, with_scheme_dims=False)
     p.add_argument("--workers", type=int, default=None,
                    help="ignored, as for lemma1")
-    p.add_argument("--assert", dest="assert_checks", action="store_true")
+    p.add_argument("--assert", action="store_true")
     _add_output_flags(p)
 
     p = sub.add_parser("sweep", help="bound/slope table over K, beta, seeds")
@@ -223,16 +167,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="range of channel seeds")
     p.add_argument("--schemes", choices=(schemes.ZF, schemes.NSIA, "both"),
                    default="both")
-    p.add_argument("--snr", default="60:10:100")
     p.add_argument("--dist", choices=("complex-gaussian", "uniform-square"),
                    default="complex-gaussian")
     p.add_argument("--rel-rank-tol", type=float, default=1e-10)
-    p.add_argument("--tol-slope", type=float, default=0.03)
-    p.add_argument("--min-r2", type=float, default=0.999)
-    p.add_argument("--assert", dest="assert_checks", action="store_true")
+    p.add_argument("--assert", action="store_true",
+                   help="exit 2 when any row misses its target")
+    _add_fit_flags(p)
     _add_output_flags(p)
 
     return parser
+
+
+def config_to_argv(parser: argparse.ArgumentParser, doc) -> list[str]:
+    """The command line of the experiment a config document describes.
+
+    The document is a JSON object whose ``command`` names a subcommand and
+    whose other keys are the ``dest`` names of that subcommand's flags.  A
+    switch takes true or false, null leaves a flag at its default, and any
+    other value is passed as ``--flag=value``, so a value that starts with
+    "-" (a negative SNR) still parses.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"config must be a JSON object, got {type(doc).__name__}")
+    if "command" not in doc:
+        raise InputError("config is missing the 'command' key")
+    command = doc["command"]
+    if not isinstance(command, str) or command not in parser.commands:
+        raise InputError(f"config 'command' must be one of "
+                         f"{sorted(parser.commands)}, got {command!r}")
+    flags = {action.dest: action for action in parser.commands[command]._actions
+             if action.dest != "help"}
+    unknown = set(doc) - set(flags) - {"command"}
+    if unknown:
+        raise InputError(f"unknown config keys for {command!r}: {sorted(unknown)}")
+    argv = [command]
+    for key, value in doc.items():
+        if key == "command":
+            continue
+        flag = flags[key].option_strings[0]
+        if flags[key].nargs == 0:  # a switch (store_true)
+            if not isinstance(value, bool):
+                raise InputError(f"config key {key!r} is a switch and takes "
+                                 f"true or false, got {value!r}")
+            if value:
+                argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
 
 
 def _fallback_seed(seed: int | None) -> int:
@@ -247,6 +228,13 @@ def _fallback_seed(seed: int | None) -> int:
     return 0
 
 
+def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
+    M, N = bounds.antenna_profile(K, beta, variant)
+    return network.generate_channels(NetworkConfig(
+        L=2, K=K, M=M, N=N, beta=beta, seed=seed, dist=args.dist,
+        tol=Tolerance(args.rel_rank_tol)))
+
+
 def _scheme_channel_set(args, variant: str):
     """Channels for a scheme command: replayed from a dump or generated."""
     if args.channels:
@@ -255,11 +243,8 @@ def _scheme_channel_set(args, variant: str):
         return cs, cs.config.beta
     if args.K is None:
         raise InputError("--K is required when --channels is not given")
-    M, N = bounds.antenna_profile(args.K, args.beta, variant)
-    cfg = NetworkConfig(L=2, K=args.K, M=M, N=N, beta=args.beta,
-                        seed=_fallback_seed(args.seed), dist=args.dist,
-                        tol=Tolerance(args.rel_rank_tol))
-    cs = network.generate_channels(cfg)
+    cs = _generate_channels(args, args.K, args.beta, variant,
+                            _fallback_seed(args.seed))
     if args.dump_channels:
         with open(args.dump_channels, "w") as fh:
             json.dump(network.channel_set_to_dict(cs), fh, indent=2)
@@ -267,11 +252,38 @@ def _scheme_channel_set(args, variant: str):
     return cs, args.beta
 
 
-def _build_scheme(cs, beta: int, scheme: str):
+def _evaluate(args, cs, beta: int, scheme: str, variant: str,
+              grid: SnrGrid | None = None):
+    """Build ``scheme`` (zf, nsia or random) on ``cs``, verify it and, given
+    an SNR grid, fit its DoF slope.
+
+    Returns ``(report, estimate, expected, ok)``, where ``expected`` is the
+    two-cell converse at ``variant``.  Without a grid, ``ok`` is
+    decodability and ``estimate`` and ``expected`` are None.  With one, a
+    built scheme must also fit within --tol-slope of ``expected`` with
+    r² >= --min-r2, and the random baseline must saturate (slope <= 0.5).
+    """
+    projectors = None
     if scheme == schemes.ZF:
-        return None, schemes.build_zf_precoders(cs, beta)
-    projectors, precoders = schemes.build_nsia(cs, beta)
-    return projectors, precoders
+        precoders = schemes.build_zf_precoders(cs, beta)
+    elif scheme == schemes.NSIA:
+        projectors, precoders = schemes.build_nsia(cs, beta)
+    else:
+        precoders = simulation.random_precoders(cs, beta, cs.config.seed)
+    report = schemes.verify_scheme(cs, precoders, projectors)
+    if grid is None:
+        return report, None, None, report.decodable
+    expected = bounds.converse_two_cell(cs.config.K, beta, variant)
+    if scheme == "random":
+        estimate = simulation.estimate_dof_slope(cs, precoders, grid,
+                                                 interference_limited=True)
+        return report, estimate, expected, estimate.slope <= 0.5
+    estimate = simulation.estimate_dof_slope(cs, precoders, grid, projectors,
+                                             report=report)
+    ok = (report.decodable
+          and abs(estimate.slope - expected) <= args.tol_slope * expected
+          and estimate.r_squared >= args.min_r2)
+    return report, estimate, expected, ok
 
 
 def _run_bound(args):
@@ -284,10 +296,9 @@ def _run_bound(args):
 def _run_scheme(args):
     variant = SCHEME_VARIANT[args.command]
     cs, beta = _scheme_channel_set(args, variant)
-    projectors, precoders = _build_scheme(cs, beta, args.command)
-    report = schemes.verify_scheme(cs, precoders, projectors)
+    report, _, _, ok = _evaluate(args, cs, beta, args.command, variant)
     doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
-    return doc, report.decodable
+    return doc, ok
 
 
 def _run_slope(args):
@@ -298,25 +309,11 @@ def _run_slope(args):
     else:
         variant = SCHEME_VARIANT[args.scheme]
     cs, beta = _scheme_channel_set(args, variant)
-    grid = parse_snr(args.snr)
-    expected = bounds.converse_two_cell(cs.config.K, beta, variant)
-    if args.scheme == "random":
-        precoders = simulation.random_precoders(cs, beta, cs.config.seed)
-        estimate = simulation.estimate_dof_slope(cs, precoders, grid,
-                                                 interference_limited=True)
-        scheme_report = schemes.verify_scheme(cs, precoders)
-        ok = estimate.slope <= 0.5
-    else:
-        projectors, precoders = _build_scheme(cs, beta, args.scheme)
-        scheme_report = schemes.verify_scheme(cs, precoders, projectors)
-        estimate = simulation.estimate_dof_slope(cs, precoders, grid, projectors,
-                                                 report=scheme_report)
-        ok = (scheme_report.decodable
-              and abs(estimate.slope - expected) <= args.tol_slope * expected
-              and estimate.r_squared >= args.min_r2)
+    report, estimate, expected, ok = _evaluate(args, cs, beta, args.scheme,
+                                               variant, parse_snr(args.snr))
     doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
            "result": {**estimate.to_dict(), "expected_slope": expected,
-                      "verification": scheme_report.to_dict()}}
+                      "verification": report.to_dict()}}
     return doc, ok
 
 
@@ -343,41 +340,28 @@ def _run_lemma2(args):
 
 
 def _run_sweep(args):
-    ks = parse_int_range(str(args.K))
-    betas = parse_int_range(str(args.beta))
-    seeds = (parse_int_range(str(args.seeds)) if args.seeds is not None
+    ks = parse_int_range(args.K)
+    betas = parse_int_range(args.beta)
+    seeds = (parse_int_range(args.seeds) if args.seeds is not None
              else [_fallback_seed(None)])
     scheme_list = [schemes.ZF, schemes.NSIA] if args.schemes == "both" \
         else [args.schemes]
     grid = parse_snr(args.snr)
     rows = []
     ok = True
-    for k in ks:
-        for beta in betas:
-            for scheme in scheme_list:
-                variant = SCHEME_VARIANT[scheme]
-                bound = bounds.converse_two_cell(k, beta, variant)
-                for seed in seeds:
-                    M, N = bounds.antenna_profile(k, beta, variant)
-                    cfg = NetworkConfig(L=2, K=k, M=M, N=N, beta=beta,
-                                        seed=seed, dist=args.dist,
-                                        tol=Tolerance(args.rel_rank_tol))
-                    cs = network.generate_channels(cfg)
-                    projectors, precoders = _build_scheme(cs, beta, scheme)
-                    report = schemes.verify_scheme(cs, precoders, projectors)
-                    estimate = simulation.estimate_dof_slope(
-                        cs, precoders, grid, projectors, report=report)
-                    row_ok = (report.decodable
-                              and abs(estimate.slope - bound) <= args.tol_slope * bound
-                              and estimate.r_squared >= args.min_r2)
-                    ok = ok and row_ok
-                    rows.append({
-                        "K": k, "beta": beta, "scheme": scheme, "seed": seed,
-                        "bound": bound, "slope": estimate.slope,
-                        "r_squared": estimate.r_squared,
-                        "residual": report.residual_interference,
-                        "decodable": report.decodable,
-                    })
+    for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
+        variant = SCHEME_VARIANT[scheme]
+        cs = _generate_channels(args, k, beta, variant, seed)
+        report, estimate, bound, row_ok = _evaluate(args, cs, beta, scheme,
+                                                    variant, grid)
+        ok = ok and row_ok
+        rows.append({
+            "K": k, "beta": beta, "scheme": scheme, "seed": seed,
+            "bound": bound, "slope": estimate.slope,
+            "r_squared": estimate.r_squared,
+            "residual": report.residual_interference,
+            "decodable": report.decodable,
+        })
     doc = {"params": {"K": args.K, "beta": args.beta,
                       "seeds": args.seeds, "schemes": args.schemes,
                       "snr": args.snr, "dist": args.dist},
@@ -442,41 +426,38 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config is not None:
             if args.command is not None:
-                print("doflab: error: --config and a subcommand are mutually "
-                      "exclusive", file=sys.stderr)
-                return 1
-            try:
-                with open(args.config) as fh:
-                    cfg = ExperimentConfig.from_dict(json.load(fh))
-            except (OSError, json.JSONDecodeError, TypeError, DoflabError) as exc:
-                print(f"doflab: error: {exc}", file=sys.stderr)
-                return 1
-            args = parser.parse_args(cfg.to_argv())
+                raise InputError("--config and a subcommand are mutually "
+                                 "exclusive")
+            with open(args.config) as fh:
+                args = parser.parse_args(config_to_argv(parser, json.load(fh)))
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 1
+        with one_blas_thread():
+            doc, ok = _RUNNERS[args.command](args)
     except SystemExit as exc:
         # raised by argparse for usage errors (remapped to 1) and --help (0)
         return int(exc.code or 0)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-
-    try:
-        with one_blas_thread():
-            doc, ok = _RUNNERS[args.command](args)
     except (DoflabError, ValueError, IndexError, KeyError, OSError) as exc:
+        # ValueError covers json.JSONDecodeError in a config file
         print(f"doflab: error: {exc}", file=sys.stderr)
         return 1
 
     report = {"command": args.command,
               "timestamp": datetime.now(timezone.utc).isoformat(),
               **doc}
-    text = render_report(args.command, report, args.format)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    text = render_report(args.command, report, args.output_format)
+    if args.output_path:
+        try:
+            with open(args.output_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"doflab: error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
 
-    if getattr(args, "assert_checks", False) and not ok:
+    if getattr(args, "assert", False) and not ok:
         print("doflab: verification failed", file=sys.stderr)
         return 2
     return 0

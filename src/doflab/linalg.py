@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,10 @@ class Tolerance:
     rel_rank_tol: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 < self.rel_rank_tol < 1.0:
+        tol = self.rel_rank_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise InputError(f"rel_rank_tol must be a number, got {tol!r}")
+        if not 0.0 < tol < 1.0:
             raise InputError(
                 f"rel_rank_tol must be in (0, 1), got {self.rel_rank_tol}")
 

@@ -60,6 +60,8 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "NetworkConfig":
+        if not isinstance(doc, dict):
+            raise InputError(f"network config must be a JSON object, got {doc!r}")
         known = {"L", "K", "M", "N", "beta", "seed", "dist", "rel_rank_tol"}
         unknown = set(doc) - known
         if unknown:
@@ -74,29 +76,6 @@ class NetworkConfig:
         if "rel_rank_tol" in doc:
             kwargs["tol"] = Tolerance(doc["rel_rank_tol"])
         return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class PowerPolicy:
-    """Per-user transmit power rho split equally over beta streams.
-
-    With unit-norm precoder columns the transmit covariance has trace
-    beta * (rho / beta) = rho, meeting the average power constraint with
-    equality.  Noise power is normalized to 1, so rho is the linear SNR.
-    """
-
-    rho: float
-    beta: int = 1
-
-    def __post_init__(self):
-        if not self.rho > 0:
-            raise InputError(f"rho must be positive, got {self.rho}")
-        if self.beta < 1:
-            raise InputError(f"beta must be >= 1, got {self.beta}")
-
-    @property
-    def per_stream_power(self) -> float:
-        return self.rho / self.beta
 
 
 @dataclass(frozen=True)
@@ -181,23 +160,28 @@ def channel_set_to_dict(cs: ChannelSet) -> dict:
 
 def channel_set_from_dict(doc: dict) -> ChannelSet:
     """Rebuild a ChannelSet from the document format above."""
-    if set(doc) != {"config", "channels"}:
-        raise InputError("channel document must have exactly the keys "
-                         "'config' and 'channels'")
+    if not isinstance(doc, dict) or set(doc) != {"config", "channels"}:
+        raise InputError("channel document must be a JSON object with "
+                         "exactly the keys 'config' and 'channels'")
     cfg = NetworkConfig.from_dict(doc["config"])
+    if not isinstance(doc["channels"], list):
+        raise InputError("'channels' must be a JSON list of channel entries")
     channels = {}
     for entry in doc["channels"]:
-        if set(entry) != {"m", "l", "k", "re", "im"}:
-            raise InputError("channel entry must have exactly the keys "
-                             "'m', 'l', 'k', 're', 'im'")
+        if not isinstance(entry, dict) or set(entry) != {"m", "l", "k", "re", "im"}:
+            raise InputError("channel entry must be a JSON object with exactly "
+                             "the keys 'm', 'l', 'k', 're', 'im'")
         index = (entry["m"], entry["l"], entry["k"])
         # bool is an int subclass, and True would silently index cell 1
         if not all(_is_int(i) for i in index):
             raise InputError(f"channel indices (m, l, k) must be integers, "
                              f"got {index!r}")
         name = "channel (m={}, l={}, k={})".format(*index)
-        h = np.asarray(entry["re"], dtype=float) + 1j * np.asarray(entry["im"],
-                                                                   dtype=float)
+        try:
+            h = (np.asarray(entry["re"], dtype=float)
+                 + 1j * np.asarray(entry["im"], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{name} entries must be numbers: {exc}") from exc
         if h.shape != (cfg.N, cfg.M):
             raise InputError(
                 f"{name} has shape {h.shape}, expected ({cfg.N}, {cfg.M})")

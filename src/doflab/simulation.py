@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg, schemes
 from .errors import ContractError, InputError
 from .linalg import Tolerance
-from .network import ChannelSet, NetworkConfig, PowerPolicy, draw_channel
+from .network import ChannelSet, NetworkConfig, draw_channel
 from .schemes import PrecoderSet, ProjectorSet, SchemeReport, other_cell
 
 LOG2 = math.log(2.0)
@@ -139,10 +139,11 @@ def _cell_spectra(cs: ChannelSet, precoders: PrecoderSet,
 
 
 def _spectra_rate(spectra: list[np.ndarray], rho: float, beta: int) -> float:
-    power = PowerPolicy(rho, beta)
+    # rho split equally over the beta unit-norm precoder columns: the
+    # transmit covariance has trace rho, meeting the power constraint
     total = 0.0
     for eigs in spectra:
-        total += _log_det_rate(eigs, power.per_stream_power)
+        total += _log_det_rate(eigs, rho / beta)
     return total
 
 
@@ -153,10 +154,11 @@ def sum_rate(cs: ChannelSet, precoders: PrecoderSet, rho: float,
 
     Per cell, with effective desired channel G (projected when projectors
     are given), the rate is log2 det(I + (rho/beta) G G*): equal per-stream
-    power, white noise.  Interference does not appear because the scheme
-    is verified interference-free first; a non-decodable scheme is a
-    contract violation, as are projectors without orthonormal rows (the
-    projected noise would not be white).
+    power, white noise of unit power (so rho is the linear SNR).
+    Interference does not appear because the scheme is verified
+    interference-free first; a non-decodable scheme is a contract
+    violation, as are projectors without orthonormal rows (the projected
+    noise would not be white).
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
@@ -176,7 +178,7 @@ def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
     cfg = cs.config
-    power = PowerPolicy(rho, precoders.beta)
+    per_stream_power = rho / precoders.beta
     total = 0.0
     for m in (1, 2):
         src = other_cell(m)
@@ -184,9 +186,9 @@ def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
         q_interf = np.zeros((cfg.N, cfg.N), dtype=complex)
         for k in range(1, cfg.K + 1):
             hw = cs.channel(m, m, k) @ precoders.precoder(m, k)
-            q_signal += power.per_stream_power * (hw @ hw.conj().T)
+            q_signal += per_stream_power * (hw @ hw.conj().T)
             hw = cs.channel(m, src, k) @ precoders.precoder(src, k)
-            q_interf += power.per_stream_power * (hw @ hw.conj().T)
+            q_interf += per_stream_power * (hw @ hw.conj().T)
         eye = np.eye(cfg.N)
         _, num = np.linalg.slogdet(eye + q_interf + q_signal)
         _, den = np.linalg.slogdet(eye + q_interf)

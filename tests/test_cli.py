@@ -5,7 +5,7 @@ import json
 import pytest
 
 from doflab import linalg
-from doflab.cli import ExperimentConfig, parse_int_range, parse_snr, run
+from doflab.cli import build_parser, config_to_argv, parse_int_range, parse_snr, run
 from doflab.errors import InputError
 
 
@@ -23,6 +23,13 @@ def run_csv(capsys, argv):
 
 def strip_timestamp(doc):
     return {k: v for k, v in doc.items() if k != "timestamp"}
+
+
+def report_text(capsys, argv):
+    """Exit code and report text, without the JSON timestamp line."""
+    code = run(argv)
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    return code, "".join(l for l in lines if not l.startswith('  "timestamp": '))
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +229,16 @@ def test_output_file(tmp_path, capsys):
     assert doc["result"]["final_bound"] == "1"
 
 
+def test_unwritable_output_exits_1(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    assert run(["bound", "--K", "1", "--L", "2", "--M", "1", "--N", "1",
+                "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("doflab: error: ")
+    assert not target.exists()
+
+
 def test_channel_dump_and_replay(tmp_path, capsys):
     dump = tmp_path / "channels.json"
     _, fresh = run_json(capsys, ["nsia", "--K", "2", "--seed", "21",
@@ -279,6 +296,16 @@ def test_replay_rejects_bool_config_values(tmp_path, capsys):
     assert "K must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["5", "null", '{"config": 5, "channels": []}'])
+def test_replay_of_the_wrong_json_type_exits_1(tmp_path, capsys, text):
+    dump = tmp_path / "channels.json"
+    dump.write_text(text)
+    assert run(["zf", "--channels", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("doflab: error: ")
+
+
 def test_impossible_rank_tolerance_exits_1(capsys):
     # 0.5 * max(M, N) = 1.5 >= 1: used to redraw the first channel forever
     assert run(["zf", "--K", "2", "--rel-rank-tol", "0.5"]) == 1
@@ -323,16 +350,90 @@ def test_workers_flag_is_accepted_and_ignored(capsys):
 # config files
 # ---------------------------------------------------------------------------
 
-def test_config_file_runs_experiment(tmp_path, capsys):
-    cfg = {"command": "slope", "scheme": "nsia", "K": 2, "beta": 1,
-           "seed": 7, "snr": "60:10:100", "assert": True}
+# (config document, the flags it stands for); one case per command, plus
+# one CSV report
+CONFIG_CASES = {
+    "bound": ({"command": "bound", "K": 2, "L": 2, "M": 3, "N": 2},
+              ["bound", "--K", "2", "--L", "2", "--M", "3", "--N", "2"]),
+    "zf": ({"command": "zf", "K": 2, "beta": 1, "seed": 3, "assert": True,
+            "dump_channels": None},
+           ["zf", "--K", "2", "--beta", "1", "--seed", "3", "--assert"]),
+    "nsia": ({"command": "nsia", "K": 2, "beta": 2, "seed": 3,
+              "dist": "uniform-square", "rel_rank_tol": 1e-9},
+             ["nsia", "--K", "2", "--beta", "2", "--seed", "3",
+              "--dist", "uniform-square", "--rel-rank-tol", "1e-9"]),
+    "slope": ({"command": "slope", "scheme": "nsia", "K": 2, "beta": 1,
+               "seed": 7, "snr": "60:10:100", "assert": True},
+              ["slope", "--scheme", "nsia", "--K", "2", "--beta", "1",
+               "--seed", "7"]),
+    "lemma1": ({"command": "lemma1", "m": 2, "n": 4, "l": 3, "trials": 50,
+                "seed": 1, "workers": 2},
+               ["lemma1", "--m", "2", "--n", "4", "--l", "3", "--trials", "50",
+                "--seed", "1"]),
+    "lemma2": ({"command": "lemma2", "M": 2, "N": 3, "trials": 40, "seed": 4,
+                "p_source": "nsia", "assert": False},
+               ["lemma2", "--M", "2", "--N", "3", "--trials", "40",
+                "--seed", "4", "--p-source", "nsia"]),
+    "sweep": ({"command": "sweep", "K": "1:2", "beta": 1, "seeds": "0,1",
+               "schemes": "zf", "tol_slope": 0.05, "min_r2": 0.99},
+              ["sweep", "--K", "1:2", "--beta", "1", "--seeds", "0,1",
+               "--schemes", "zf", "--tol-slope", "0.05", "--min-r2", "0.99"]),
+    "bound-csv": ({"command": "bound", "K": 2, "L": 3, "M": 3, "N": 4,
+                   "output_format": "csv"},
+                  ["bound", "--K", "2", "--L", "3", "--M", "3", "--N", "4",
+                   "--format", "csv"]),
+}
+
+
+def write_config(tmp_path, doc):
     path = tmp_path / "exp.json"
-    path.write_text(json.dumps(cfg))
-    code, doc = run_json(capsys, ["--config", str(path)])
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_CASES))
+def test_config_file_runs_experiment(tmp_path, capsys, name):
+    doc, argv = CONFIG_CASES[name]
+    code, text = report_text(capsys, ["--config", str(write_config(tmp_path, doc))])
     assert code == 0
-    flags_doc = run_json(capsys, ["slope", "--scheme", "nsia", "--K", "2",
-                                  "--beta", "1", "--seed", "7"])[1]
-    assert strip_timestamp(doc) == strip_timestamp(flags_doc)
+    assert (code, text) == report_text(capsys, argv)
+    assert text
+
+
+def test_config_value_starting_with_a_dash_matches_the_flags(tmp_path, capsys):
+    path = write_config(tmp_path, {"command": "slope", "scheme": "zf", "K": 2,
+                                   "seed": 5, "snr": "-10:10:30"})
+    code, text = report_text(capsys, ["--config", str(path)])
+    assert code == 0
+    assert json.loads(text)["result"]["snr_db"] == [-10.0, 0.0, 10.0, 20.0, 30.0]
+    assert (code, text) == report_text(
+        capsys, ["slope", "--scheme", "zf", "--K", "2", "--seed", "5",
+                 "--snr=-10:10:30"])
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_config_switch_takes_only_a_boolean(tmp_path, capsys, value):
+    path = write_config(tmp_path, {"command": "zf", "K": 2, "assert": value})
+    assert run(["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "takes true or false" in captured.err
+
+
+@pytest.mark.parametrize("doc", [["command"], 5, {"command": 5},
+                                 {"command": ["zf"]}, {"command": "frobnicate"}])
+def test_config_must_be_an_object_naming_a_command(tmp_path, capsys, doc):
+    assert run(["--config", str(write_config(tmp_path, doc))]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("doflab: error: ")
+
+
+def test_config_rejects_another_commands_flags(tmp_path, capsys):
+    path = write_config(tmp_path, {"command": "slope", "scheme": "zf", "K": 2,
+                                   "trials": 10})
+    assert run(["--config", str(path)]) == 1
+    assert "unknown config keys for 'slope': ['trials']" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -360,8 +461,7 @@ def test_config_and_subcommand_conflict(tmp_path, capsys):
 
 
 def test_experiment_config_round_trip():
-    cfg = ExperimentConfig.from_dict({"command": "lemma1", "m": 2, "n": 4,
-                                      "l": 3, "trials": 50, "seed": 1})
-    argv = cfg.to_argv()
-    assert argv[0] == "lemma1"
+    argv = config_to_argv(build_parser(), {"command": "lemma1", "m": 2, "n": 4,
+                                           "l": 3, "trials": 50, "seed": 1})
+    assert argv == ["lemma1", "--m=2", "--n=4", "--l=3", "--trials=50", "--seed=1"]
     assert run(argv) == 0

@@ -96,6 +96,9 @@ def test_tolerance_validation():
         Tolerance(0.0)
     with pytest.raises(InputError):
         Tolerance(1.5)
+    for value in ("x", None, True, [1e-10]):
+        with pytest.raises(InputError, match="must be a number"):
+            Tolerance(value)
 
 
 def test_tolerance_refuses_sizes_where_no_singular_value_passes():

@@ -3,10 +3,9 @@ import pytest
 
 from doflab.errors import InputError
 from doflab.linalg import Tolerance
-from doflab.network import (ChannelSet, NetworkConfig, PowerPolicy,
-                            channel_set_from_dict, channel_set_to_dict,
-                            desired_channels, generate_channels,
-                            interference_channels)
+from doflab.network import (ChannelSet, NetworkConfig, channel_set_from_dict,
+                            channel_set_to_dict, desired_channels,
+                            generate_channels, interference_channels)
 
 
 def make_set(L=2, K=2, M=3, N=2, seed=1, **kw):
@@ -167,17 +166,6 @@ def test_config_from_dict_rejects_missing_keys():
         NetworkConfig.from_dict({"L": 2, "K": 1, "M": 1})
 
 
-def test_power_policy_meets_trace_constraint():
-    policy = PowerPolicy(rho=10.0, beta=4)
-    assert policy.per_stream_power == pytest.approx(2.5)
-    assert policy.beta * policy.per_stream_power == pytest.approx(policy.rho)
-
-
-def test_power_policy_rejects_non_positive_power():
-    with pytest.raises(InputError):
-        PowerPolicy(rho=0.0)
-
-
 def test_channel_serialization_round_trip():
     cs = make_set(seed=9)
     doc = channel_set_to_dict(cs)
@@ -201,6 +189,19 @@ def test_channel_deserialization_rejects_bad_docs():
                                 for e in doc["channels"]]}
     with pytest.raises(InputError):
         channel_set_from_dict(wrong_shape)
+    # documents of the wrong JSON type at every level
+    entries = doc["channels"]
+    wrong_types = [5, None, [doc], {"config": 5, "channels": entries},
+                   {"config": doc["config"], "channels": 5},
+                   {"config": doc["config"], "channels": [5, *entries[1:]]},
+                   {"config": {**doc["config"], "rel_rank_tol": "x"},
+                    "channels": entries},
+                   {"config": doc["config"],
+                    "channels": [{**entries[0], "re": [["x", 0.0, 0.0]] * 2},
+                                 *entries[1:]]}]
+    for bad in wrong_types:
+        with pytest.raises(InputError):
+            channel_set_from_dict(bad)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -83,6 +83,24 @@ def test_rate_single_user_scalar_closed_form():
     assert sum_rate(cs, pre, rho) == pytest.approx(expected, rel=1e-12)
 
 
+def test_rate_splits_power_equally_over_streams():
+    # beta = 2: each unit-norm precoder column gets rho/2, so every user's
+    # transmit covariance has trace rho, and the rate is
+    # log2 det(I + (rho/beta) G G*) per cell
+    cs, pre = zf_setup(K=2, beta=2)
+    rho, beta = 50.0, 2
+    expected = 0.0
+    for m in (1, 2):
+        for k in (1, 2):
+            w = pre.precoder(m, k)
+            assert np.trace((rho / beta) * w @ w.conj().T).real == pytest.approx(rho)
+        g = np.hstack([cs.channel(m, m, k) @ pre.precoder(m, k) for k in (1, 2)])
+        _, logdet = np.linalg.slogdet(np.eye(g.shape[0])
+                                      + (rho / beta) * g @ g.conj().T)
+        expected += logdet / math.log(2)
+    assert sum_rate(cs, pre, rho) == pytest.approx(expected, rel=1e-12)
+
+
 def test_rate_doubling_power_adds_two_k_beta_bits():
     cs, pre = zf_setup(K=2, beta=1)
     gain = sum_rate(cs, pre, 2e8) - sum_rate(cs, pre, 1e8)
