@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InputError
-from .linalg import Tolerance
+from .linalg import SubspaceBasis, Tolerance
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +80,19 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All L*L*K channel matrices of one network realization, immutable."""
+    """All L*L*K channel matrices of one network realization, immutable.
+
+    ``cross_nulls`` holds the factor of each cross link (m != l) that the
+    schemes build from, keyed like ``channels``: the null space of its wide
+    orientation (cross_null_space).  generate_channels and
+    channel_set_from_dict store it while checking the link; a link without
+    one is factored on its first cross_null call and stored then.
+    """
 
     config: NetworkConfig
     channels: dict[tuple[int, int, int], np.ndarray] = field(repr=False)
+    cross_nulls: dict[tuple[int, int, int], SubspaceBasis] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def channel(self, m: int, l: int, k: int) -> np.ndarray:
         """Channel from user (l, k) to base station m (all 1-based)."""
@@ -96,24 +105,72 @@ class ChannelSet:
             raise IndexError(f"user index k={k} out of range 1..{cfg.K}")
         return self.channels[(m, l, k)]
 
+    def cross_null(self, m: int, l: int, k: int) -> SubspaceBasis:
+        """Null space of cross link (m, l, k)'s wide orientation, factored
+        at most once per channel set."""
+        if m == l:
+            raise IndexError(f"link (m={m}, l={l}, k={k}) is not a cross link")
+        h = self.channel(m, l, k)
+        null = self.cross_nulls.get((m, l, k))
+        if null is None:
+            # filled in place: the set stays immutable to its readers, and
+            # a concurrent first use stores the same deterministic value
+            null = self.cross_nulls[(m, l, k)] = cross_null_space(
+                h, self.config.tol)
+        return null
+
+
+def cross_null_space(h: np.ndarray, tol: Tolerance) -> SubspaceBasis:
+    """Null space of ``h`` when it has no more rows than columns, else of
+    its conjugate transpose ``h*``.
+
+    Zero forcing precodes in null(H) (N < M); null-space alignment stacks
+    the null spaces of H* into its planes (N > M).  Either way the
+    dimension is |M - N| exactly when h has full rank.
+    """
+    wide = h if h.shape[0] <= h.shape[1] else h.conj().T
+    return linalg.null_space_basis(wide, tol)
+
+
+def _link_rank(config: NetworkConfig, m: int, l: int,
+               h: np.ndarray) -> tuple[int, SubspaceBasis | None]:
+    """Numeric rank of link (m, l) and, for a cross link, its null space.
+
+    A cross link's rank comes from the SVD that also gives the null space
+    the schemes need; a direct link's factors are never read, so it gets
+    the cheaper singular-values-only rank.
+    """
+    if m == l:
+        return linalg.numeric_rank(h, config.tol), None
+    null = cross_null_space(h, config.tol)
+    return null.ambient_dim - null.dim, null
+
 
 def generate_channels(config: NetworkConfig) -> ChannelSet:
     """Draw the full family of nondegenerate channel matrices.
 
     Each matrix gets its own RNG stream keyed by (seed, m, l, k), so the
     set is bit-reproducible and individual links can be regenerated in
-    isolation with draw_channel.
+    isolation with draw_channel.  The cross-link null spaces computed by
+    the nondegeneracy check are kept on the set.
     """
     cfg = config
-    channels = {(m, l, k): draw_channel(cfg, m, l, k)
-                for m in range(1, cfg.L + 1)
-                for l in range(1, cfg.L + 1)
-                for k in range(1, cfg.K + 1)}
-    return ChannelSet(cfg, channels)
+    channels, nulls = {}, {}
+    for m in range(1, cfg.L + 1):
+        for l in range(1, cfg.L + 1):
+            for k in range(1, cfg.K + 1):
+                h, null = draw_channel(cfg, m, l, k)
+                channels[(m, l, k)] = h
+                if null is not None:
+                    nulls[(m, l, k)] = null
+    return ChannelSet(cfg, channels, nulls)
 
 
-def draw_channel(config: NetworkConfig, m: int, l: int, k: int) -> np.ndarray:
-    """Channel from user (l, k) to base station m, read-only.
+def draw_channel(config: NetworkConfig, m: int, l: int,
+                 k: int) -> tuple[np.ndarray, SubspaceBasis | None]:
+    """Channel from user (l, k) to base station m, read-only, and for a
+    cross link (m != l) the null space of its wide orientation
+    (cross_null_space; None for a direct link).
 
     Drawn from the (seed, m, l, k) stream.  A draw that fails the
     nondegeneracy check (numeric rank below min(M, N), probability zero at
@@ -122,12 +179,14 @@ def draw_channel(config: NetworkConfig, m: int, l: int, k: int) -> np.ndarray:
     cfg = config
     rng = linalg.seeded_rng(cfg.seed, m, l, k)
     h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-    while linalg.numeric_rank(h, cfg.tol) < min(cfg.M, cfg.N):
+    rank, null = _link_rank(cfg, m, l, h)
+    while rank < min(cfg.M, cfg.N):
         log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
                     "redrawing", m, l, k)
         h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
+        rank, null = _link_rank(cfg, m, l, h)
     h.setflags(write=False)
-    return h
+    return h, null
 
 
 def desired_channels(cs: ChannelSet, m: int) -> list[np.ndarray]:
@@ -159,7 +218,11 @@ def channel_set_to_dict(cs: ChannelSet) -> dict:
 
 
 def channel_set_from_dict(doc: dict) -> ChannelSet:
-    """Rebuild a ChannelSet from the document format above."""
+    """Rebuild a ChannelSet from the document format above.
+
+    Every link must pass the same nondegeneracy check as a draw, which
+    also stores the cross-link null spaces.
+    """
     if not isinstance(doc, dict) or set(doc) != {"config", "channels"}:
         raise InputError("channel document must be a JSON object with "
                          "exactly the keys 'config' and 'channels'")
@@ -195,4 +258,14 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
     if set(channels) != expected:
         raise InputError("channel document does not cover exactly the "
                          f"{len(expected)} (m, l, k) triples of the config")
-    return ChannelSet(cfg, channels)
+    nulls = {}
+    for m, l, k in sorted(channels):
+        rank, null = _link_rank(cfg, m, l, channels[(m, l, k)])
+        if rank < min(cfg.M, cfg.N):
+            raise InputError(
+                f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} at "
+                f"rel_rank_tol={cfg.tol.rel_rank_tol}, below min(M, N)="
+                f"{min(cfg.M, cfg.N)}: replayed channels must be nondegenerate")
+        if null is not None:
+            nulls[(m, l, k)] = null
+    return ChannelSet(cfg, channels, nulls)

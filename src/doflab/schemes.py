@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigurationError, DegeneracyError, DimensionError, RankError
-from .linalg import Tolerance
+from .linalg import SubspaceBasis, Tolerance
 from .network import ChannelSet
 
 ZF = "zf"
@@ -49,10 +49,21 @@ class PrecoderSet:
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Per-base-station projection planes, m -> K*beta x N full row rank."""
+    """Per-base-station projection planes, m -> K*beta x N full row rank.
+
+    build_nsia also keeps the null space of each projected cross channel
+    P_m H_m,lk, keyed (m, k), in ``projected_nulls`` and the channel set
+    it built from in ``built_from``; verify_scheme reads their dimensions
+    for that channel set instead of factoring the products again.  Planes
+    from anywhere else (pi_transform) carry none and are measured afresh.
+    """
 
     projectors: dict[int, np.ndarray] = field(repr=False)
     row_orthonormalized: bool = True
+    projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
+        default=None, repr=False, compare=False)
+    built_from: ChannelSet | None = field(default=None, repr=False,
+                                          compare=False)
 
     def projector(self, m: int) -> np.ndarray:
         return self.projectors[m]
@@ -99,7 +110,8 @@ def build_zf_precoders(cs: ChannelSet, beta: int) -> PrecoderSet:
 
     The cross channel of user (l, k) is K*beta x (K*beta + beta), so its
     null space has dimension exactly beta almost surely and the null-space
-    basis itself is the precoder (orthonormal columns for free).
+    basis itself (the channel set's stored factor) is the precoder
+    (orthonormal columns for free).
     """
     cfg = cs.config
     _require_profile(cs, beta, cfg.K * beta + beta, cfg.K * beta, "zero forcing")
@@ -107,7 +119,7 @@ def build_zf_precoders(cs: ChannelSet, beta: int) -> PrecoderSet:
     for l in (1, 2):
         victim = other_cell(l)
         for k in range(1, cfg.K + 1):
-            null = linalg.null_space_basis(cs.channel(victim, l, k), cfg.tol)
+            null = cs.cross_null(victim, l, k)
             if null.dim != beta:
                 raise DegeneracyError(
                     f"null space of cross channel (m={victim}, l={l}, k={k}) "
@@ -125,17 +137,19 @@ def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
     and is then row-orthonormalized, a specific choice of the left factor
     that keeps the projected noise white.  Each projected cross channel
     P_m H is then square with a beta-dimensional null space, which becomes
-    the precoder of the interfering user.
+    the precoder of the interfering user and is kept on the ProjectorSet
+    for verify_scheme.
     """
     cfg = cs.config
     _require_profile(cs, beta, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
     projectors = {}
     precoders = {}
+    projected_nulls = {}
     for m in (1, 2):
         src = other_cell(m)
-        p = alignment_plane([cs.channel(m, src, k) for k in range(1, cfg.K + 1)],
-                            beta, cfg.tol, m)
+        p = alignment_plane([cs.cross_null(m, src, k)
+                             for k in range(1, cfg.K + 1)], beta, cfg.tol, m)
         projectors[m] = p
         for k in range(1, cfg.K + 1):
             h = cs.channel(m, src, k)
@@ -149,29 +163,30 @@ def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
                     f"projected cross channel (m={m}, l={src}, k={k}) has "
                     f"null dimension {null.dim}, expected {beta}")
             precoders[(src, k)] = null.basis
-    return (ProjectorSet(projectors, row_orthonormalized=True),
+            projected_nulls[(m, k)] = null
+    return (ProjectorSet(projectors, row_orthonormalized=True,
+                         projected_nulls=projected_nulls, built_from=cs),
             PrecoderSet(beta, precoders))
 
 
-def alignment_plane(cross: list[np.ndarray], beta: int, tol: Tolerance,
+def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
                     m: int) -> np.ndarray:
     """Row-orthonormal alignment plane P_m of base station m.
 
-    ``cross`` holds the cross channels H_m,lk of the other cell's users in
-    user order.  Each conjugated H* needs a beta-dimensional null space;
-    user k's null-space basis fills rows (k-1)*beta+1 .. k*beta of P_m.
+    ``nulls`` holds the null spaces of the conjugated cross channels
+    H*_m,lk of the other cell's users in user order (ChannelSet.cross_null).
+    Each needs dimension beta; user k's basis fills rows
+    (k-1)*beta+1 .. k*beta of P_m.
     """
     src = other_cell(m)
-    blocks = []
-    for k, h in enumerate(cross, start=1):
-        null = linalg.null_space_basis(h.conj().T, tol)
+    for k, null in enumerate(nulls, start=1):
         if null.dim != beta:
             raise DegeneracyError(
                 f"null space of conjugated cross channel (m={m}, l={src}, "
                 f"k={k}) has dimension {null.dim}, expected {beta}")
-        blocks.append(null.basis)
     try:
-        return linalg.orthonormalize_rows(np.hstack(blocks).conj().T, tol)
+        return linalg.orthonormalize_rows(
+            np.hstack([null.basis for null in nulls]).conj().T, tol)
     except RankError as exc:
         raise DegeneracyError(
             f"stacked alignment plane at base station {m} lost rank") from exc
@@ -201,7 +216,9 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
     ||H_cross W||_F / ||H_cross||_F for plain precoding, with H_cross
     replaced by the projected cross channel when projectors are given.
     Decodable means every per-cell effective rank equals K*beta and the
-    residual is at or below the threshold.  A leakage that is not finite
+    residual is at or below the threshold.  The projected null dimensions
+    come from the projectors' stored null spaces when they were built from
+    ``cs``, and from a fresh rank otherwise.  A leakage that is not finite
     (channel norms that overflow or underflow) raises DegeneracyError
     naming the link instead of being folded into the residual.
     """
@@ -213,6 +230,9 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
     residual = 0.0
     effective_rank = {}
     null_dims = {} if projectors is not None else None
+    stored = (projectors.projected_nulls
+              if projectors is not None and projectors.built_from is cs
+              else None)
     for m in (1, 2):
         src = other_cell(m)
         p = projectors.projector(m) if projectors is not None else None
@@ -231,7 +251,9 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
                     f"channel magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
-            if null_dims is not None:
+            if stored is not None:
+                null_dims[(m, k)] = stored[(m, k)].dim
+            elif null_dims is not None:
                 scale = np.linalg.norm(p) * np.linalg.norm(h)
                 null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
                     cross, cfg.tol, scale=scale)

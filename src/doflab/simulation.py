@@ -25,6 +25,9 @@ LOG2 = math.log(2.0)
 # Monte Carlo trials whose linear algebra runs as one stack.  Memory per
 # chunk stays flat in the trial count; results do not depend on it.
 TRIAL_CHUNK = 256
+# Most points SnrGrid.from_range builds (the default grid has 5): the step
+# comes from the command line, and every point costs a rate evaluation.
+MAX_SNR_POINTS = 1000
 
 
 @dataclass(frozen=True)
@@ -44,12 +47,22 @@ class SnrGrid:
 
     @classmethod
     def from_range(cls, start_db: float, step_db: float, stop_db: float) -> "SnrGrid":
+        """start, start + step, ... up to stop (inclusive), at most
+        MAX_SNR_POINTS points; a longer range is refused before any point
+        is built."""
+        text = f"{start_db}:{step_db}:{stop_db}"
+        if not all(math.isfinite(v) for v in (start_db, step_db, stop_db)):
+            raise InputError(f"SNR range {text} must be finite")
         if step_db <= 0:
             raise InputError(f"SNR step must be positive, got {step_db}")
-        count = int(math.floor((stop_db - start_db) / step_db + 1e-9)) + 1
+        steps = (stop_db - start_db) / step_db + 1e-9
+        # also refuses a quotient that overflowed to inf
+        if steps >= MAX_SNR_POINTS:
+            raise InputError(f"SNR range {text} has more than "
+                             f"{MAX_SNR_POINTS} points")
+        count = int(math.floor(steps)) + 1
         if count < 2:
-            raise InputError(
-                f"SNR range {start_db}:{step_db}:{stop_db} has fewer than 2 points")
+            raise InputError(f"SNR range {text} has fewer than 2 points")
         return cls(tuple(start_db + i * step_db for i in range(count)))
 
     @property
@@ -367,8 +380,9 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
             cfg = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta,
                                 seed=sub_seed, dist=dist, tol=tol)
             cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
-            planes.append(schemes.alignment_plane(cross, beta, tol, 1))
-            channels.append(cross[0])
+            planes.append(schemes.alignment_plane(
+                [null for _, null in cross], beta, tol, 1))
+            channels.append(cross[0][0])
         return np.stack(channels), np.stack(planes)
 
     pairs = random_pairs if p_source == "random" else nsia_pairs

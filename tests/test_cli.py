@@ -296,6 +296,34 @@ def test_replay_rejects_bool_config_values(tmp_path, capsys):
     assert "K must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index,rank", [(0, 0), (2, 1)])
+def test_replay_of_a_degenerate_channel_exits_1(tmp_path, capsys, index, rank):
+    # an all-zero direct link (1, 1, 1) and a rank-1 cross link (1, 2, 1)
+    # are refused by the loader, naming the link, instead of failing later
+    # in the construction
+    def degenerate(doc):
+        entry = doc["channels"][index]
+        for part in ("re", "im"):
+            entry[part] = ([[0.0] * 3] * 2 if rank == 0
+                           else [entry[part][0]] * 2)
+    dump = scaled_dump(tmp_path, capsys, 1.0, degenerate)
+    assert run(["zf", "--channels", str(dump), "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    link = "(m=1, l=1, k=1)" if index == 0 else "(m=1, l=2, k=1)"
+    assert f"channel {link} has numeric rank {rank}" in captured.err
+
+
+@pytest.mark.parametrize("command", [["slope", "--scheme", "zf", "--K", "1"],
+                                     ["sweep", "--K", "1"]])
+@pytest.mark.parametrize("snr", ["0:0.001:100", "0:1:inf"])
+def test_snr_grid_beyond_the_point_cap_exits_1(capsys, command, snr):
+    assert run([*command, f"--snr={snr}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("doflab: error: SNR range")
+
+
 @pytest.mark.parametrize("text", ["5", "null", '{"config": 5, "channels": []}'])
 def test_replay_of_the_wrong_json_type_exits_1(tmp_path, capsys, text):
     dump = tmp_path / "channels.json"

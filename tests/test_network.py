@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from doflab.errors import InputError
-from doflab.linalg import Tolerance
+from doflab.linalg import Tolerance, null_space_basis
 from doflab.network import (ChannelSet, NetworkConfig, channel_set_from_dict,
-                            channel_set_to_dict, desired_channels,
+                            channel_set_to_dict, desired_channels, draw_channel,
                             generate_channels, interference_channels)
 
 
@@ -18,6 +20,31 @@ def test_generate_channels_count_shape_rank():
     for h in cs.channels.values():
         assert h.shape == (2, 3)
         assert np.linalg.matrix_rank(h) == 2  # independent rank oracle
+
+
+@pytest.mark.parametrize("M,N", [(3, 2), (2, 3), (2, 2)])
+def test_cross_links_keep_the_null_space_of_their_wide_orientation(M, N):
+    cs = make_set(L=3, M=M, N=N, seed=4)
+    cross = {key for key in cs.channels if key[0] != key[1]}
+    assert set(cs.cross_nulls) == cross
+    for m, l, k in cross:
+        h = cs.channel(m, l, k)
+        expected = null_space_basis(h if N <= M else h.conj().T)
+        null = cs.cross_null(m, l, k)
+        assert null.dim == abs(M - N)
+        assert np.array_equal(null.basis, expected.basis)
+        assert np.array_equal(draw_channel(cs.config, m, l, k)[1].basis,
+                              expected.basis)
+    assert draw_channel(cs.config, 1, 1, 1)[1] is None
+    with pytest.raises(IndexError, match="not a cross link"):
+        cs.cross_null(2, 2, 1)
+    with pytest.raises(IndexError):
+        cs.cross_null(1, 2, 3)
+    # a set built without factors computes each one on first use, once
+    bare = ChannelSet(cs.config, dict(cs.channels))
+    first = bare.cross_null(1, 2, 1)
+    assert bare.cross_null(1, 2, 1) is first
+    assert np.array_equal(first.basis, cs.cross_null(1, 2, 1).basis)
 
 
 def test_three_cell_topology_count():
@@ -175,6 +202,10 @@ def test_channel_serialization_round_trip():
     assert back.config == cs.config
     for key in cs.channels:
         np.testing.assert_array_equal(back.channels[key], cs.channels[key])
+    # the replay's nondegeneracy check stores the same cross-link factors
+    assert set(back.cross_nulls) == set(cs.cross_nulls)
+    for key, null in cs.cross_nulls.items():
+        np.testing.assert_array_equal(back.cross_nulls[key].basis, null.basis)
 
 
 def test_channel_deserialization_rejects_bad_docs():
@@ -202,6 +233,20 @@ def test_channel_deserialization_rejects_bad_docs():
     for bad in wrong_types:
         with pytest.raises(InputError):
             channel_set_from_dict(bad)
+
+
+@pytest.mark.parametrize("index,rank", [(0, 0), (0, 1), (2, 0), (2, 1)])
+def test_channel_deserialization_rejects_degenerate_links(index, rank):
+    # entry 0 is the direct link (1, 1, 1), entry 2 the cross link (1, 2, 1)
+    doc = channel_set_to_dict(make_set(seed=9))
+    entry = doc["channels"][index]
+    for part in ("re", "im"):
+        entry[part] = ([[0.0] * 3] * 2 if rank == 0
+                       else [entry[part][0]] * 2)
+    name = "channel (m={m}, l={l}, k={k})".format(**entry)
+    with pytest.raises(InputError,
+                       match=rf"^{re.escape(name)} has numeric rank {rank} "):
+        channel_set_from_dict(doc)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -5,9 +5,9 @@ from doflab import bounds, linalg
 from doflab.errors import ConfigurationError, DegeneracyError, RankError
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
 from doflab.network import ChannelSet, NetworkConfig, generate_channels
-from doflab.schemes import (alignment_plane, build_nsia, build_zf_precoders,
-                            desired_matrix, other_cell, pi_transform,
-                            verify_scheme)
+from doflab.schemes import (ProjectorSet, alignment_plane, build_nsia,
+                            build_zf_precoders, desired_matrix, other_cell,
+                            pi_transform, verify_scheme)
 from doflab.simulation import random_precoders
 
 TOL = Tolerance()
@@ -137,9 +137,9 @@ def test_nsia_two_streams():
 def test_rank_deficient_alignment_plane_raises_degeneracy():
     # two users behind the same cross channel get the same null space, so
     # the stacked 2 x 3 plane has rank 1
-    h = channels_for(2, 1, bounds.RX_HEAVY, seed=14).channel(1, 2, 1)
+    null = channels_for(2, 1, bounds.RX_HEAVY, seed=14).cross_null(1, 2, 1)
     with pytest.raises(DegeneracyError) as exc:
-        alignment_plane([h, h], 1, TOL, 1)
+        alignment_plane([null, null], 1, TOL, 1)
     assert str(exc.value) == "stacked alignment plane at base station 1 lost rank"
 
 
@@ -224,6 +224,81 @@ def test_nsia_stacking_order_is_a_pi_choice():
     report = verify_scheme(cs, pre, swapped)
     assert report.null_dims == verify_scheme(cs, pre, projectors).null_dims
     assert report.decodable == verify_scheme(cs, pre, projectors).decodable
+
+
+# ---------------------------------------------------------------------------
+# each link factored once
+# ---------------------------------------------------------------------------
+
+def count_svds(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def build_and_verify(cs, scheme, beta):
+    if scheme == "zf":
+        projectors, pre = None, build_zf_precoders(cs, beta)
+    else:
+        projectors, pre = build_nsia(cs, beta)
+    return projectors, pre, verify_scheme(cs, pre, projectors)
+
+
+# K=2, beta=1, L=2: 8 links.  zf: 4 cross null spaces and 4 direct ranks
+# at the draw, 2 effective ranks in verify.  nsia: the same 8 at the draw,
+# 2 plane ranks and 4 projected null spaces in the build, 2 effective ranks
+# in verify.  A link factored twice adds to either count.
+@pytest.mark.parametrize("scheme,variant,svds", [("zf", bounds.TX_HEAVY, 10),
+                                                 ("nsia", bounds.RX_HEAVY, 16)])
+def test_generate_build_verify_factor_each_link_once(monkeypatch, scheme,
+                                                     variant, svds):
+    calls = count_svds(monkeypatch)
+    _, _, report = build_and_verify(channels_for(2, 1, variant, seed=3),
+                                    scheme, 1)
+    assert report.decodable
+    assert len(calls) == svds
+
+
+@pytest.mark.parametrize("scheme,variant", [("zf", bounds.TX_HEAVY),
+                                            ("nsia", bounds.RX_HEAVY)])
+def test_channel_set_without_stored_factors_builds_the_same_scheme(scheme,
+                                                                   variant):
+    cs = channels_for(4, 2, variant, seed=5)  # K*beta = 8
+    bare = ChannelSet(cs.config, dict(cs.channels))
+    assert cs.cross_nulls and not bare.cross_nulls
+    projectors, pre, report = build_and_verify(cs, scheme, 2)
+    bare_projectors, bare_pre, bare_report = build_and_verify(bare, scheme, 2)
+    assert bare_report == report
+    for key, w in pre.precoders.items():
+        assert np.array_equal(bare_pre.precoder(*key), w)
+    if projectors is not None:
+        for m, p in projectors.projectors.items():
+            assert np.array_equal(bare_projectors.projector(m), p)
+    # factored on first use, and kept
+    assert set(bare.cross_nulls) == set(cs.cross_nulls)
+
+
+def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
+    # pi_transform planes carry no stored null spaces, and stored ones
+    # belong to the channel set they were built from: either way verify
+    # runs 2K projected rank SVDs on top of its 2 effective ranks
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=15)
+    projectors, pre = build_nsia(cs, 1)
+    twisted = pi_transform(projectors, {1: 2 * np.eye(2), 2: np.eye(2)})
+    copy = ChannelSet(cs.config, dict(cs.channels))
+    cases = [(cs, projectors, 2), (cs, twisted, 6), (copy, projectors, 6),
+             (cs, ProjectorSet(projectors.projectors), 6)]
+    for channels, planes, svds in cases:
+        calls = count_svds(monkeypatch)
+        report = verify_scheme(channels, pre, planes)
+        assert len(calls) == svds
+        assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
 
 
 def test_scheme_report_serialization():

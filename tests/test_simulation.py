@@ -10,8 +10,8 @@ from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
 from doflab.network import NetworkConfig, generate_channels
 from doflab.schemes import (build_nsia, build_zf_precoders, pi_transform,
                             verify_scheme)
-from doflab.simulation import (DEFAULT_SNR_GRID, LemmaTrialReport, SnrGrid,
-                               estimate_dof_slope,
+from doflab.simulation import (DEFAULT_SNR_GRID, MAX_SNR_POINTS,
+                               LemmaTrialReport, SnrGrid, estimate_dof_slope,
                                interference_limited_rate, monte_carlo_lemma1,
                                monte_carlo_lemma2, random_precoders, sum_rate)
 
@@ -54,6 +54,19 @@ def test_grid_validation():
         SnrGrid.from_range(60, -10, 100)
     with pytest.raises(InputError):
         SnrGrid.from_range(60, 50, 100)
+
+
+def test_grid_from_range_caps_the_point_count():
+    longest = SnrGrid.from_range(0, 1, MAX_SNR_POINTS - 1)
+    assert len(longest.points_db) == MAX_SNR_POINTS
+    too_long = [(0, 1, MAX_SNR_POINTS), (0, 0.001, 100),
+                (0, 1e-300, 1e300)]  # the step count overflows to inf
+    for start, step, stop in too_long:
+        with pytest.raises(InputError, match=f"more than {MAX_SNR_POINTS} points"):
+            SnrGrid.from_range(start, step, stop)
+    for bad in [(0, 1, math.inf), (-math.inf, 1, 3), (0, math.nan, 3)]:
+        with pytest.raises(InputError, match="must be finite"):
+            SnrGrid.from_range(*bad)
 
 
 # ---------------------------------------------------------------------------
