@@ -10,8 +10,7 @@ from .linalg import (SubspaceBasis, Tolerance, intersection_dim,
                      null_space_basis, numeric_rank, orthonormalize_rows,
                      random_matrix, range_basis, seeded_rng)
 from .network import (ChannelSet, NetworkConfig, channel_set_from_dict,
-                      channel_set_to_dict, desired_channels, generate_channels,
-                      interference_channels)
+                      channel_set_to_dict, generate_channels)
 from .schemes import (NSIA, PrecoderSet, ProjectorSet, SchemeReport, ZF,
                       build_nsia, build_zf_precoders, pi_transform,
                       verify_scheme)

@@ -23,8 +23,6 @@ from .network import NetworkConfig
 from .simulation import SnrGrid
 
 SCHEME_VARIANT = {schemes.ZF: bounds.TX_HEAVY, schemes.NSIA: bounds.RX_HEAVY}
-SWEEP_COLUMNS = ["K", "beta", "scheme", "seed", "bound", "slope",
-                 "r_squared", "residual", "decodable"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,30 +64,37 @@ def parse_snr(text: str) -> SnrGrid:
     return SnrGrid.from_range(start, step, stop)
 
 
-def _add_output_flags(p: argparse.ArgumentParser):
-    p.add_argument("--format", dest="output_format", choices=("json", "csv"),
-                   default="json", help="report format (csv is a lossy projection)")
-    p.add_argument("--output", dest="output_path", default=None, metavar="PATH",
-                   help="write the report here instead of stdout")
-
-
-def _add_network_flags(p: argparse.ArgumentParser, with_scheme_dims: bool):
-    if with_scheme_dims:
-        p.add_argument("--K", type=int, required=False, help="users per cell")
-        p.add_argument("--beta", type=int, default=1, help="streams per user")
+def _add_seed_flag(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed (falls back to $DOFLAB_SEED, then 0)")
+
+
+def _add_draw_flags(p: argparse.ArgumentParser):
     p.add_argument("--dist", choices=("complex-gaussian", "uniform-square"),
                    default="complex-gaussian")
     p.add_argument("--rel-rank-tol", type=float, default=1e-10)
 
 
-def _add_replay_flags(p: argparse.ArgumentParser):
+def _add_scheme_flags(p: argparse.ArgumentParser):
+    """A two-cell network at a scheme's antenna profile, drawn or replayed."""
+    p.add_argument("--K", type=int, required=False, help="users per cell")
+    p.add_argument("--beta", type=int, default=1, help="streams per user")
+    _add_seed_flag(p)
+    _add_draw_flags(p)
     p.add_argument("--channels", metavar="PATH",
                    help="replay channels from a JSON dump instead of "
                         "generating (overrides --K/--beta/--seed)")
     p.add_argument("--dump-channels", metavar="PATH",
                    help="write the generated channels to this JSON file")
+
+
+def _add_trial_flags(p: argparse.ArgumentParser):
+    p.add_argument("--trials", type=int, default=1000)
+    _add_seed_flag(p)
+    _add_draw_flags(p)
+    p.add_argument("--workers", type=int, default=None,
+                   help="ignored; kept for existing scripts and configs "
+                        "(trials run in stacked chunks)")
 
 
 def _add_fit_flags(p: argparse.ArgumentParser):
@@ -110,56 +115,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     parser.commands = sub.choices  # subcommand name -> its parser
 
-    p = sub.add_parser("bound", parents=[], help="evaluate the DoF outer bound")
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    _add_output_flags(p)
+    p = sub.add_parser("bound", help="evaluate the DoF outer bound")
+    for flag in ("--K", "--L", "--M", "--N"):
+        p.add_argument(flag, type=int, required=True)
 
-    for name, help_text in ((schemes.ZF, "build and verify transmit zero forcing"),
-                            (schemes.NSIA, "build and verify null-space alignment")):
-        p = sub.add_parser(name, help=help_text)
-        _add_network_flags(p, with_scheme_dims=True)
-        _add_replay_flags(p)
-        p.add_argument("--assert", action="store_true",
-                       help="exit 2 unless the scheme verifies decodable")
-        _add_output_flags(p)
+    _add_scheme_flags(sub.add_parser(
+        schemes.ZF, help="build and verify transmit zero forcing"))
+    _add_scheme_flags(sub.add_parser(
+        schemes.NSIA, help="build and verify null-space alignment"))
 
     p = sub.add_parser("slope", help="fit the empirical DoF slope")
     p.add_argument("--scheme", choices=(schemes.ZF, schemes.NSIA, "random"),
                    required=True)
     p.add_argument("--profile", choices=bounds.VARIANTS, default=None,
                    help="antenna profile for --scheme random")
-    _add_network_flags(p, with_scheme_dims=True)
-    _add_replay_flags(p)
-    p.add_argument("--assert", action="store_true",
-                   help="exit 2 when the slope misses its target")
+    _add_scheme_flags(p)
     _add_fit_flags(p)
-    _add_output_flags(p)
 
     p = sub.add_parser("lemma1", help="Monte Carlo product-rank check")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    _add_network_flags(p, with_scheme_dims=False)
-    p.add_argument("--workers", type=int, default=None,
-                   help="ignored; kept for existing scripts and configs "
-                        "(trials run in stacked chunks)")
-    p.add_argument("--assert", action="store_true")
-    _add_output_flags(p)
+    for flag in ("--m", "--n", "--l"):
+        p.add_argument(flag, type=int, required=True)
+    _add_trial_flags(p)
 
     p = sub.add_parser("lemma2", help="Monte Carlo null/intersection check")
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--p-source", choices=("random", "nsia"), default="random")
-    _add_network_flags(p, with_scheme_dims=False)
-    p.add_argument("--workers", type=int, default=None,
-                   help="ignored, as for lemma1")
-    p.add_argument("--assert", action="store_true")
-    _add_output_flags(p)
+    _add_trial_flags(p)
 
     p = sub.add_parser("sweep", help="bound/slope table over K, beta, seeds")
     p.add_argument("--K", default="1:3", help="range, e.g. 1:3 or 1,2,4")
@@ -167,13 +149,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default=None, help="range of channel seeds")
     p.add_argument("--schemes", choices=(schemes.ZF, schemes.NSIA, "both"),
                    default="both")
-    p.add_argument("--dist", choices=("complex-gaussian", "uniform-square"),
-                   default="complex-gaussian")
-    p.add_argument("--rel-rank-tol", type=float, default=1e-10)
-    p.add_argument("--assert", action="store_true",
-                   help="exit 2 when any row misses its target")
+    _add_draw_flags(p)
     _add_fit_flags(p)
-    _add_output_flags(p)
+
+    for name, p in sub.choices.items():
+        if name != "bound":  # a bound has no verdict to assert
+            p.add_argument("--assert", action="store_true",
+                           help="exit 2 when the report's verdict fails: "
+                                "decodable, slope on target, every trial "
+                                "passed")
+        p.add_argument("--format", dest="output_format",
+                       choices=("json", "csv"), default="json",
+                       help="report format (csv is a lossy projection)")
+        p.add_argument("--output", dest="output_path", default=None,
+                       metavar="PATH",
+                       help="write the report here instead of stdout")
 
     return parser
 
@@ -239,8 +229,7 @@ def _scheme_channel_set(args, variant: str):
     """Channels for a scheme command: replayed from a dump or generated."""
     if args.channels:
         with open(args.channels) as fh:
-            cs = network.channel_set_from_dict(json.load(fh))
-        return cs, cs.config.beta
+            return network.channel_set_from_dict(json.load(fh))
     if args.K is None:
         raise InputError("--K is required when --channels is not given")
     cs = _generate_channels(args, args.K, args.beta, variant,
@@ -249,11 +238,10 @@ def _scheme_channel_set(args, variant: str):
         with open(args.dump_channels, "w") as fh:
             json.dump(network.channel_set_to_dict(cs), fh, indent=2)
             fh.write("\n")
-    return cs, args.beta
+    return cs
 
 
-def _evaluate(args, cs, beta: int, scheme: str, variant: str,
-              grid: SnrGrid | None = None):
+def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     """Build ``scheme`` (zf, nsia or random) on ``cs``, verify it and, given
     an SNR grid, fit its DoF slope.
 
@@ -265,15 +253,15 @@ def _evaluate(args, cs, beta: int, scheme: str, variant: str,
     """
     projectors = None
     if scheme == schemes.ZF:
-        precoders = schemes.build_zf_precoders(cs, beta)
+        precoders = schemes.build_zf_precoders(cs)
     elif scheme == schemes.NSIA:
-        projectors, precoders = schemes.build_nsia(cs, beta)
+        projectors, precoders = schemes.build_nsia(cs)
     else:
-        precoders = simulation.random_precoders(cs, beta, cs.config.seed)
+        precoders = simulation.random_precoders(cs, cs.config.seed)
     report = schemes.verify_scheme(cs, precoders, projectors)
     if grid is None:
         return report, None, None, report.decodable
-    expected = bounds.converse_two_cell(cs.config.K, beta, variant)
+    expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
     if scheme == "random":
         estimate = simulation.estimate_dof_slope(cs, precoders, grid,
                                                  interference_limited=True)
@@ -286,6 +274,10 @@ def _evaluate(args, cs, beta: int, scheme: str, variant: str,
     return report, estimate, expected, ok
 
 
+# Each command has a runner, args -> (report document, verdict), and a CSV
+# projection, (params, result) -> rows.  Every projection returns at least
+# one row, and the first row's keys are the CSV columns.
+
 def _run_bound(args):
     report = bounds.dof_outer_bound(args.K, args.L, args.M, args.N)
     doc = {"params": {"K": args.K, "L": args.L, "M": args.M, "N": args.N},
@@ -293,12 +285,27 @@ def _run_bound(args):
     return doc, True
 
 
+def _bound_rows(params, result):
+    return [{**params, **{k: v for k, v in result.items()
+                          if not k.endswith("_decimal")}}]
+
+
 def _run_scheme(args):
     variant = SCHEME_VARIANT[args.command]
-    cs, beta = _scheme_channel_set(args, variant)
-    report, _, _, ok = _evaluate(args, cs, beta, args.command, variant)
+    cs = _scheme_channel_set(args, variant)
+    report, _, _, ok = _evaluate(args, cs, args.command, variant)
     doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
     return doc, ok
+
+
+def _scheme_rows(params, result):
+    # one summary row, ranks flattened per cell
+    row = {"scheme": result["scheme"], **params,
+           "residual_interference": result["residual_interference"],
+           "decodable": result["decodable"]}
+    for entry in result["effective_rank"]:
+        row[f"effective_rank_{entry['cell']}"] = entry["rank"]
+    return [row]
 
 
 def _run_slope(args):
@@ -308,35 +315,41 @@ def _run_slope(args):
             raise InputError("--profile is required with --scheme random")
     else:
         variant = SCHEME_VARIANT[args.scheme]
-    cs, beta = _scheme_channel_set(args, variant)
-    report, estimate, expected, ok = _evaluate(args, cs, beta, args.scheme,
-                                               variant, parse_snr(args.snr))
+    cs = _scheme_channel_set(args, variant)
+    report, estimate, expected, ok = _evaluate(args, cs, args.scheme, variant,
+                                               parse_snr(args.snr))
     doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
            "result": {**estimate.to_dict(), "expected_slope": expected,
                       "verification": report.to_dict()}}
     return doc, ok
 
 
-def _run_lemma1(args):
-    report = simulation.monte_carlo_lemma1(
-        args.m, args.n, args.l, args.trials, _fallback_seed(args.seed),
-        dist=args.dist, tol=Tolerance(args.rel_rank_tol))
-    doc = {"params": {"m": args.m, "n": args.n, "l": args.l,
-                      "trials": args.trials, "seed": _fallback_seed(args.seed)},
+def _slope_rows(params, result):
+    return [{"snr_db": db, "sum_rate": rate, "slope": result["slope"],
+             "intercept": result["intercept"],
+             "r_squared": result["r_squared"]}
+            for db, rate in zip(result["snr_db"], result["sum_rates"])]
+
+
+def _run_lemma(args):
+    seed = _fallback_seed(args.seed)
+    if args.command == "lemma1":
+        params = {"m": args.m, "n": args.n, "l": args.l, "trials": args.trials}
+        monte_carlo, options = simulation.monte_carlo_lemma1, {}
+    else:
+        params = {"M": args.M, "N": args.N, "trials": args.trials}
+        monte_carlo = simulation.monte_carlo_lemma2
+        options = {"p_source": args.p_source}
+    report = monte_carlo(*params.values(), seed, dist=args.dist,
+                         tol=Tolerance(args.rel_rank_tol), **options)
+    doc = {"params": {**params, **options, "seed": seed},
            "result": report.to_dict()}
     return doc, report.all_passed
 
 
-def _run_lemma2(args):
-    report = simulation.monte_carlo_lemma2(
-        args.M, args.N, args.trials, _fallback_seed(args.seed),
-        p_source=args.p_source, dist=args.dist,
-        tol=Tolerance(args.rel_rank_tol))
-    doc = {"params": {"M": args.M, "N": args.N, "trials": args.trials,
-                      "p_source": args.p_source,
-                      "seed": _fallback_seed(args.seed)},
-           "result": report.to_dict()}
-    return doc, report.all_passed
+def _lemma_rows(params, result):
+    return [{**{k: v for k, v in params.items() if k != "seed"},
+             "passes": result["passes"], "all_passed": result["all_passed"]}]
 
 
 def _run_sweep(args):
@@ -352,8 +365,8 @@ def _run_sweep(args):
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
         variant = SCHEME_VARIANT[scheme]
         cs = _generate_channels(args, k, beta, variant, seed)
-        report, estimate, bound, row_ok = _evaluate(args, cs, beta, scheme,
-                                                    variant, grid)
+        report, estimate, bound, row_ok = _evaluate(args, cs, scheme, variant,
+                                                    grid)
         ok = ok and row_ok
         rows.append({
             "K": k, "beta": beta, "scheme": scheme, "seed": seed,
@@ -369,51 +382,28 @@ def _run_sweep(args):
     return doc, ok
 
 
+def _sweep_rows(params, result):
+    return result["rows"]
+
+
 _RUNNERS = {
-    "bound": _run_bound,
-    schemes.ZF: _run_scheme,
-    schemes.NSIA: _run_scheme,
-    "slope": _run_slope,
-    "lemma1": _run_lemma1,
-    "lemma2": _run_lemma2,
-    "sweep": _run_sweep,
+    "bound": (_run_bound, _bound_rows),
+    schemes.ZF: (_run_scheme, _scheme_rows),
+    schemes.NSIA: (_run_scheme, _scheme_rows),
+    "slope": (_run_slope, _slope_rows),
+    "lemma1": (_run_lemma, _lemma_rows),
+    "lemma2": (_run_lemma, _lemma_rows),
+    "sweep": (_run_sweep, _sweep_rows),
 }
-
-
-def _csv_rows(command: str, doc: dict) -> tuple[list[str], list[dict]]:
-    params, result = doc["params"], doc["result"]
-    if command == "sweep":
-        return SWEEP_COLUMNS, result["rows"]
-    if command == "slope":
-        cols = ["snr_db", "sum_rate", "slope", "intercept", "r_squared"]
-        rows = [{"snr_db": db, "sum_rate": rate, "slope": result["slope"],
-                 "intercept": result["intercept"],
-                 "r_squared": result["r_squared"]}
-                for db, rate in zip(result["snr_db"], result["sum_rates"])]
-        return cols, rows
-    if command in ("lemma1", "lemma2"):
-        row = {**{k: v for k, v in params.items() if k != "seed"},
-               "passes": result["passes"], "all_passed": result["all_passed"]}
-        return list(row), [row]
-    if command == "bound":
-        row = {**params, **{k: v for k, v in result.items()
-                            if not k.endswith("_decimal")}}
-        return list(row), [row]
-    # zf / nsia: one summary row, ranks flattened per cell
-    row = {"scheme": result["scheme"], **params,
-           "residual_interference": result["residual_interference"],
-           "decodable": result["decodable"]}
-    for entry in result["effective_rank"]:
-        row[f"effective_rank_{entry['cell']}"] = entry["rank"]
-    return list(row), [row]
 
 
 def render_report(command: str, doc: dict, output_format: str) -> str:
     if output_format == "json":
         return json.dumps(doc, indent=2) + "\n"
-    cols, rows = _csv_rows(command, doc)
+    _, csv_rows = _RUNNERS[command]
+    rows = csv_rows(doc["params"], doc["result"])
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
@@ -434,7 +424,8 @@ def run(argv=None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         with one_blas_thread():
-            doc, ok = _RUNNERS[args.command](args)
+            runner, _ = _RUNNERS[args.command]
+            doc, ok = runner(args)
     except SystemExit as exc:
         # raised by argparse for usage errors (remapped to 1) and --help (0)
         return int(exc.code or 0)

@@ -72,12 +72,12 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of C^ambient_dim.
 
     ``basis`` has shape (ambient_dim, dim) with orthonormal columns;
-    ``dim`` may be zero (the trivial subspace).
+    ``dim`` may be zero (the trivial subspace).  ``==`` is identity.
     """
 
     ambient_dim: int

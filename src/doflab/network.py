@@ -78,7 +78,7 @@ class NetworkConfig:
         return cls(**kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelSet:
     """All L*L*K channel matrices of one network realization, immutable.
 
@@ -86,13 +86,14 @@ class ChannelSet:
     schemes build from, keyed like ``channels``: the null space of its wide
     orientation (cross_null_space).  generate_channels and
     channel_set_from_dict store it while checking the link; a link without
-    one is factored on its first cross_null call and stored then.
+    one is factored on its first cross_null call and stored then.  ``==``
+    is identity.
     """
 
     config: NetworkConfig
     channels: dict[tuple[int, int, int], np.ndarray] = field(repr=False)
     cross_nulls: dict[tuple[int, int, int], SubspaceBasis] = field(
-        default_factory=dict, repr=False, compare=False)
+        default_factory=dict, repr=False)
 
     def channel(self, m: int, l: int, k: int) -> np.ndarray:
         """Channel from user (l, k) to base station m (all 1-based)."""
@@ -189,21 +190,6 @@ def draw_channel(config: NetworkConfig, m: int, l: int,
     return h, null
 
 
-def desired_channels(cs: ChannelSet, m: int) -> list[np.ndarray]:
-    """Channels from base station m's own users, in user order."""
-    return [cs.channel(m, m, k) for k in range(1, cs.config.K + 1)]
-
-
-def interference_channels(cs: ChannelSet, m: int) -> list[np.ndarray]:
-    """Out-of-cell channels into base station m, ordered by (l, k)."""
-    cfg = cs.config
-    if not 1 <= m <= cfg.L:
-        raise IndexError(f"cell index m={m} out of range 1..{cfg.L}")
-    return [cs.channel(m, l, k)
-            for l in range(1, cfg.L + 1) if l != m
-            for k in range(1, cfg.K + 1)]
-
-
 def channel_set_to_dict(cs: ChannelSet) -> dict:
     """JSON-ready document: {config, channels: [{m, l, k, re, im}]}.
 
@@ -241,14 +227,19 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
                              f"got {index!r}")
         name = "channel (m={}, l={}, k={})".format(*index)
         try:
-            h = (np.asarray(entry["re"], dtype=float)
-                 + 1j * np.asarray(entry["im"], dtype=float))
+            real, imag = (np.asarray(entry[part], dtype=float)
+                          for part in ("re", "im"))
         except (TypeError, ValueError) as exc:
             raise InputError(f"{name} entries must be numbers: {exc}") from exc
-        if h.shape != (cfg.N, cfg.M):
-            raise InputError(
-                f"{name} has shape {h.shape}, expected ({cfg.N}, {cfg.M})")
-        h = linalg.as_matrix(h, name=name)
+        # checked apart: combined, a scalar or one-row part would broadcast
+        # to the full shape, and inf in one part would become nan
+        for part, values in (("re", real), ("im", imag)):
+            if values.shape != (cfg.N, cfg.M):
+                raise InputError(f"{name} {part!r} has shape {values.shape}, "
+                                 f"expected ({cfg.N}, {cfg.M})")
+            if not np.isfinite(values).all():
+                raise InputError(f"{name} has non-finite entries")
+        h = real + 1j * imag
         h.setflags(write=False)
         channels[index] = h
     expected = {(m, l, k)

@@ -27,6 +27,8 @@ from .network import ChannelSet
 
 ZF = "zf"
 NSIA = "nsia"
+# Largest residual interference verify_scheme still calls decodable.
+RESIDUAL_THRESHOLD = 1e-10
 
 
 def other_cell(m: int) -> int:
@@ -36,10 +38,15 @@ def other_cell(m: int) -> int:
     return 3 - m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrecoderSet:
-    """Per-user precoders, (l, k) -> M x beta with orthonormal columns."""
+    """Per-user precoders, (l, k) -> M x beta with orthonormal columns.
 
+    ``scheme`` names what made them (zf, nsia or random), and is the name
+    verify_scheme reports.  ``==`` is identity.
+    """
+
+    scheme: str
     beta: int
     precoders: dict[tuple[int, int], np.ndarray] = field(repr=False)
 
@@ -47,7 +54,7 @@ class PrecoderSet:
         return self.precoders[(l, k)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProjectorSet:
     """Per-base-station projection planes, m -> K*beta x N full row rank.
 
@@ -56,14 +63,14 @@ class ProjectorSet:
     it built from in ``built_from``; verify_scheme reads their dimensions
     for that channel set instead of factoring the products again.  Planes
     from anywhere else (pi_transform) carry none and are measured afresh.
+    ``==`` is identity.
     """
 
     projectors: dict[int, np.ndarray] = field(repr=False)
     row_orthonormalized: bool = True
     projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
-        default=None, repr=False, compare=False)
-    built_from: ChannelSet | None = field(default=None, repr=False,
-                                          compare=False)
+        default=None, repr=False)
+    built_from: ChannelSet | None = field(default=None, repr=False)
 
     def projector(self, m: int) -> np.ndarray:
         return self.projectors[m]
@@ -93,7 +100,7 @@ class SchemeReport:
         return doc
 
 
-def _require_profile(cs: ChannelSet, beta: int, expect_m: int, expect_n: int,
+def _require_profile(cs: ChannelSet, expect_m: int, expect_n: int,
                      scheme: str):
     cfg = cs.config
     if cfg.L != 2:
@@ -101,20 +108,22 @@ def _require_profile(cs: ChannelSet, beta: int, expect_m: int, expect_n: int,
             f"{scheme} construction needs L=2 cells, got L={cfg.L}")
     if (cfg.M, cfg.N) != (expect_m, expect_n):
         raise ConfigurationError(
-            f"{scheme} with K={cfg.K}, beta={beta} needs (M, N)="
+            f"{scheme} with K={cfg.K}, beta={cfg.beta} needs (M, N)="
             f"({expect_m}, {expect_n}), got ({cfg.M}, {cfg.N})")
 
 
-def build_zf_precoders(cs: ChannelSet, beta: int) -> PrecoderSet:
+def build_zf_precoders(cs: ChannelSet) -> PrecoderSet:
     """Zero-forcing precoders: span(W_lk) inside null(H_cross).
 
-    The cross channel of user (l, k) is K*beta x (K*beta + beta), so its
-    null space has dimension exactly beta almost surely and the null-space
-    basis itself (the channel set's stored factor) is the precoder
-    (orthonormal columns for free).
+    With beta the channel set's (NetworkConfig.beta), the cross channel of
+    user (l, k) is K*beta x (K*beta + beta), so its null space has
+    dimension exactly beta almost surely and the null-space basis itself
+    (the channel set's stored factor) is the precoder (orthonormal columns
+    for free).
     """
     cfg = cs.config
-    _require_profile(cs, beta, cfg.K * beta + beta, cfg.K * beta, "zero forcing")
+    beta = cfg.beta
+    _require_profile(cs, cfg.K * beta + beta, cfg.K * beta, "zero forcing")
     precoders = {}
     for l in (1, 2):
         victim = other_cell(l)
@@ -125,23 +134,24 @@ def build_zf_precoders(cs: ChannelSet, beta: int) -> PrecoderSet:
                     f"null space of cross channel (m={victim}, l={l}, k={k}) "
                     f"has dimension {null.dim}, expected {beta}")
             precoders[(l, k)] = null.basis
-    return PrecoderSet(beta, precoders)
+    return PrecoderSet(ZF, beta, precoders)
 
 
-def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
+def build_nsia(cs: ChannelSet) -> tuple[ProjectorSet, PrecoderSet]:
     """Null-space interference alignment: projectors P_m, then precoders.
 
-    For each base station m, the conjugated cross channels H* are
-    K*beta x (K*beta + beta) with beta-dimensional null spaces N_mk; P_m
-    stacks the N_mk as rows (user k occupying rows (k-1)*beta+1 .. k*beta)
-    and is then row-orthonormalized, a specific choice of the left factor
-    that keeps the projected noise white.  Each projected cross channel
-    P_m H is then square with a beta-dimensional null space, which becomes
-    the precoder of the interfering user and is kept on the ProjectorSet
-    for verify_scheme.
+    With beta the channel set's (NetworkConfig.beta), for each base station
+    m the conjugated cross channels H* are K*beta x (K*beta + beta) with
+    beta-dimensional null spaces N_mk; P_m stacks the N_mk as rows (user k
+    occupying rows (k-1)*beta+1 .. k*beta) and is then row-orthonormalized,
+    a specific choice of the left factor that keeps the projected noise
+    white.  Each projected cross channel P_m H is then square with a
+    beta-dimensional null space, which becomes the precoder of the
+    interfering user and is kept on the ProjectorSet for verify_scheme.
     """
     cfg = cs.config
-    _require_profile(cs, beta, cfg.K * beta, cfg.K * beta + beta,
+    beta = cfg.beta
+    _require_profile(cs, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
     projectors = {}
     precoders = {}
@@ -166,7 +176,7 @@ def build_nsia(cs: ChannelSet, beta: int) -> tuple[ProjectorSet, PrecoderSet]:
             projected_nulls[(m, k)] = null
     return (ProjectorSet(projectors, row_orthonormalized=True,
                          projected_nulls=projected_nulls, built_from=cs),
-            PrecoderSet(beta, precoders))
+            PrecoderSet(NSIA, beta, precoders))
 
 
 def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
@@ -208,17 +218,17 @@ def desired_matrix(cs: ChannelSet, precoders: PrecoderSet, m: int) -> np.ndarray
 
 
 def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
-                  projectors: ProjectorSet | None = None,
-                  residual_threshold: float = 1e-10) -> SchemeReport:
+                  projectors: ProjectorSet | None = None) -> SchemeReport:
     """Measure alignment residuals and effective ranks, judge decodability.
 
     The residual is the worst relative leakage over all cross links:
     ||H_cross W||_F / ||H_cross||_F for plain precoding, with H_cross
     replaced by the projected cross channel when projectors are given.
     Decodable means every per-cell effective rank equals K*beta and the
-    residual is at or below the threshold.  The projected null dimensions
-    come from the projectors' stored null spaces when they were built from
-    ``cs``, and from a fresh rank otherwise.  A leakage that is not finite
+    residual is at most RESIDUAL_THRESHOLD.  The report is named after the
+    precoders' scheme.  The projected null dimensions come from the
+    projectors' stored null spaces when they were built from ``cs``, and
+    from a fresh rank otherwise.  A leakage that is not finite
     (channel norms that overflow or underflow) raises DegeneracyError
     naming the link instead of being folded into the residual.
     """
@@ -261,9 +271,9 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
         effective = g if p is None else p @ g
         effective_rank[m] = linalg.numeric_rank(effective, cfg.tol)
     decodable = (all(r == kb for r in effective_rank.values())
-                 and residual <= residual_threshold)
+                 and residual <= RESIDUAL_THRESHOLD)
     return SchemeReport(
-        scheme=ZF if projectors is None else NSIA,
+        scheme=precoders.scheme,
         residual_interference=residual,
         effective_rank=effective_rank,
         decodable=decodable,

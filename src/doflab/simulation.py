@@ -83,10 +83,6 @@ class SlopeEstimate:
     intercept: float
     r_squared: float
 
-    @property
-    def clean(self) -> bool:
-        return self.r_squared >= 0.99
-
     def to_dict(self) -> dict:
         return {
             "snr_db": list(self.grid.points_db),
@@ -251,9 +247,11 @@ def estimate_dof_slope(cs: ChannelSet, precoders: PrecoderSet,
                          intercept=intercept, r_squared=r_squared)
 
 
-def random_precoders(cs: ChannelSet, beta: int, seed: int) -> PrecoderSet:
-    """Generic orthonormal-column precoders, the non-aligned baseline."""
+def random_precoders(cs: ChannelSet, seed: int) -> PrecoderSet:
+    """Generic orthonormal-column precoders, the non-aligned baseline, with
+    the channel set's beta (NetworkConfig.beta) columns each."""
     cfg = cs.config
+    beta = cfg.beta
     if beta > cfg.M:
         raise InputError(f"beta={beta} exceeds M={cfg.M}")
     precoders = {}
@@ -263,7 +261,7 @@ def random_precoders(cs: ChannelSet, beta: int, seed: int) -> PrecoderSet:
             w = linalg.random_matrix(cfg.M, beta, cfg.dist, rng)
             q, _ = np.linalg.qr(w)
             precoders[(l, k)] = q
-    return PrecoderSet(beta, precoders)
+    return PrecoderSet("random", beta, precoders)
 
 
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:

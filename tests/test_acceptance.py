@@ -55,7 +55,7 @@ def test_criterion_2_zf_achievability():
         for beta in (1, 2):
             for seed in range(20):
                 cs = channels_for(K, beta, bounds.TX_HEAVY, seed)
-                report = verify_scheme(cs, build_zf_precoders(cs, beta))
+                report = verify_scheme(cs, build_zf_precoders(cs))
                 worst = max(worst, report.residual_interference)
                 ok = ok and report.residual_interference <= RESIDUAL_LIMIT
                 ok = ok and all(r == K * beta
@@ -71,7 +71,7 @@ def test_criterion_3_nsia_achievability():
         for beta in (1, 2):
             for seed in range(20):
                 cs = channels_for(K, beta, bounds.RX_HEAVY, seed)
-                projectors, pre = build_nsia(cs, beta)
+                projectors, pre = build_nsia(cs)
                 report = verify_scheme(cs, pre, projectors)
                 worst = max(worst, report.residual_interference)
                 ok = ok and report.residual_interference <= RESIDUAL_LIMIT
@@ -88,13 +88,13 @@ def test_criterion_4_empirical_dof_slope():
     for K in (2, 3):
         target = 2 * K
         cs = channels_for(K, 1, bounds.TX_HEAVY, seed=0)
-        est = estimate_dof_slope(cs, build_zf_precoders(cs, 1), GRID)
+        est = estimate_dof_slope(cs, build_zf_precoders(cs), GRID)
         ok = ok and abs(est.slope - target) <= SLOPE_RTOL * target
         ok = ok and est.r_squared >= MIN_R2
         details.append(f"zf K={K}: {est.slope:.4f}")
 
         cs = channels_for(K, 1, bounds.RX_HEAVY, seed=0)
-        projectors, pre = build_nsia(cs, 1)
+        projectors, pre = build_nsia(cs)
         est = estimate_dof_slope(cs, pre, GRID, projectors)
         ok = ok and abs(est.slope - target) <= SLOPE_RTOL * target
         ok = ok and est.r_squared >= MIN_R2
@@ -103,7 +103,7 @@ def test_criterion_4_empirical_dof_slope():
         # interference-limited contrast: random precoders where the
         # interference fills the whole receive space
         cs = channels_for(K, 1, bounds.TX_HEAVY, seed=0)
-        est = estimate_dof_slope(cs, random_precoders(cs, 1, seed=0), GRID,
+        est = estimate_dof_slope(cs, random_precoders(cs, seed=0), GRID,
                                  interference_limited=True)
         ok = ok and est.slope <= 0.5
         details.append(f"baseline K={K}: {est.slope:.4f}")
@@ -137,7 +137,7 @@ def test_criterion_6_lemma2_suite():
 
 def test_criterion_7_pi_invariance():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=2)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     baseline = verify_scheme(cs, pre, projectors)
     rng = linalg.seeded_rng(2, 7)
     ok = baseline.decodable

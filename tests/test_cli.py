@@ -413,6 +413,35 @@ CONFIG_CASES = {
 }
 
 
+# Each subcommand's flags by argparse dest, which are also the keys its
+# config documents may use.
+COMMAND_DESTS = {
+    "bound": ["K", "L", "M", "N", "output_format", "output_path"],
+    "zf": ["K", "assert", "beta", "channels", "dist", "dump_channels",
+           "output_format", "output_path", "rel_rank_tol", "seed"],
+    "nsia": ["K", "assert", "beta", "channels", "dist", "dump_channels",
+             "output_format", "output_path", "rel_rank_tol", "seed"],
+    "slope": ["K", "assert", "beta", "channels", "dist", "dump_channels",
+              "min_r2", "output_format", "output_path", "profile",
+              "rel_rank_tol", "scheme", "seed", "snr", "tol_slope"],
+    "lemma1": ["assert", "dist", "l", "m", "n", "output_format",
+               "output_path", "rel_rank_tol", "seed", "trials", "workers"],
+    "lemma2": ["M", "N", "assert", "dist", "output_format", "output_path",
+               "p_source", "rel_rank_tol", "seed", "trials", "workers"],
+    "sweep": ["K", "assert", "beta", "dist", "min_r2", "output_format",
+              "output_path", "rel_rank_tol", "schemes", "seeds", "snr",
+              "tol_slope"],
+}
+
+
+def test_each_command_keeps_its_config_keys():
+    parser = build_parser()
+    dests = {name: sorted(action.dest for action in p._actions
+                          if action.dest != "help")
+             for name, p in parser.commands.items()}
+    assert dests == COMMAND_DESTS
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "exp.json"
     path.write_text(json.dumps(doc))

@@ -1,9 +1,11 @@
 """Golden reports: fixed-seed CLI reports stay byte-identical apart from
 their ``timestamp`` line.
 
-The files under ``tests/golden/`` hold the reports with that line removed.
-After a deliberate change of output, rewrite them with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+The files under ``tests/golden/`` hold the JSON reports with that line
+removed (``<case>.json``) and, for the cases in CSV_CASES, the CSV reports,
+which have no timestamp (``<case>.csv``).  After a deliberate change of
+output, rewrite them with ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff.
 """
 
 import re
@@ -48,13 +50,17 @@ CASES = {
                               "--seed", "4", "--p-source", "nsia",
                               "--dist", "uniform-square"],
 }
+# One case per CSV projection (slope has two: a built scheme and the
+# random baseline).
+CSV_CASES = ("bound", "zf", "nsia", "slope-zf", "slope-random", "lemma1",
+             "lemma2-random", "sweep")
 
 
-def report_without_timestamp(argv, path: Path) -> str:
-    assert run([*argv, "--output", str(path)]) == 0
+def report_without_timestamp(argv, path: Path, output_format: str = "json") -> str:
+    assert run([*argv, "--format", output_format, "--output", str(path)]) == 0
     text = path.read_text()
     stripped, count = _TIMESTAMP.subn("", text, count=1)
-    assert count == 1
+    assert count == (1 if output_format == "json" else 0)
     return stripped
 
 
@@ -64,14 +70,24 @@ def test_report_matches_golden(name, tmp_path):
     assert report_without_timestamp(CASES[name], tmp_path / "report.json") == expected
 
 
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_csv_report_matches_golden(name, tmp_path):
+    expected = (GOLDEN_DIR / f"{name}.csv").read_text()
+    assert report_without_timestamp(CASES[name], tmp_path / "report.csv",
+                                    "csv") == expected
+
+
 def main():
     import tempfile
     GOLDEN_DIR.mkdir(exist_ok=True)
+    goldens = [(name, "json") for name in sorted(CASES)]
+    goldens += [(name, "csv") for name in CSV_CASES]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in sorted(CASES.items()):
-            text = report_without_timestamp(argv, Path(tmp) / "report.json")
-            (GOLDEN_DIR / f"{name}.json").write_text(text)
-            print(f"wrote {name}.json", file=sys.stderr)
+        for name, output_format in goldens:
+            path = Path(tmp) / f"report.{output_format}"
+            text = report_without_timestamp(CASES[name], path, output_format)
+            (GOLDEN_DIR / f"{name}.{output_format}").write_text(text)
+            print(f"wrote {name}.{output_format}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ import pytest
 from doflab.errors import InputError
 from doflab.linalg import Tolerance, null_space_basis
 from doflab.network import (ChannelSet, NetworkConfig, channel_set_from_dict,
-                            channel_set_to_dict, desired_channels, draw_channel,
-                            generate_channels, interference_channels)
+                            channel_set_to_dict, draw_channel,
+                            generate_channels)
 
 
 def make_set(L=2, K=2, M=3, N=2, seed=1, **kw):
@@ -86,48 +86,6 @@ def test_uniform_square_channels_are_bounded():
     cs = make_set(dist="uniform-square")
     for h in cs.channels.values():
         assert np.max(np.abs(h.real)) <= 1.0 and np.max(np.abs(h.imag)) <= 1.0
-
-
-def test_desired_channels_order():
-    cs = make_set()
-    wanted = desired_channels(cs, 1)
-    assert len(wanted) == 2
-    np.testing.assert_array_equal(wanted[0], cs.channel(1, 1, 1))
-    np.testing.assert_array_equal(wanted[1], cs.channel(1, 1, 2))
-
-
-def test_desired_channels_single_user():
-    cs = make_set(K=1)
-    wanted = desired_channels(cs, 2)
-    assert len(wanted) == 1
-    np.testing.assert_array_equal(wanted[0], cs.channel(2, 2, 1))
-
-
-def test_desired_channels_index_out_of_range():
-    cs = make_set()
-    with pytest.raises(IndexError):
-        desired_channels(cs, 3)
-
-
-def test_interference_channels_two_cells():
-    cs = make_set()
-    crossing = interference_channels(cs, 1)
-    assert len(crossing) == 2
-    np.testing.assert_array_equal(crossing[0], cs.channel(1, 2, 1))
-    np.testing.assert_array_equal(crossing[1], cs.channel(1, 2, 2))
-
-
-def test_interference_channels_three_cells_ordered():
-    cs = make_set(L=3, K=2, M=2, N=2)
-    crossing = interference_channels(cs, 2)
-    assert len(crossing) == 4
-    np.testing.assert_array_equal(crossing[0], cs.channel(2, 1, 1))
-    np.testing.assert_array_equal(crossing[3], cs.channel(2, 3, 2))
-
-
-def test_interference_channels_single_cell_empty():
-    cs = make_set(L=1, K=2)
-    assert interference_channels(cs, 1) == []
 
 
 def test_channels_are_read_only():
@@ -220,6 +178,13 @@ def test_channel_deserialization_rejects_bad_docs():
                                 for e in doc["channels"]]}
     with pytest.raises(InputError):
         channel_set_from_dict(wrong_shape)
+    # a scalar or one-row part would broadcast against the other one
+    for im in (0.0, [[0.0, 0.0, 0.0]]):
+        broadcast = {"config": doc["config"],
+                     "channels": [{**doc["channels"][0], "im": im},
+                                  *doc["channels"][1:]]}
+        with pytest.raises(InputError, match=r"'im' has shape"):
+            channel_set_from_dict(broadcast)
     # documents of the wrong JSON type at every level
     entries = doc["channels"]
     wrong_types = [5, None, [doc], {"config": 5, "channels": entries},

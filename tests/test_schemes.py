@@ -25,7 +25,7 @@ def channels_for(K, beta, variant, seed=0, **kw):
 
 def test_zf_cancels_cross_channels():
     cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
-    pre = build_zf_precoders(cs, 1)
+    pre = build_zf_precoders(cs)
     for l in (1, 2):
         victim = other_cell(l)
         for k in (1, 2):
@@ -39,7 +39,7 @@ def test_zf_single_user_closed_form():
     # 1x2 cross channel (h1, h2): its null vector is proportional to
     # (-h2, h1); verified against the construction and by direct product
     cs = channels_for(1, 1, bounds.TX_HEAVY, seed=5)
-    pre = build_zf_precoders(cs, 1)
+    pre = build_zf_precoders(cs)
     for l in (1, 2):
         h = cs.channel(other_cell(l), l, 1)
         w = pre.precoder(l, 1)[:, 0]
@@ -56,7 +56,7 @@ def test_verify_refuses_non_finite_leakage(factor):
     cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
     scaled = ChannelSet(cs.config, {key: h * factor
                                     for key, h in cs.channels.items()})
-    pre = build_zf_precoders(scaled, 1)
+    pre = build_zf_precoders(scaled)
     with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
         verify_scheme(scaled, pre)
 
@@ -64,13 +64,13 @@ def test_verify_refuses_non_finite_leakage(factor):
 def test_zf_rejects_wrong_profile():
     cfg = NetworkConfig(L=2, K=2, M=4, N=2, beta=1, seed=0)
     with pytest.raises(ConfigurationError):
-        build_zf_precoders(generate_channels(cfg), 1)
+        build_zf_precoders(generate_channels(cfg))
 
 
 def test_zf_rejects_three_cells():
     cfg = NetworkConfig(L=3, K=2, M=3, N=2, beta=1, seed=0)
     with pytest.raises(ConfigurationError):
-        build_zf_precoders(generate_channels(cfg), 1)
+        build_zf_precoders(generate_channels(cfg))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -78,7 +78,7 @@ def test_zf_rejects_three_cells():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_zf_alignment_and_decodability_grid(K, beta, seed):
     cs = channels_for(K, beta, bounds.TX_HEAVY, seed=seed)
-    pre = build_zf_precoders(cs, beta)
+    pre = build_zf_precoders(cs)
     report = verify_scheme(cs, pre)
     assert report.scheme == "zf"
     assert report.residual_interference <= 10 * TOL.rel_rank_tol
@@ -95,7 +95,7 @@ def test_zf_alignment_and_decodability_grid(K, beta, seed):
 
 def test_nsia_shapes_and_null_dims():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=4)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     report = verify_scheme(cs, pre, projectors)
     for m in (1, 2):
         p = projectors.projector(m)
@@ -112,7 +112,7 @@ def test_nsia_single_user_closed_form():
     # channel, so the projected cross channel is identically zero and the
     # 1x1 effective channel has a 1-dimensional null space
     cs = channels_for(1, 1, bounds.RX_HEAVY, seed=6)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     report = verify_scheme(cs, pre, projectors)
     for m in (1, 2):
         h = cs.channel(m, other_cell(m), 1)
@@ -127,7 +127,7 @@ def test_nsia_single_user_closed_form():
 
 def test_nsia_two_streams():
     cs = channels_for(2, 2, bounds.RX_HEAVY, seed=7)
-    projectors, pre = build_nsia(cs, 2)
+    projectors, pre = build_nsia(cs)
     report = verify_scheme(cs, pre, projectors)
     assert all(d == 2 for d in report.null_dims.values())
     assert report.effective_rank == {1: 4, 2: 4}
@@ -146,7 +146,7 @@ def test_rank_deficient_alignment_plane_raises_degeneracy():
 def test_nsia_rejects_wrong_profile():
     cfg = NetworkConfig(L=2, K=2, M=2, N=4, beta=1, seed=0)
     with pytest.raises(ConfigurationError):
-        build_nsia(generate_channels(cfg), 1)
+        build_nsia(generate_channels(cfg))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -155,7 +155,7 @@ def test_nsia_rejects_wrong_profile():
 def test_nsia_dimension_chain_grid(K, beta, seed):
     # exercises the equivalence dim null(P H) = dim(ran(H) ∩ null(P)) = beta
     cs = channels_for(K, beta, bounds.RX_HEAVY, seed=seed)
-    projectors, pre = build_nsia(cs, beta)
+    projectors, pre = build_nsia(cs)
     report = verify_scheme(cs, pre, projectors)
     assert report.decodable
     for m in (1, 2):
@@ -173,8 +173,9 @@ def test_nsia_dimension_chain_grid(K, beta, seed):
 
 def test_random_precoders_do_not_self_align():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=8)
-    pre = random_precoders(cs, 1, seed=8)
+    pre = random_precoders(cs, seed=8)
     report = verify_scheme(cs, pre)
+    assert report.scheme == "random"
     assert report.residual_interference > 1e-2
     assert not report.decodable
     # the desired aggregate alone is still generically full rank
@@ -188,7 +189,7 @@ def test_random_precoders_do_not_self_align():
 
 def test_pi_transform_identity():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=9)
-    projectors, _ = build_nsia(cs, 1)
+    projectors, _ = build_nsia(cs)
     same = pi_transform(projectors, {1: np.eye(2), 2: np.eye(2)})
     for m in (1, 2):
         np.testing.assert_array_equal(same.projector(m), projectors.projector(m))
@@ -197,7 +198,7 @@ def test_pi_transform_identity():
 
 def test_pi_transform_preserves_null_dims_and_ranks():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=10)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     baseline = verify_scheme(cs, pre, projectors)
     rng = linalg.seeded_rng(10, 99)
     for _ in range(10):
@@ -210,7 +211,7 @@ def test_pi_transform_preserves_null_dims_and_ranks():
 
 def test_pi_transform_rejects_singular():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=11)
-    projectors, _ = build_nsia(cs, 1)
+    projectors, _ = build_nsia(cs)
     with pytest.raises(RankError):
         pi_transform(projectors, {1: np.zeros((2, 2)), 2: np.zeros((2, 2))})
 
@@ -218,7 +219,7 @@ def test_pi_transform_rejects_singular():
 def test_nsia_stacking_order_is_a_pi_choice():
     # swapping the user blocks of P_m is a permutation, i.e. some Pi
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=12)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     swapped = pi_transform(projectors, {1: swap, 2: swap})
     report = verify_scheme(cs, pre, swapped)
@@ -242,11 +243,11 @@ def count_svds(monkeypatch):
     return calls
 
 
-def build_and_verify(cs, scheme, beta):
+def build_and_verify(cs, scheme):
     if scheme == "zf":
-        projectors, pre = None, build_zf_precoders(cs, beta)
+        projectors, pre = None, build_zf_precoders(cs)
     else:
-        projectors, pre = build_nsia(cs, beta)
+        projectors, pre = build_nsia(cs)
     return projectors, pre, verify_scheme(cs, pre, projectors)
 
 
@@ -260,7 +261,7 @@ def test_generate_build_verify_factor_each_link_once(monkeypatch, scheme,
                                                      variant, svds):
     calls = count_svds(monkeypatch)
     _, _, report = build_and_verify(channels_for(2, 1, variant, seed=3),
-                                    scheme, 1)
+                                    scheme)
     assert report.decodable
     assert len(calls) == svds
 
@@ -272,8 +273,8 @@ def test_channel_set_without_stored_factors_builds_the_same_scheme(scheme,
     cs = channels_for(4, 2, variant, seed=5)  # K*beta = 8
     bare = ChannelSet(cs.config, dict(cs.channels))
     assert cs.cross_nulls and not bare.cross_nulls
-    projectors, pre, report = build_and_verify(cs, scheme, 2)
-    bare_projectors, bare_pre, bare_report = build_and_verify(bare, scheme, 2)
+    projectors, pre, report = build_and_verify(cs, scheme)
+    bare_projectors, bare_pre, bare_report = build_and_verify(bare, scheme)
     assert bare_report == report
     for key, w in pre.precoders.items():
         assert np.array_equal(bare_pre.precoder(*key), w)
@@ -289,7 +290,7 @@ def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
     # belong to the channel set they were built from: either way verify
     # runs 2K projected rank SVDs on top of its 2 effective ranks
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=15)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     twisted = pi_transform(projectors, {1: 2 * np.eye(2), 2: np.eye(2)})
     copy = ChannelSet(cs.config, dict(cs.channels))
     cases = [(cs, projectors, 2), (cs, twisted, 6), (copy, projectors, 6),
@@ -303,9 +304,23 @@ def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
 
 def test_scheme_report_serialization():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=13)
-    projectors, pre = build_nsia(cs, 1)
+    projectors, pre = build_nsia(cs)
     doc = verify_scheme(cs, pre, projectors).to_dict()
     assert doc["scheme"] == "nsia"
     assert doc["decodable"] is True
     assert {e["cell"] for e in doc["effective_rank"]} == {1, 2}
     assert all(e["dim"] == 1 for e in doc["null_dims"])
+
+
+def test_equality_of_array_holders_is_identity():
+    # two draws from one config hold equal arrays; == must answer False
+    # instead of raising on comparing them, and an object equals itself
+    first, second = (channels_for(2, 1, bounds.RX_HEAVY, seed=4)
+                     for _ in range(2))
+    pairs = [(first, second),
+             (first.cross_null(1, 2, 1), second.cross_null(1, 2, 1)),
+             *zip(build_nsia(first), build_nsia(second))]
+    for a, b in pairs:
+        assert (a == b) is False
+        assert (a != b) is True
+        assert a == a
