@@ -11,9 +11,8 @@ from .linalg import (SubspaceBasis, Tolerance, intersection_dim,
                      random_matrix, range_basis, seeded_rng)
 from .network import (ChannelSet, NetworkConfig, channel_set_from_dict,
                       channel_set_to_dict, generate_channels)
-from .schemes import (NSIA, PrecoderSet, ProjectorSet, SchemeReport, ZF,
-                      build_nsia, build_zf_precoders, pi_transform,
-                      verify_scheme)
+from .schemes import (NSIA, RANDOM, Scheme, SchemeReport, ZF, build_nsia,
+                      build_zf_precoders, pi_transform, verify_scheme)
 from .simulation import (LemmaTrialReport, SlopeEstimate, SnrGrid,
                          estimate_dof_slope, interference_limited_rate,
                          monte_carlo_lemma1, monte_carlo_lemma2,

@@ -23,6 +23,13 @@ from .network import NetworkConfig
 from .simulation import SnrGrid
 
 SCHEME_VARIANT = {schemes.ZF: bounds.TX_HEAVY, schemes.NSIA: bounds.RX_HEAVY}
+# Scheme name -> builder, looked up in its module at call time so that a
+# patched module attribute (the benchmark's tracer) is the one called.
+_BUILDERS = {
+    schemes.ZF: lambda cs: schemes.build_zf_precoders(cs),
+    schemes.NSIA: lambda cs: schemes.build_nsia(cs),
+    schemes.RANDOM: lambda cs: simulation.random_precoders(cs),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,8 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
         schemes.NSIA, help="build and verify null-space alignment"))
 
     p = sub.add_parser("slope", help="fit the empirical DoF slope")
-    p.add_argument("--scheme", choices=(schemes.ZF, schemes.NSIA, "random"),
-                   required=True)
+    p.add_argument("--scheme", choices=tuple(_BUILDERS), required=True)
     p.add_argument("--profile", choices=bounds.VARIANTS, default=None,
                    help="antenna profile for --scheme random")
     _add_scheme_flags(p)
@@ -226,10 +232,18 @@ def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
 
 
 def _scheme_channel_set(args, variant: str):
-    """Channels for a scheme command: replayed from a dump or generated."""
+    """Channels for a scheme command: replayed from a dump (which must be
+    at ``variant``'s antenna profile) or generated."""
     if args.channels:
         with open(args.channels) as fh:
-            return network.channel_set_from_dict(json.load(fh))
+            cs = network.channel_set_from_dict(json.load(fh))
+        cfg = cs.config
+        expected = bounds.antenna_profile(cfg.K, cfg.beta, variant)
+        if (cfg.M, cfg.N) != expected:
+            raise InputError(f"replayed (M, N)=({cfg.M}, {cfg.N}) is not the "
+                             f"{variant} profile (M, N)={expected} at K={cfg.K}, "
+                             f"beta={cfg.beta}")
+        return cs
     if args.K is None:
         raise InputError("--K is required when --channels is not given")
     cs = _generate_channels(args, args.K, args.beta, variant,
@@ -251,23 +265,14 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     built scheme must also fit within --tol-slope of ``expected`` with
     r² >= --min-r2, and the random baseline must saturate (slope <= 0.5).
     """
-    projectors = None
-    if scheme == schemes.ZF:
-        precoders = schemes.build_zf_precoders(cs)
-    elif scheme == schemes.NSIA:
-        projectors, precoders = schemes.build_nsia(cs)
-    else:
-        precoders = simulation.random_precoders(cs, cs.config.seed)
-    report = schemes.verify_scheme(cs, precoders, projectors)
+    built = _BUILDERS[scheme](cs)
+    report = schemes.verify_scheme(cs, built)
     if grid is None:
         return report, None, None, report.decodable
     expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
-    if scheme == "random":
-        estimate = simulation.estimate_dof_slope(cs, precoders, grid,
-                                                 interference_limited=True)
+    estimate = simulation.estimate_dof_slope(cs, built, grid, report=report)
+    if scheme == schemes.RANDOM:
         return report, estimate, expected, estimate.slope <= 0.5
-    estimate = simulation.estimate_dof_slope(cs, precoders, grid, projectors,
-                                             report=report)
     ok = (report.decodable
           and abs(estimate.slope - expected) <= args.tol_slope * expected
           and estimate.r_squared >= args.min_r2)
@@ -309,7 +314,7 @@ def _scheme_rows(params, result):
 
 
 def _run_slope(args):
-    if args.scheme == "random":
+    if args.scheme == schemes.RANDOM:
         variant = args.profile
         if variant is None:
             raise InputError("--profile is required with --scheme random")

@@ -16,17 +16,19 @@ Two closed-form constructions deliver 2*K*beta interference-free streams:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
-from .errors import ConfigurationError, DegeneracyError, DimensionError, RankError
+from .errors import (ConfigurationError, ContractError, DegeneracyError,
+                     DimensionError, RankError)
 from .linalg import SubspaceBasis, Tolerance
 from .network import ChannelSet
 
 ZF = "zf"
 NSIA = "nsia"
+RANDOM = "random"  # the non-aligned baseline, simulation.random_precoders
 # Largest residual interference verify_scheme still calls decodable.
 RESIDUAL_THRESHOLD = 1e-10
 
@@ -39,41 +41,35 @@ def other_cell(m: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PrecoderSet:
-    """Per-user precoders, (l, k) -> M x beta with orthonormal columns.
+class Scheme:
+    """A two-cell linear scheme, named after what made it (zf, nsia or
+    random; the name verify_scheme reports).
 
-    ``scheme`` names what made them (zf, nsia or random), and is the name
-    verify_scheme reports.  ``==`` is identity.
-    """
-
-    scheme: str
-    beta: int
-    precoders: dict[tuple[int, int], np.ndarray] = field(repr=False)
-
-    def precoder(self, l: int, k: int) -> np.ndarray:
-        return self.precoders[(l, k)]
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectorSet:
-    """Per-base-station projection planes, m -> K*beta x N full row rank.
-
+    ``precoders`` maps (l, k) to M x beta with orthonormal columns, and
+    ``projectors`` maps m to the K*beta x N full-row-rank plane P_m, or is
+    None when the base stations receive unprojected (zf and random).
     build_nsia also keeps the null space of each projected cross channel
-    P_m H_m,lk, keyed (m, k), in ``projected_nulls`` and the channel set
-    it built from in ``built_from``; verify_scheme reads their dimensions
-    for that channel set instead of factoring the products again.  Planes
-    from anywhere else (pi_transform) carry none and are measured afresh.
+    P_m H_m,lk, keyed (m, k), in ``projected_nulls`` and the channel set it
+    built from in ``built_from``; verify_scheme reads their dimensions for
+    that channel set instead of factoring the products again.  Planes from
+    anywhere else (pi_transform) carry none and are measured afresh.
     ``==`` is identity.
     """
 
-    projectors: dict[int, np.ndarray] = field(repr=False)
+    name: str
+    precoders: dict[tuple[int, int], np.ndarray] = field(repr=False)
+    projectors: dict[int, np.ndarray] | None = field(default=None, repr=False)
     row_orthonormalized: bool = True
     projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
         default=None, repr=False)
     built_from: ChannelSet | None = field(default=None, repr=False)
 
-    def projector(self, m: int) -> np.ndarray:
-        return self.projectors[m]
+    def precoder(self, l: int, k: int) -> np.ndarray:
+        return self.precoders[(l, k)]
+
+    def projector(self, m: int) -> np.ndarray | None:
+        """P_m, or None for a scheme without receive planes."""
+        return None if self.projectors is None else self.projectors[m]
 
 
 @dataclass(frozen=True)
@@ -112,14 +108,14 @@ def _require_profile(cs: ChannelSet, expect_m: int, expect_n: int,
             f"({expect_m}, {expect_n}), got ({cfg.M}, {cfg.N})")
 
 
-def build_zf_precoders(cs: ChannelSet) -> PrecoderSet:
+def build_zf_precoders(cs: ChannelSet) -> Scheme:
     """Zero-forcing precoders: span(W_lk) inside null(H_cross).
 
     With beta the channel set's (NetworkConfig.beta), the cross channel of
     user (l, k) is K*beta x (K*beta + beta), so its null space has
     dimension exactly beta almost surely and the null-space basis itself
     (the channel set's stored factor) is the precoder (orthonormal columns
-    for free).
+    for free).  The base stations receive unprojected.
     """
     cfg = cs.config
     beta = cfg.beta
@@ -134,10 +130,10 @@ def build_zf_precoders(cs: ChannelSet) -> PrecoderSet:
                     f"null space of cross channel (m={victim}, l={l}, k={k}) "
                     f"has dimension {null.dim}, expected {beta}")
             precoders[(l, k)] = null.basis
-    return PrecoderSet(ZF, beta, precoders)
+    return Scheme(ZF, precoders)
 
 
-def build_nsia(cs: ChannelSet) -> tuple[ProjectorSet, PrecoderSet]:
+def build_nsia(cs: ChannelSet) -> Scheme:
     """Null-space interference alignment: projectors P_m, then precoders.
 
     With beta the channel set's (NetworkConfig.beta), for each base station
@@ -147,7 +143,7 @@ def build_nsia(cs: ChannelSet) -> tuple[ProjectorSet, PrecoderSet]:
     a specific choice of the left factor that keeps the projected noise
     white.  Each projected cross channel P_m H is then square with a
     beta-dimensional null space, which becomes the precoder of the
-    interfering user and is kept on the ProjectorSet for verify_scheme.
+    interfering user and is kept on the scheme for verify_scheme.
     """
     cfg = cs.config
     beta = cfg.beta
@@ -174,9 +170,8 @@ def build_nsia(cs: ChannelSet) -> tuple[ProjectorSet, PrecoderSet]:
                     f"null dimension {null.dim}, expected {beta}")
             precoders[(src, k)] = null.basis
             projected_nulls[(m, k)] = null
-    return (ProjectorSet(projectors, row_orthonormalized=True,
-                         projected_nulls=projected_nulls, built_from=cs),
-            PrecoderSet(NSIA, beta, precoders))
+    return Scheme(NSIA, precoders, projectors,
+                  projected_nulls=projected_nulls, built_from=cs)
 
 
 def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
@@ -202,60 +197,62 @@ def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
             f"stacked alignment plane at base station {m} lost rank") from exc
 
 
-def desired_matrix(cs: ChannelSet, precoders: PrecoderSet, m: int) -> np.ndarray:
-    """Aggregate desired channel G_m = [H_m,m1 W_m1 ... H_m,mK W_mK]."""
-    cfg = cs.config
+def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
+    if h.shape[1] != w.shape[0]:
+        raise DimensionError(
+            f"precoder (l={l}, k={k}) has {w.shape[0]} rows, channel "
+            f"expects {h.shape[1]}")
+
+
+def desired_matrix(cs: ChannelSet, scheme: Scheme, m: int) -> np.ndarray:
+    """Effective desired channel of cell m, P_m G_m, where
+    G_m = [H_m,m1 W_m1 ... H_m,mK W_mK]; plain G_m for a scheme without
+    receive planes."""
     cols = []
-    for k in range(1, cfg.K + 1):
+    for k in range(1, cs.config.K + 1):
         h = cs.channel(m, m, k)
-        w = precoders.precoder(m, k)
-        if h.shape[1] != w.shape[0]:
-            raise DimensionError(
-                f"precoder (l={m}, k={k}) has {w.shape[0]} rows, channel "
-                f"expects {h.shape[1]}")
+        w = scheme.precoder(m, k)
+        _require_precoder_rows(h, w, m, k)
         cols.append(h @ w)
-    return np.hstack(cols)
+    g = np.hstack(cols)
+    p = scheme.projector(m)
+    return g if p is None else p @ g
 
 
-def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
-                  projectors: ProjectorSet | None = None) -> SchemeReport:
+def verify_scheme(cs: ChannelSet, scheme: Scheme) -> SchemeReport:
     """Measure alignment residuals and effective ranks, judge decodability.
 
     The residual is the worst relative leakage over all cross links:
-    ||H_cross W||_F / ||H_cross||_F for plain precoding, with H_cross
-    replaced by the projected cross channel when projectors are given.
-    Decodable means every per-cell effective rank equals K*beta and the
-    residual is at most RESIDUAL_THRESHOLD.  The report is named after the
-    precoders' scheme.  The projected null dimensions come from the
-    projectors' stored null spaces when they were built from ``cs``, and
-    from a fresh rank otherwise.  A leakage that is not finite
-    (channel norms that overflow or underflow) raises DegeneracyError
-    naming the link instead of being folded into the residual.
+    ||H_cross W||_F / ||H_cross||_F, with H_cross replaced by the projected
+    cross channel when the scheme has receive planes.  Decodable means
+    every per-cell effective rank equals K*beta and the residual is at
+    most RESIDUAL_THRESHOLD.  The report is named after the scheme.  The
+    projected null dimensions come from the scheme's stored null spaces
+    when it was built from ``cs``, and from a fresh rank otherwise.  A
+    leakage that is not finite (channel norms that overflow or underflow)
+    raises DegeneracyError naming the link instead of being folded into
+    the residual.
     """
     cfg = cs.config
     if cfg.L != 2:
         raise ConfigurationError(f"scheme verification needs L=2, got L={cfg.L}")
-    beta = precoders.beta
-    kb = cfg.K * beta
+    kb = cfg.K * cfg.beta
     residual = 0.0
     effective_rank = {}
-    null_dims = {} if projectors is not None else None
-    stored = (projectors.projected_nulls
-              if projectors is not None and projectors.built_from is cs
-              else None)
+    null_dims = {} if scheme.projectors is not None else None
+    stored = scheme.projected_nulls if scheme.built_from is cs else None
     for m in (1, 2):
         src = other_cell(m)
-        p = projectors.projector(m) if projectors is not None else None
+        p = scheme.projector(m)
         for k in range(1, cfg.K + 1):
             h = cs.channel(m, src, k)
-            w = precoders.precoder(src, k)
-            if h.shape[1] != w.shape[0]:
-                raise DimensionError(
-                    f"precoder (l={src}, k={k}) has {w.shape[0]} rows, channel "
-                    f"expects {h.shape[1]}")
+            w = scheme.precoder(src, k)
+            _require_precoder_rows(h, w, src, k)
             cross = h if p is None else p @ h
-            leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(h))
-            # max() would drop a NaN and let the link pass
+            # norms that overflow or underflow give inf or NaN, refused
+            # here: max() would drop a NaN and let the link pass
+            with np.errstate(over="ignore", invalid="ignore"):
+                leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(h))
             if not math.isfinite(leak):
                 raise DegeneracyError(
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
@@ -267,13 +264,12 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
                 scale = np.linalg.norm(p) * np.linalg.norm(h)
                 null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
                     cross, cfg.tol, scale=scale)
-        g = desired_matrix(cs, precoders, m)
-        effective = g if p is None else p @ g
-        effective_rank[m] = linalg.numeric_rank(effective, cfg.tol)
+        effective_rank[m] = linalg.numeric_rank(desired_matrix(cs, scheme, m),
+                                                cfg.tol)
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)
     return SchemeReport(
-        scheme=precoders.scheme,
+        scheme=scheme.name,
         residual_interference=residual,
         effective_rank=effective_rank,
         decodable=decodable,
@@ -281,16 +277,19 @@ def verify_scheme(cs: ChannelSet, precoders: PrecoderSet,
     )
 
 
-def pi_transform(projectors: ProjectorSet, pi: dict[int, np.ndarray],
-                 tol: Tolerance = Tolerance()) -> ProjectorSet:
-    """Left-multiply each plane by an invertible Pi_m.
+def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
+                 tol: Tolerance = Tolerance()) -> Scheme:
+    """The scheme with each plane left-multiplied by an invertible Pi_m.
 
     The projector's null space, hence the alignment dimension condition,
     is unchanged; row orthonormality is generally lost, so the result is
-    flagged accordingly.
+    flagged accordingly and keeps no stored null spaces.  A scheme
+    without receive planes (zf, random) raises ContractError.
     """
+    if scheme.projectors is None:
+        raise ContractError(f"{scheme.name} scheme has no receive planes")
     transformed = {}
-    for m, p in projectors.projectors.items():
+    for m, p in scheme.projectors.items():
         pi_m = linalg.as_matrix(pi[m], name=f"Pi[{m}]")
         rows = p.shape[0]
         if pi_m.shape != (rows, rows):
@@ -299,4 +298,5 @@ def pi_transform(projectors: ProjectorSet, pi: dict[int, np.ndarray],
         if linalg.numeric_rank(pi_m, tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
         transformed[m] = pi_m @ p
-    return ProjectorSet(transformed, row_orthonormalized=False)
+    return replace(scheme, projectors=transformed, row_orthonormalized=False,
+                   projected_nulls=None, built_from=None)

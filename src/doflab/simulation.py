@@ -19,7 +19,7 @@ from . import linalg, schemes
 from .errors import ContractError, InputError
 from .linalg import Tolerance
 from .network import ChannelSet, NetworkConfig, draw_channel
-from .schemes import PrecoderSet, ProjectorSet, SchemeReport, other_cell
+from .schemes import Scheme, SchemeReport, other_cell
 
 LOG2 = math.log(2.0)
 # Monte Carlo trials whose linear algebra runs as one stack.  Memory per
@@ -120,8 +120,7 @@ def _log_det_rate(gram_eigs: np.ndarray, per_stream_power: float) -> float:
     return float(np.sum(np.log1p(per_stream_power * eigs)) / LOG2)
 
 
-def _cell_spectra(cs: ChannelSet, precoders: PrecoderSet,
-                  projectors: ProjectorSet | None,
+def _cell_spectra(cs: ChannelSet, scheme: Scheme,
                   report: SchemeReport | None) -> list[np.ndarray]:
     """Gram spectrum of each cell's effective desired channel G G*.
 
@@ -129,20 +128,18 @@ def _cell_spectra(cs: ChannelSet, precoders: PrecoderSet,
     Raises ContractError for a non-decodable scheme or for projectors
     without orthonormal rows (the projected noise would not be white).
     """
-    if projectors is not None and not projectors.row_orthonormalized:
+    if not scheme.row_orthonormalized:
         raise ContractError("projectors must be row-orthonormalized for the "
                             "white-noise rate formula")
     if report is None:
-        report = schemes.verify_scheme(cs, precoders, projectors)
+        report = schemes.verify_scheme(cs, scheme)
     if not report.decodable:
         raise ContractError(
             f"scheme is not decodable (residual {report.residual_interference:.3e}, "
             f"ranks {report.effective_rank})")
     spectra = []
     for m in (1, 2):
-        g = schemes.desired_matrix(cs, precoders, m)
-        if projectors is not None:
-            g = projectors.projector(m) @ g
+        g = schemes.desired_matrix(cs, scheme, m)
         spectra.append(np.linalg.eigvalsh(g @ g.conj().T))
     return spectra
 
@@ -156,14 +153,13 @@ def _spectra_rate(spectra: list[np.ndarray], rho: float, beta: int) -> float:
     return total
 
 
-def sum_rate(cs: ChannelSet, precoders: PrecoderSet, rho: float,
-             projectors: ProjectorSet | None = None,
+def sum_rate(cs: ChannelSet, scheme: Scheme, rho: float,
              report: SchemeReport | None = None) -> float:
     """Achievable sum rate (bits/channel use) of a verified scheme.
 
-    Per cell, with effective desired channel G (projected when projectors
-    are given), the rate is log2 det(I + (rho/beta) G G*): equal per-stream
-    power, white noise of unit power (so rho is the linear SNR).
+    Per cell, with effective desired channel G (projected when the scheme
+    has receive planes), the rate is log2 det(I + (rho/beta) G G*): equal
+    per-stream power, white noise of unit power (so rho is the linear SNR).
     Interference does not appear because the scheme is verified
     interference-free first; a non-decodable scheme is a contract
     violation, as are projectors without orthonormal rows (the projected
@@ -171,11 +167,11 @@ def sum_rate(cs: ChannelSet, precoders: PrecoderSet, rho: float,
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
-    return _spectra_rate(_cell_spectra(cs, precoders, projectors, report),
-                         rho, precoders.beta)
+    return _spectra_rate(_cell_spectra(cs, scheme, report), rho,
+                         cs.config.beta)
 
 
-def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
+def interference_limited_rate(cs: ChannelSet, scheme: Scheme,
                               rho: float) -> float:
     """Sum rate when residual interference is treated as noise.
 
@@ -183,20 +179,21 @@ def interference_limited_rate(cs: ChannelSet, precoders: PrecoderSet,
     a difference of log-dets of two Hermitian positive definite matrices.
     Reduces to sum_rate when the interference terms vanish.  Baseline for
     the slope experiment; saturates at high SNR for generic precoders.
+    Receive planes, if the scheme has any, are ignored.
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
     cfg = cs.config
-    per_stream_power = rho / precoders.beta
+    per_stream_power = rho / cfg.beta
     total = 0.0
     for m in (1, 2):
         src = other_cell(m)
         q_signal = np.zeros((cfg.N, cfg.N), dtype=complex)
         q_interf = np.zeros((cfg.N, cfg.N), dtype=complex)
         for k in range(1, cfg.K + 1):
-            hw = cs.channel(m, m, k) @ precoders.precoder(m, k)
+            hw = cs.channel(m, m, k) @ scheme.precoder(m, k)
             q_signal += per_stream_power * (hw @ hw.conj().T)
-            hw = cs.channel(m, src, k) @ precoders.precoder(src, k)
+            hw = cs.channel(m, src, k) @ scheme.precoder(src, k)
             q_interf += per_stream_power * (hw @ hw.conj().T)
         eye = np.eye(cfg.N)
         _, num = np.linalg.slogdet(eye + q_interf + q_signal)
@@ -222,34 +219,34 @@ def _fit_line(x: np.ndarray, y: list[float]) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r ** 2)
 
 
-def estimate_dof_slope(cs: ChannelSet, precoders: PrecoderSet,
+def estimate_dof_slope(cs: ChannelSet, scheme: Scheme,
                        grid: SnrGrid = DEFAULT_SNR_GRID,
-                       projectors: ProjectorSet | None = None,
-                       interference_limited: bool = False,
                        report: SchemeReport | None = None) -> SlopeEstimate:
     """Fit sum rate against log2(rho) over the grid.
 
-    For a verified optimal scheme the slope approaches 2*K*beta.  With
-    ``interference_limited`` the rates come from the saturating baseline
-    formula instead (no decodability requirement, projectors ignored).
+    For a verified optimal scheme the slope approaches 2*K*beta.  The
+    random baseline (schemes.RANDOM) is rated by the saturating
+    interference_limited_rate instead (no decodability requirement).
     ``report``, when given, is the scheme's verify_scheme result and saves
     repeating the verification.
     """
-    if interference_limited:
-        rates = [interference_limited_rate(cs, precoders, rho)
+    if scheme.name == schemes.RANDOM:
+        rates = [interference_limited_rate(cs, scheme, rho)
                  for rho in grid.linear]
     else:
-        spectra = _cell_spectra(cs, precoders, projectors, report)
-        rates = [_spectra_rate(spectra, rho, precoders.beta)
+        spectra = _cell_spectra(cs, scheme, report)
+        rates = [_spectra_rate(spectra, rho, cs.config.beta)
                  for rho in grid.linear]
     slope, intercept, r_squared = _fit_line(np.log2(grid.linear), rates)
     return SlopeEstimate(grid=grid, sum_rates=tuple(rates), slope=slope,
                          intercept=intercept, r_squared=r_squared)
 
 
-def random_precoders(cs: ChannelSet, seed: int) -> PrecoderSet:
+def random_precoders(cs: ChannelSet) -> Scheme:
     """Generic orthonormal-column precoders, the non-aligned baseline, with
-    the channel set's beta (NetworkConfig.beta) columns each."""
+    the channel set's beta (NetworkConfig.beta) columns each.  User (l, k)
+    draws from seeded_rng(cs.config.seed, l, k); the base stations receive
+    unprojected."""
     cfg = cs.config
     beta = cfg.beta
     if beta > cfg.M:
@@ -257,11 +254,11 @@ def random_precoders(cs: ChannelSet, seed: int) -> PrecoderSet:
     precoders = {}
     for l in range(1, cfg.L + 1):
         for k in range(1, cfg.K + 1):
-            rng = linalg.seeded_rng(seed, l, k)
+            rng = linalg.seeded_rng(cfg.seed, l, k)
             w = linalg.random_matrix(cfg.M, beta, cfg.dist, rng)
             q, _ = np.linalg.qr(w)
             precoders[(l, k)] = q
-    return PrecoderSet("random", beta, precoders)
+    return Scheme(schemes.RANDOM, precoders)
 
 
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
@@ -274,14 +271,12 @@ def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
 
 def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
                        dist: str = "complex-gaussian",
-                       tol: Tolerance = Tolerance(),
-                       workers: int | None = 1) -> LemmaTrialReport:
+                       tol: Tolerance = Tolerance()) -> LemmaTrialReport:
     """Check rank(A B) = min(m, l) for independent A (m x n), B (n x l).
 
     Requires n >= max(m, l), the hypothesis under which the product is
     full rank with probability one.  Trial i draws A then B from
-    seeded_rng(seed, i).  ``workers`` is ignored; it is kept so that
-    existing callers keep working.
+    seeded_rng(seed, i).
     """
     if min(m, n, l) < 1:
         raise InputError(f"dimensions must be >= 1, got ({m}, {n}, {l})")
@@ -326,8 +321,7 @@ def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
 def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
                        p_source: str = "random",
                        dist: str = "complex-gaussian",
-                       tol: Tolerance = Tolerance(),
-                       workers: int | None = 1) -> LemmaTrialReport:
+                       tol: Tolerance = Tolerance()) -> LemmaTrialReport:
     """Check dim null(P H) = dim(ran(H) ∩ null(P)) for tall full-rank H.
 
     H is N x M with N > M and rank M; P is M x N, either generic or an
@@ -335,8 +329,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     sides equal beta = N - M instead of the generic zero).  A random trial
     i draws H (redrawn while rank-deficient) then P from
     seeded_rng(seed, i); an nsia trial builds P_1 and takes H = H_1,21 from
-    the channels of a network seeded from (seed, i).  ``workers`` is
-    ignored; it is kept so that existing callers keep working.
+    the channels of a network seeded from (seed, i).
     """
     if min(M, N) < 1:
         raise InputError(f"dimensions must be >= 1, got ({M}, {N})")

@@ -248,6 +248,22 @@ def test_channel_dump_and_replay(tmp_path, capsys):
     assert strip_timestamp(replayed) == strip_timestamp(fresh)
 
 
+def test_replay_at_another_profile_exits_1(tmp_path, capsys):
+    # a zf dump is tx-heavy (K=2: M=3, N=2); the rx-heavy random baseline
+    # needs (2, 3), so the replay is refused instead of rated at a profile
+    # it was not drawn at
+    dump = tmp_path / "channels.json"
+    assert run(["zf", "--K", "2", "--seed", "4", "--dump-channels", str(dump)]) == 0
+    capsys.readouterr()
+    slope = ["slope", "--scheme", "random", "--channels", str(dump)]
+    assert run([*slope, "--profile", "rx-heavy"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(M, N)=(3, 2)" in captured.err and "(M, N)=(2, 3)" in captured.err
+    assert run([*slope, "--profile", "tx-heavy"]) == 0
+    assert run(["nsia", "--channels", str(dump)]) == 1
+
+
 def scaled_dump(tmp_path, capsys, factor, mutate=None):
     dump = tmp_path / "channels.json"
     assert run(["zf", "--K", "2", "--seed", "3", "--dump-channels", str(dump)]) == 0

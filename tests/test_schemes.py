@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from doflab import bounds, linalg
-from doflab.errors import ConfigurationError, DegeneracyError, RankError
+from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
+                           RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
 from doflab.network import ChannelSet, NetworkConfig, generate_channels
-from doflab.schemes import (ProjectorSet, alignment_plane, build_nsia,
+from doflab.schemes import (Scheme, alignment_plane, build_nsia,
                             build_zf_precoders, desired_matrix, other_cell,
                             pi_transform, verify_scheme)
 from doflab.simulation import random_precoders
@@ -95,14 +96,15 @@ def test_zf_alignment_and_decodability_grid(K, beta, seed):
 
 def test_nsia_shapes_and_null_dims():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=4)
-    projectors, pre = build_nsia(cs)
-    report = verify_scheme(cs, pre, projectors)
+    scheme = build_nsia(cs)
+    report = verify_scheme(cs, scheme)
     for m in (1, 2):
-        p = projectors.projector(m)
+        p = scheme.projector(m)
         assert p.shape == (2, 3)
         np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-12)
-        g = desired_matrix(cs, pre, m)
-        assert linalg.numeric_rank(p @ g, TOL) == 2
+        g = desired_matrix(cs, scheme, m)
+        assert g.shape == (2, 2)  # projected: K*beta rows, not N
+        assert linalg.numeric_rank(g, TOL) == 2
     assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
     assert report.decodable
 
@@ -112,11 +114,11 @@ def test_nsia_single_user_closed_form():
     # channel, so the projected cross channel is identically zero and the
     # 1x1 effective channel has a 1-dimensional null space
     cs = channels_for(1, 1, bounds.RX_HEAVY, seed=6)
-    projectors, pre = build_nsia(cs)
-    report = verify_scheme(cs, pre, projectors)
+    scheme = build_nsia(cs)
+    report = verify_scheme(cs, scheme)
     for m in (1, 2):
         h = cs.channel(m, other_cell(m), 1)
-        p = projectors.projector(m)
+        p = scheme.projector(m)
         expected = np.array([-h[1, 0].conj(), h[0, 0].conj()])
         expected /= np.linalg.norm(expected)
         assert abs(abs(np.vdot(expected.conj(), p[0])) - 1.0) <= 1e-12
@@ -127,8 +129,7 @@ def test_nsia_single_user_closed_form():
 
 def test_nsia_two_streams():
     cs = channels_for(2, 2, bounds.RX_HEAVY, seed=7)
-    projectors, pre = build_nsia(cs)
-    report = verify_scheme(cs, pre, projectors)
+    report = verify_scheme(cs, build_nsia(cs))
     assert all(d == 2 for d in report.null_dims.values())
     assert report.effective_rank == {1: 4, 2: 4}
     assert report.decodable
@@ -155,11 +156,11 @@ def test_nsia_rejects_wrong_profile():
 def test_nsia_dimension_chain_grid(K, beta, seed):
     # exercises the equivalence dim null(P H) = dim(ran(H) ∩ null(P)) = beta
     cs = channels_for(K, beta, bounds.RX_HEAVY, seed=seed)
-    projectors, pre = build_nsia(cs)
-    report = verify_scheme(cs, pre, projectors)
+    scheme = build_nsia(cs)
+    report = verify_scheme(cs, scheme)
     assert report.decodable
     for m in (1, 2):
-        p = projectors.projector(m)
+        p = scheme.projector(m)
         p_null = null_space_basis(p, TOL)
         for k in range(1, K + 1):
             h = cs.channel(m, other_cell(m), k)
@@ -173,7 +174,7 @@ def test_nsia_dimension_chain_grid(K, beta, seed):
 
 def test_random_precoders_do_not_self_align():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=8)
-    pre = random_precoders(cs, seed=8)
+    pre = random_precoders(cs)
     report = verify_scheme(cs, pre)
     assert report.scheme == "random"
     assert report.residual_interference > 1e-2
@@ -189,42 +190,51 @@ def test_random_precoders_do_not_self_align():
 
 def test_pi_transform_identity():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=9)
-    projectors, _ = build_nsia(cs)
-    same = pi_transform(projectors, {1: np.eye(2), 2: np.eye(2)})
+    scheme = build_nsia(cs)
+    same = pi_transform(scheme, {1: np.eye(2), 2: np.eye(2)})
     for m in (1, 2):
-        np.testing.assert_array_equal(same.projector(m), projectors.projector(m))
+        np.testing.assert_array_equal(same.projector(m), scheme.projector(m))
+    assert same.precoders is scheme.precoders
     assert not same.row_orthonormalized
 
 
 def test_pi_transform_preserves_null_dims_and_ranks():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=10)
-    projectors, pre = build_nsia(cs)
-    baseline = verify_scheme(cs, pre, projectors)
+    scheme = build_nsia(cs)
+    baseline = verify_scheme(cs, scheme)
     rng = linalg.seeded_rng(10, 99)
     for _ in range(10):
         pi = {m: linalg.random_matrix(2, 2, rng=rng) for m in (1, 2)}
-        twisted = pi_transform(projectors, pi)
-        report = verify_scheme(cs, pre, twisted)
+        report = verify_scheme(cs, pi_transform(scheme, pi))
         assert report.null_dims == baseline.null_dims
         assert report.effective_rank == baseline.effective_rank
 
 
 def test_pi_transform_rejects_singular():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=11)
-    projectors, _ = build_nsia(cs)
+    scheme = build_nsia(cs)
     with pytest.raises(RankError):
-        pi_transform(projectors, {1: np.zeros((2, 2)), 2: np.zeros((2, 2))})
+        pi_transform(scheme, {1: np.zeros((2, 2)), 2: np.zeros((2, 2))})
+
+
+@pytest.mark.parametrize("variant,build", [
+    (bounds.TX_HEAVY, build_zf_precoders),
+    (bounds.TX_HEAVY, random_precoders)])
+def test_pi_transform_refuses_scheme_without_planes(variant, build):
+    scheme = build(channels_for(2, 1, variant, seed=11))
+    assert scheme.projectors is None
+    with pytest.raises(DoflabError, match="no receive planes"):
+        pi_transform(scheme, {1: np.eye(2), 2: np.eye(2)})
 
 
 def test_nsia_stacking_order_is_a_pi_choice():
     # swapping the user blocks of P_m is a permutation, i.e. some Pi
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=12)
-    projectors, pre = build_nsia(cs)
+    scheme = build_nsia(cs)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    swapped = pi_transform(projectors, {1: swap, 2: swap})
-    report = verify_scheme(cs, pre, swapped)
-    assert report.null_dims == verify_scheme(cs, pre, projectors).null_dims
-    assert report.decodable == verify_scheme(cs, pre, projectors).decodable
+    report = verify_scheme(cs, pi_transform(scheme, {1: swap, 2: swap}))
+    assert report.null_dims == verify_scheme(cs, scheme).null_dims
+    assert report.decodable == verify_scheme(cs, scheme).decodable
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +253,9 @@ def count_svds(monkeypatch):
     return calls
 
 
-def build_and_verify(cs, scheme):
-    if scheme == "zf":
-        projectors, pre = None, build_zf_precoders(cs)
-    else:
-        projectors, pre = build_nsia(cs)
-    return projectors, pre, verify_scheme(cs, pre, projectors)
+def build_and_verify(cs, name):
+    scheme = build_zf_precoders(cs) if name == "zf" else build_nsia(cs)
+    return scheme, verify_scheme(cs, scheme)
 
 
 # K=2, beta=1, L=2: 8 links.  zf: 4 cross null spaces and 4 direct ranks
@@ -260,8 +267,7 @@ def build_and_verify(cs, scheme):
 def test_generate_build_verify_factor_each_link_once(monkeypatch, scheme,
                                                      variant, svds):
     calls = count_svds(monkeypatch)
-    _, _, report = build_and_verify(channels_for(2, 1, variant, seed=3),
-                                    scheme)
+    _, report = build_and_verify(channels_for(2, 1, variant, seed=3), scheme)
     assert report.decodable
     assert len(calls) == svds
 
@@ -273,39 +279,39 @@ def test_channel_set_without_stored_factors_builds_the_same_scheme(scheme,
     cs = channels_for(4, 2, variant, seed=5)  # K*beta = 8
     bare = ChannelSet(cs.config, dict(cs.channels))
     assert cs.cross_nulls and not bare.cross_nulls
-    projectors, pre, report = build_and_verify(cs, scheme)
-    bare_projectors, bare_pre, bare_report = build_and_verify(bare, scheme)
+    built, report = build_and_verify(cs, scheme)
+    bare_built, bare_report = build_and_verify(bare, scheme)
     assert bare_report == report
-    for key, w in pre.precoders.items():
-        assert np.array_equal(bare_pre.precoder(*key), w)
-    if projectors is not None:
-        for m, p in projectors.projectors.items():
-            assert np.array_equal(bare_projectors.projector(m), p)
+    for key, w in built.precoders.items():
+        assert np.array_equal(bare_built.precoder(*key), w)
+    for m, p in (built.projectors or {}).items():
+        assert np.array_equal(bare_built.projector(m), p)
     # factored on first use, and kept
     assert set(bare.cross_nulls) == set(cs.cross_nulls)
 
 
 def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
-    # pi_transform planes carry no stored null spaces, and stored ones
-    # belong to the channel set they were built from: either way verify
-    # runs 2K projected rank SVDs on top of its 2 effective ranks
+    # pi_transform planes carry no stored null spaces, nor does a scheme
+    # built by hand, and stored ones belong to the channel set they were
+    # built from: in each case verify runs 2K projected rank SVDs on top of
+    # its 2 effective ranks
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=15)
-    projectors, pre = build_nsia(cs)
-    twisted = pi_transform(projectors, {1: 2 * np.eye(2), 2: np.eye(2)})
+    scheme = build_nsia(cs)
+    twisted = pi_transform(scheme, {1: 2 * np.eye(2), 2: np.eye(2)})
     copy = ChannelSet(cs.config, dict(cs.channels))
-    cases = [(cs, projectors, 2), (cs, twisted, 6), (copy, projectors, 6),
-             (cs, ProjectorSet(projectors.projectors), 6)]
-    for channels, planes, svds in cases:
+    by_hand = Scheme(scheme.name, scheme.precoders, scheme.projectors)
+    cases = [(cs, scheme, 2), (cs, twisted, 6), (copy, scheme, 6),
+             (cs, by_hand, 6)]
+    for channels, candidate, svds in cases:
         calls = count_svds(monkeypatch)
-        report = verify_scheme(channels, pre, planes)
+        report = verify_scheme(channels, candidate)
         assert len(calls) == svds
         assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
 
 
 def test_scheme_report_serialization():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=13)
-    projectors, pre = build_nsia(cs)
-    doc = verify_scheme(cs, pre, projectors).to_dict()
+    doc = verify_scheme(cs, build_nsia(cs)).to_dict()
     assert doc["scheme"] == "nsia"
     assert doc["decodable"] is True
     assert {e["cell"] for e in doc["effective_rank"]} == {1, 2}
@@ -319,7 +325,7 @@ def test_equality_of_array_holders_is_identity():
                      for _ in range(2))
     pairs = [(first, second),
              (first.cross_null(1, 2, 1), second.cross_null(1, 2, 1)),
-             *zip(build_nsia(first), build_nsia(second))]
+             (build_nsia(first), build_nsia(second))]
     for a, b in pairs:
         assert (a == b) is False
         assert (a != b) is True

@@ -29,8 +29,7 @@ def zf_setup(K=2, beta=1, seed=0):
 
 def nsia_setup(K=2, beta=1, seed=0):
     cs = channels_for(K, beta, bounds.RX_HEAVY, seed)
-    projectors, pre = build_nsia(cs)
-    return cs, pre, projectors
+    return cs, build_nsia(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,37 +120,37 @@ def test_rate_doubling_power_adds_two_k_beta_bits():
 
 
 def test_rate_strictly_increasing_in_power():
-    cs, pre, projectors = nsia_setup()
-    rates = [sum_rate(cs, pre, rho, projectors)
+    cs, scheme = nsia_setup()
+    rates = [sum_rate(cs, scheme, rho)
              for rho in np.logspace(-2, 10, 13)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
 def test_rate_rejects_non_decodable_scheme():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=1)
-    pre = random_precoders(cs, seed=1)
+    pre = random_precoders(cs)
     with pytest.raises(ContractError):
         sum_rate(cs, pre, 100.0)
 
 
 def test_rate_rejects_non_orthonormal_projectors():
-    cs, pre, projectors = nsia_setup()
+    cs, scheme = nsia_setup()
     rng = np.random.default_rng(0)
     skew = rng.standard_normal((2, 2)) + np.eye(2) * 3
-    twisted = pi_transform(projectors, {1: skew, 2: skew})
+    twisted = pi_transform(scheme, {1: skew, 2: skew})
     with pytest.raises(ContractError):
-        sum_rate(cs, pre, 100.0, twisted)
+        sum_rate(cs, twisted, 100.0)
 
 
 def test_projected_rate_matches_colored_noise_formula():
     # independent path: rate on the unprojected N-antenna channel with the
     # projected noise covariance P P* kept explicit
-    cs, pre, projectors = nsia_setup(K=3)
+    cs, scheme = nsia_setup(K=3)
     rho = 1e4
     expected = 0.0
     for m in (1, 2):
-        p = projectors.projector(m)
-        g = np.hstack([cs.channel(m, m, k) @ pre.precoder(m, k)
+        p = scheme.projector(m)
+        g = np.hstack([cs.channel(m, m, k) @ scheme.precoder(m, k)
                        for k in range(1, 4)])
         pg = p @ g
         noise_cov = p @ p.conj().T
@@ -159,7 +158,7 @@ def test_projected_rate_matches_colored_noise_formula():
         sign, logdet = np.linalg.slogdet(noise_cov + q)
         sign2, logdet2 = np.linalg.slogdet(noise_cov)
         expected += (logdet - logdet2) / math.log(2.0)
-    got = sum_rate(cs, pre, rho, projectors)
+    got = sum_rate(cs, scheme, rho)
     assert abs(got - expected) / expected <= 1e-9
 
 
@@ -176,8 +175,8 @@ def test_zf_slope_matches_dof(seed):
 
 
 def test_nsia_slope_matches_dof_three_users():
-    cs, pre, projectors = nsia_setup(K=3)
-    est = estimate_dof_slope(cs, pre, projectors=projectors)
+    cs, scheme = nsia_setup(K=3)
+    est = estimate_dof_slope(cs, scheme)
     assert abs(est.slope - 6.0) / 6.0 <= 0.03
     assert est.r_squared >= 0.999
 
@@ -187,8 +186,7 @@ def test_random_precoder_slope_is_interference_limited():
     # so the contrast runs on the zero-forcing antenna profile
     for seed in (0, 1, 2):
         cs = channels_for(2, 1, bounds.TX_HEAVY, seed)
-        pre = random_precoders(cs, seed)
-        est = estimate_dof_slope(cs, pre, interference_limited=True)
+        est = estimate_dof_slope(cs, random_precoders(cs))
         assert est.slope <= 0.5
 
 
@@ -196,8 +194,7 @@ def test_random_precoder_slope_with_excess_receive_antennas():
     # with N = K*beta + beta the interference cannot cover the receive
     # space and beta dimensions per cell survive even without alignment
     cs = channels_for(2, 1, bounds.RX_HEAVY, 0)
-    pre = random_precoders(cs, 0)
-    est = estimate_dof_slope(cs, pre, interference_limited=True)
+    est = estimate_dof_slope(cs, random_precoders(cs))
     assert est.slope == pytest.approx(2.0, rel=1e-3)
 
 
@@ -209,17 +206,17 @@ def test_slope_convergence_full_grid(K, beta):
     est = estimate_dof_slope(cs, pre)
     assert abs(est.slope - target) <= 0.03 * target
     assert est.r_squared >= 0.999
-    cs, pre, projectors = nsia_setup(K, beta, seed=1)
-    est = estimate_dof_slope(cs, pre, projectors=projectors)
+    cs, scheme = nsia_setup(K, beta, seed=1)
+    est = estimate_dof_slope(cs, scheme)
     assert abs(est.slope - target) <= 0.03 * target
     assert est.r_squared >= 0.999
 
 
 def test_slope_with_report_matches_slope_without():
-    cs, pre, projectors = nsia_setup(K=2)
-    report = verify_scheme(cs, pre, projectors)
-    assert estimate_dof_slope(cs, pre, projectors=projectors, report=report) == \
-        estimate_dof_slope(cs, pre, projectors=projectors)
+    cs, scheme = nsia_setup(K=2)
+    report = verify_scheme(cs, scheme)
+    assert estimate_dof_slope(cs, scheme, report=report) == \
+        estimate_dof_slope(cs, scheme)
 
 
 def test_line_fit_matches_scipy_linregress():
@@ -261,14 +258,14 @@ def test_interference_limited_reduces_to_sum_rate_without_leakage():
 
 def test_interference_limited_vanishes_at_zero_power():
     cs = channels_for(2, 1, bounds.RX_HEAVY, 0)
-    pre = random_precoders(cs, 0)
+    pre = random_precoders(cs)
     assert interference_limited_rate(cs, pre, 1e-12) < 1e-9
 
 
 def test_interference_limited_saturates():
     for seed in (0, 1, 2):
         cs = channels_for(2, 1, bounds.TX_HEAVY, seed)
-        pre = random_precoders(cs, seed)
+        pre = random_precoders(cs)
         low = interference_limited_rate(cs, pre, 1e8)
         high = interference_limited_rate(cs, pre, 1e10)
         assert high - low < 1.0
@@ -294,11 +291,10 @@ def test_lemma1_rejects_violated_hypothesis():
         monte_carlo_lemma1(3, 2, 3, trials=10, seed=0)
 
 
-def test_lemma1_deterministic_and_worker_independent():
+def test_lemma1_deterministic():
     a = monte_carlo_lemma1(2, 4, 3, trials=64, seed=5)
     b = monte_carlo_lemma1(2, 4, 3, trials=64, seed=5)
-    c = monte_carlo_lemma1(2, 4, 3, trials=64, seed=5, workers=4)
-    assert a == b == c
+    assert a == b
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 1000])
