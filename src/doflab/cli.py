@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -112,7 +113,15 @@ def _add_fit_flags(p: argparse.ArgumentParser):
     p.add_argument("--min-r2", type=float, default=0.999)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The doflab argument parser, built on the first call and returned by
+    every later one, so that in-process callers of ``run`` build it once.
+
+    Callers only read it (parse, print usage or help, list its commands):
+    since one parser serves every call in the process, a change made to it
+    would leak into every later run.
+    """
     parser = _Parser(prog="doflab",
                      description="Degrees-of-freedom bounds and alignment "
                                  "schemes for the multicell MIMO MAC")
@@ -134,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slope", help="fit the empirical DoF slope")
     p.add_argument("--scheme", choices=tuple(_BUILDERS), required=True)
     p.add_argument("--profile", choices=bounds.VARIANTS, default=None,
-                   help="antenna profile for --scheme random")
+                   help="antenna profile: required for --scheme random; "
+                        "zf and nsia take only their own")
     _add_scheme_flags(p)
     _add_fit_flags(p)
 
@@ -320,6 +330,9 @@ def _run_slope(args):
             raise InputError("--profile is required with --scheme random")
     else:
         variant = SCHEME_VARIANT[args.scheme]
+        if args.profile not in (None, variant):
+            raise InputError(f"--scheme {args.scheme} runs at the {variant} "
+                             f"profile, not --profile {args.profile}")
     cs = _scheme_channel_set(args, variant)
     report, estimate, expected, ok = _evaluate(args, cs, args.scheme, variant,
                                                parse_snr(args.snr))

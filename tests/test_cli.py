@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from doflab import linalg
+import doflab
+from doflab import bounds, linalg
 from doflab.cli import build_parser, config_to_argv, parse_int_range, parse_snr, run
 from doflab.errors import InputError
 
@@ -122,6 +127,36 @@ def test_slope_random_baseline(capsys):
                                   "--seed", "0", "--assert"])
     assert code == 0
     assert doc["result"]["slope"] <= 0.5
+
+
+@pytest.mark.parametrize("scheme, profile", [("zf", "rx-heavy"),
+                                              ("nsia", "tx-heavy")])
+def test_slope_refuses_another_profile_for_a_built_scheme(capsys, scheme,
+                                                          profile):
+    assert run(["slope", "--scheme", scheme, "--profile", profile,
+                "--K", "2", "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tx-heavy" in captured.err and "rx-heavy" in captured.err
+
+
+@pytest.mark.parametrize("scheme, profile", [("zf", "tx-heavy"),
+                                              ("nsia", "rx-heavy")])
+def test_slope_takes_a_built_schemes_own_profile(capsys, scheme, profile):
+    argv = ["slope", "--scheme", scheme, "--K", "2", "--seed", "1"]
+    code, text = report_text(capsys, [*argv, "--profile", profile])
+    assert code == 0
+    assert (code, text) == report_text(capsys, argv)
+
+
+@pytest.mark.parametrize("profile", bounds.VARIANTS)
+def test_slope_random_runs_at_either_profile(capsys, profile):
+    code, doc = run_json(capsys, ["slope", "--scheme", "random",
+                                  "--profile", profile, "--K", "2",
+                                  "--seed", "1"])
+    assert code == 0
+    params = doc["params"]
+    assert (params["M"], params["N"]) == bounds.antenna_profile(2, 1, profile)
 
 
 def test_lemma1_command(capsys):
@@ -456,6 +491,21 @@ def test_each_command_keeps_its_config_keys():
                           if action.dest != "help")
              for name, p in parser.commands.items()}
     assert dests == COMMAND_DESTS
+
+
+def test_importing_the_cli_builds_no_parser():
+    # build_parser is cached, but runs on its first call: importing the
+    # library must not pay for the argparse tree.
+    probe = ("import doflab.cli as cli; "
+             "before = cli.build_parser.cache_info().currsize; "
+             "cli.build_parser(); "
+             "print(before, cli.build_parser.cache_info().currsize)")
+    src = str(Path(doflab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["0", "1"]
 
 
 def write_config(tmp_path, doc):

@@ -8,13 +8,15 @@ output, rewrite them with ``PYTHONPATH=src python tests/test_golden.py``
 and review the diff.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from doflab.cli import run
+from doflab.cli import build_parser, run
+from test_cli import COMMAND_DESTS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 _TIMESTAMP = re.compile(r'\n  "timestamp": "[^"]*",')
@@ -54,6 +56,8 @@ CASES = {
 # random baseline).
 CSV_CASES = ("bound", "zf", "nsia", "slope-zf", "slope-random", "lemma1",
              "lemma2-random", "sweep")
+GOLDENS = ([(name, "json") for name in sorted(CASES)]
+           + [(name, "csv") for name in CSV_CASES])
 
 
 def report_without_timestamp(argv, path: Path, output_format: str = "json") -> str:
@@ -77,13 +81,54 @@ def test_csv_report_matches_golden(name, tmp_path):
                                     "csv") == expected
 
 
+def test_one_parser_serves_every_call_unchanged(tmp_path, capsys):
+    # Every run in a process shares one parser, so none may leave it changed:
+    # a usage error, --help, a config run and each golden report, in two
+    # rounds of opposite order, must each give the same output every time.
+    config = tmp_path / "zf-config.json"
+    config.write_text(json.dumps({"command": "zf", "K": 2, "beta": 1, "seed": 3,
+                                  "output_path": str(tmp_path / "config.json")}))
+
+    def usage_error():
+        assert run(["zf", "--K", "x"]) == 1
+        return capsys.readouterr().err
+
+    def help_text():
+        assert run(["--help"]) == 0
+        return capsys.readouterr().out
+
+    def config_run():
+        assert run(["--config", str(config)]) == 0
+        return _TIMESTAMP.sub("", (tmp_path / "config.json").read_text(), count=1)
+
+    def golden_run(name, output_format):
+        return lambda: report_without_timestamp(
+            CASES[name], tmp_path / f"report.{output_format}", output_format)
+
+    steps = [("usage error", usage_error), ("help", help_text),
+             ("config", config_run)]
+    steps += [(f"{name}.{fmt}", golden_run(name, fmt)) for name, fmt in GOLDENS]
+    expected = {f"{name}.{fmt}": (GOLDEN_DIR / f"{name}.{fmt}").read_text()
+                for name, fmt in GOLDENS}
+    expected["config"] = expected["zf.json"]
+    parser = build_parser()
+    for order in (steps, steps[::-1]):
+        for key, step in order:
+            text = step()
+            assert text == expected.setdefault(key, text), key
+    assert "invalid int value: 'x'" in expected["usage error"]
+    assert build_parser() is build_parser() is parser
+    dests = {name: sorted(action.dest for action in p._actions
+                          if action.dest != "help")
+             for name, p in parser.commands.items()}
+    assert dests == COMMAND_DESTS
+
+
 def main():
     import tempfile
     GOLDEN_DIR.mkdir(exist_ok=True)
-    goldens = [(name, "json") for name in sorted(CASES)]
-    goldens += [(name, "csv") for name in CSV_CASES]
     with tempfile.TemporaryDirectory() as tmp:
-        for name, output_format in goldens:
+        for name, output_format in GOLDENS:
             path = Path(tmp) / f"report.{output_format}"
             text = report_without_timestamp(CASES[name], path, output_format)
             (GOLDEN_DIR / f"{name}.{output_format}").write_text(text)
