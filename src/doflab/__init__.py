@@ -9,8 +9,9 @@ from .errors import (ConfigurationError, ContractError, DegeneracyError,
 from .linalg import (SubspaceBasis, Tolerance, intersection_dim,
                      null_space_basis, numeric_rank, orthonormalize_rows,
                      random_matrix, range_basis, seeded_rng)
-from .network import (ChannelSet, NetworkConfig, channel_set_from_dict,
-                      channel_set_to_dict, generate_channels)
+from .network import (ChannelSet, NetworkConfig, channel_set,
+                      channel_set_from_dict, channel_set_to_dict,
+                      generate_channels)
 from .schemes import (NSIA, RANDOM, Scheme, SchemeReport, ZF, build_nsia,
                       build_zf_precoders, pi_transform, verify_scheme)
 from .simulation import (LemmaTrialReport, SlopeEstimate, SnrGrid,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 # Antenna profiles of the two-cell optimum: more transmit antennas than
 # receive (tx-heavy, M = K*beta + beta, N = K*beta) or the reverse
@@ -49,7 +49,7 @@ class DofBoundReport:
 
 def _require_positive(**dims: int):
     for name, value in dims.items():
-        if not isinstance(value, int) or value < 1:
+        if not is_int(value) or value < 1:
             raise InputError(f"{name} must be a positive integer, got {value!r}")
 
 

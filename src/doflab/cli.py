@@ -276,11 +276,11 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     r² >= --min-r2, and the random baseline must saturate (slope <= 0.5).
     """
     built = _BUILDERS[scheme](cs)
-    report = schemes.verify_scheme(cs, built)
+    report = schemes.verify_scheme(built)
     if grid is None:
         return report, None, None, report.decodable
     expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
-    estimate = simulation.estimate_dof_slope(cs, built, grid, report=report)
+    estimate = simulation.estimate_dof_slope(built, grid, report=report)
     if scheme == schemes.RANDOM:
         return report, estimate, expected, estimate.slope <= 0.5
     ok = (report.decodable

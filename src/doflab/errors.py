@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+input validation raises them on."""
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: bool is an int subclass, so a JSON true
+    would otherwise pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class DoflabError(Exception):

@@ -31,9 +31,9 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
 )
 
-# Orthonormality slack for SubspaceBasis validation: 10x the default
-# relative rank tolerance.  SVD/QR factors are orthonormal to ~1e-15,
-# so this only trips on genuinely broken bases.
+# Orthonormality slack (orthonormal_columns): 10x the default relative
+# rank tolerance.  SVD/QR factors are orthonormal to ~1e-15, so this only
+# trips on genuinely broken bases.
 _ORTHO_TOL = 1e-9
 
 
@@ -95,11 +95,16 @@ class SubspaceBasis:
                 f"basis shape {self.basis.shape} does not match "
                 f"({self.ambient_dim}, {self.dim})")
         if self.dim > 0:
-            gram = self.basis.conj().T @ self.basis
-            err = np.max(np.abs(gram - np.eye(self.dim)))
-            if err > _ORTHO_TOL:
+            ok, err = orthonormal_columns(self.basis)
+            if not ok:
                 raise RankError(
                     f"basis columns are not orthonormal (max Gram error {err:.3e})")
+
+
+def orthonormal_columns(a: np.ndarray) -> tuple[bool, float]:
+    """(ok, err): err is max |A* A - I|, ok that it is within _ORTHO_TOL."""
+    err = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
+    return err <= _ORTHO_TOL, err
 
 
 @functools.cache

@@ -15,16 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, is_int
 from .linalg import SubspaceBasis, Tolerance
 
 log = logging.getLogger(__name__)
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool: bool is an int subclass, so a JSON true
-    would otherwise pass as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -43,9 +37,9 @@ class NetworkConfig:
     def __post_init__(self):
         for name in ("L", "K", "M", "N", "beta"):
             value = getattr(self, name)
-            if not _is_int(value) or value < 1:
+            if not is_int(value) or value < 1:
                 raise InputError(f"{name} must be a positive integer, got {value!r}")
-        if not _is_int(self.seed) or self.seed < 0:
+        if not is_int(self.seed) or self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dist not in linalg.DISTRIBUTIONS:
             raise InputError(
@@ -84,16 +78,14 @@ class ChannelSet:
 
     ``cross_nulls`` holds the factor of each cross link (m != l) that the
     schemes build from, keyed like ``channels``: the null space of its wide
-    orientation (cross_null_space).  generate_channels and
-    channel_set_from_dict store it while checking the link; a link without
-    one is factored on its first cross_null call and stored then.  ``==``
-    is identity.
+    orientation (cross_null_space).  generate_channels and channel_set
+    store it while checking the link, so no link is factored after the set
+    is built.  ``==`` is identity.
     """
 
     config: NetworkConfig
     channels: dict[tuple[int, int, int], np.ndarray] = field(repr=False)
-    cross_nulls: dict[tuple[int, int, int], SubspaceBasis] = field(
-        default_factory=dict, repr=False)
+    cross_nulls: dict[tuple[int, int, int], SubspaceBasis] = field(repr=False)
 
     def channel(self, m: int, l: int, k: int) -> np.ndarray:
         """Channel from user (l, k) to base station m (all 1-based)."""
@@ -107,18 +99,11 @@ class ChannelSet:
         return self.channels[(m, l, k)]
 
     def cross_null(self, m: int, l: int, k: int) -> SubspaceBasis:
-        """Null space of cross link (m, l, k)'s wide orientation, factored
-        at most once per channel set."""
+        """Stored null space of cross link (m, l, k)'s wide orientation."""
         if m == l:
             raise IndexError(f"link (m={m}, l={l}, k={k}) is not a cross link")
-        h = self.channel(m, l, k)
-        null = self.cross_nulls.get((m, l, k))
-        if null is None:
-            # filled in place: the set stays immutable to its readers, and
-            # a concurrent first use stores the same deterministic value
-            null = self.cross_nulls[(m, l, k)] = cross_null_space(
-                h, self.config.tol)
-        return null
+        self.channel(m, l, k)  # checks the indices
+        return self.cross_nulls[(m, l, k)]
 
 
 def cross_null_space(h: np.ndarray, tol: Tolerance) -> SubspaceBasis:
@@ -204,11 +189,8 @@ def channel_set_to_dict(cs: ChannelSet) -> dict:
 
 
 def channel_set_from_dict(doc: dict) -> ChannelSet:
-    """Rebuild a ChannelSet from the document format above.
-
-    Every link must pass the same nondegeneracy check as a draw, which
-    also stores the cross-link null spaces.
-    """
+    """Rebuild a ChannelSet from the document format above (channel_set
+    checks the links)."""
     if not isinstance(doc, dict) or set(doc) != {"config", "channels"}:
         raise InputError("channel document must be a JSON object with "
                          "exactly the keys 'config' and 'channels'")
@@ -222,7 +204,7 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
                              "the keys 'm', 'l', 'k', 're', 'im'")
         index = (entry["m"], entry["l"], entry["k"])
         # bool is an int subclass, and True would silently index cell 1
-        if not all(_is_int(i) for i in index):
+        if not all(is_int(i) for i in index):
             raise InputError(f"channel indices (m, l, k) must be integers, "
                              f"got {index!r}")
         name = "channel (m={}, l={}, k={})".format(*index)
@@ -239,24 +221,32 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
                                  f"expected ({cfg.N}, {cfg.M})")
             if not np.isfinite(values).all():
                 raise InputError(f"{name} has non-finite entries")
-        h = real + 1j * imag
-        h.setflags(write=False)
-        channels[index] = h
+        channels[index] = real + 1j * imag
+    return channel_set(cfg, channels)
+
+
+def channel_set(config: NetworkConfig,
+                channels: dict[tuple[int, int, int], np.ndarray]) -> ChannelSet:
+    """The ChannelSet of ``channels``, keyed (m, l, k) like a draw and made
+    read-only.  Every link must pass a draw's nondegeneracy check, which
+    also gives the cross-link null spaces the set stores."""
+    cfg = config
     expected = {(m, l, k)
                 for m in range(1, cfg.L + 1)
                 for l in range(1, cfg.L + 1)
                 for k in range(1, cfg.K + 1)}
     if set(channels) != expected:
-        raise InputError("channel document does not cover exactly the "
+        raise InputError("channels do not cover exactly the "
                          f"{len(expected)} (m, l, k) triples of the config")
     nulls = {}
     for m, l, k in sorted(channels):
+        channels[(m, l, k)].setflags(write=False)
         rank, null = _link_rank(cfg, m, l, channels[(m, l, k)])
         if rank < min(cfg.M, cfg.N):
             raise InputError(
                 f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} at "
                 f"rel_rank_tol={cfg.tol.rel_rank_tol}, below min(M, N)="
-                f"{min(cfg.M, cfg.N)}: replayed channels must be nondegenerate")
+                f"{min(cfg.M, cfg.N)}: channels must be nondegenerate")
         if null is not None:
             nulls[(m, l, k)] = null
     return ChannelSet(cfg, channels, nulls)

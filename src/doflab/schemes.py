@@ -42,27 +42,25 @@ def other_cell(m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """A two-cell linear scheme, named after what made it (zf, nsia or
-    random; the name verify_scheme reports).
+    """A two-cell linear scheme on the channel set ``channels``, named after
+    what made it (zf, nsia or random; the name verify_scheme reports).
 
     ``precoders`` maps (l, k) to M x beta with orthonormal columns, and
     ``projectors`` maps m to the K*beta x N full-row-rank plane P_m, or is
     None when the base stations receive unprojected (zf and random).
     build_nsia also keeps the null space of each projected cross channel
-    P_m H_m,lk, keyed (m, k), in ``projected_nulls`` and the channel set it
-    built from in ``built_from``; verify_scheme reads their dimensions for
-    that channel set instead of factoring the products again.  Planes from
+    P_m H_m,lk, keyed (m, k), in ``projected_nulls``; verify_scheme reads
+    their dimensions instead of factoring the products again.  Planes from
     anywhere else (pi_transform) carry none and are measured afresh.
     ``==`` is identity.
     """
 
     name: str
+    channels: ChannelSet = field(repr=False)
     precoders: dict[tuple[int, int], np.ndarray] = field(repr=False)
     projectors: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    row_orthonormalized: bool = True
     projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
         default=None, repr=False)
-    built_from: ChannelSet | None = field(default=None, repr=False)
 
     def precoder(self, l: int, k: int) -> np.ndarray:
         return self.precoders[(l, k)]
@@ -96,12 +94,17 @@ class SchemeReport:
         return doc
 
 
+def require_two_cells(cs: ChannelSet, what: str):
+    """Refuse a channel set that is not two-cell, naming ``what`` needs it."""
+    if cs.config.L != 2:
+        raise ConfigurationError(
+            f"{what} needs L=2 cells, got L={cs.config.L}")
+
+
 def _require_profile(cs: ChannelSet, expect_m: int, expect_n: int,
                      scheme: str):
     cfg = cs.config
-    if cfg.L != 2:
-        raise ConfigurationError(
-            f"{scheme} construction needs L=2 cells, got L={cfg.L}")
+    require_two_cells(cs, f"{scheme} construction")
     if (cfg.M, cfg.N) != (expect_m, expect_n):
         raise ConfigurationError(
             f"{scheme} with K={cfg.K}, beta={cfg.beta} needs (M, N)="
@@ -130,7 +133,7 @@ def build_zf_precoders(cs: ChannelSet) -> Scheme:
                     f"null space of cross channel (m={victim}, l={l}, k={k}) "
                     f"has dimension {null.dim}, expected {beta}")
             precoders[(l, k)] = null.basis
-    return Scheme(ZF, precoders)
+    return Scheme(ZF, cs, precoders)
 
 
 def build_nsia(cs: ChannelSet) -> Scheme:
@@ -170,8 +173,7 @@ def build_nsia(cs: ChannelSet) -> Scheme:
                     f"null dimension {null.dim}, expected {beta}")
             precoders[(src, k)] = null.basis
             projected_nulls[(m, k)] = null
-    return Scheme(NSIA, precoders, projectors,
-                  projected_nulls=projected_nulls, built_from=cs)
+    return Scheme(NSIA, cs, precoders, projectors, projected_nulls)
 
 
 def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
@@ -204,13 +206,13 @@ def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
             f"expects {h.shape[1]}")
 
 
-def desired_matrix(cs: ChannelSet, scheme: Scheme, m: int) -> np.ndarray:
+def desired_matrix(scheme: Scheme, m: int) -> np.ndarray:
     """Effective desired channel of cell m, P_m G_m, where
     G_m = [H_m,m1 W_m1 ... H_m,mK W_mK]; plain G_m for a scheme without
     receive planes."""
     cols = []
-    for k in range(1, cs.config.K + 1):
-        h = cs.channel(m, m, k)
+    for k in range(1, scheme.channels.config.K + 1):
+        h = scheme.channels.channel(m, m, k)
         w = scheme.precoder(m, k)
         _require_precoder_rows(h, w, m, k)
         cols.append(h @ w)
@@ -219,7 +221,7 @@ def desired_matrix(cs: ChannelSet, scheme: Scheme, m: int) -> np.ndarray:
     return g if p is None else p @ g
 
 
-def verify_scheme(cs: ChannelSet, scheme: Scheme) -> SchemeReport:
+def verify_scheme(scheme: Scheme) -> SchemeReport:
     """Measure alignment residuals and effective ranks, judge decodability.
 
     The residual is the worst relative leakage over all cross links:
@@ -228,19 +230,18 @@ def verify_scheme(cs: ChannelSet, scheme: Scheme) -> SchemeReport:
     every per-cell effective rank equals K*beta and the residual is at
     most RESIDUAL_THRESHOLD.  The report is named after the scheme.  The
     projected null dimensions come from the scheme's stored null spaces
-    when it was built from ``cs``, and from a fresh rank otherwise.  A
-    leakage that is not finite (channel norms that overflow or underflow)
-    raises DegeneracyError naming the link instead of being folded into
-    the residual.
+    when it has them, and from a fresh rank otherwise.  A leakage that is
+    not finite (channel norms that overflow or underflow) raises
+    DegeneracyError naming the link instead of being folded into the
+    residual.
     """
+    cs = scheme.channels
     cfg = cs.config
-    if cfg.L != 2:
-        raise ConfigurationError(f"scheme verification needs L=2, got L={cfg.L}")
+    require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
     residual = 0.0
     effective_rank = {}
     null_dims = {} if scheme.projectors is not None else None
-    stored = scheme.projected_nulls if scheme.built_from is cs else None
     for m in (1, 2):
         src = other_cell(m)
         p = scheme.projector(m)
@@ -258,13 +259,13 @@ def verify_scheme(cs: ChannelSet, scheme: Scheme) -> SchemeReport:
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
                     f"channel magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
-            if stored is not None:
-                null_dims[(m, k)] = stored[(m, k)].dim
+            if scheme.projected_nulls is not None:
+                null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
             elif null_dims is not None:
                 scale = np.linalg.norm(p) * np.linalg.norm(h)
                 null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
                     cross, cfg.tol, scale=scale)
-        effective_rank[m] = linalg.numeric_rank(desired_matrix(cs, scheme, m),
+        effective_rank[m] = linalg.numeric_rank(desired_matrix(scheme, m),
                                                 cfg.tol)
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)
@@ -282,9 +283,9 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
     """The scheme with each plane left-multiplied by an invertible Pi_m.
 
     The projector's null space, hence the alignment dimension condition,
-    is unchanged; row orthonormality is generally lost, so the result is
-    flagged accordingly and keeps no stored null spaces.  A scheme
-    without receive planes (zf, random) raises ContractError.
+    is unchanged, but row orthonormality is lost unless every Pi_m is
+    unitary, and the result keeps no stored null spaces.  A scheme without
+    receive planes (zf, random) raises ContractError.
     """
     if scheme.projectors is None:
         raise ContractError(f"{scheme.name} scheme has no receive planes")
@@ -298,5 +299,4 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
         if linalg.numeric_rank(pi_m, tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
         transformed[m] = pi_m @ p
-    return replace(scheme, projectors=transformed, row_orthonormalized=False,
-                   projected_nulls=None, built_from=None)
+    return replace(scheme, projectors=transformed, projected_nulls=None)

@@ -120,26 +120,28 @@ def _log_det_rate(gram_eigs: np.ndarray, per_stream_power: float) -> float:
     return float(np.sum(np.log1p(per_stream_power * eigs)) / LOG2)
 
 
-def _cell_spectra(cs: ChannelSet, scheme: Scheme,
+def _cell_spectra(scheme: Scheme,
                   report: SchemeReport | None) -> list[np.ndarray]:
     """Gram spectrum of each cell's effective desired channel G G*.
 
     The spectra do not depend on rho, so one call serves a whole SNR grid.
-    Raises ContractError for a non-decodable scheme or for projectors
+    Raises ContractError for a non-decodable scheme or for a plane P_m
     without orthonormal rows (the projected noise would not be white).
     """
-    if not scheme.row_orthonormalized:
-        raise ContractError("projectors must be row-orthonormalized for the "
-                            "white-noise rate formula")
+    for m, p in (scheme.projectors or {}).items():
+        ok, err = linalg.orthonormal_columns(p.conj().T)
+        if not ok:
+            raise ContractError(f"rows of P_{m} are not orthonormal (max Gram "
+                                f"error {err:.3e}): the rate needs white noise")
     if report is None:
-        report = schemes.verify_scheme(cs, scheme)
+        report = schemes.verify_scheme(scheme)
     if not report.decodable:
         raise ContractError(
             f"scheme is not decodable (residual {report.residual_interference:.3e}, "
             f"ranks {report.effective_rank})")
     spectra = []
     for m in (1, 2):
-        g = schemes.desired_matrix(cs, scheme, m)
+        g = schemes.desired_matrix(scheme, m)
         spectra.append(np.linalg.eigvalsh(g @ g.conj().T))
     return spectra
 
@@ -153,7 +155,7 @@ def _spectra_rate(spectra: list[np.ndarray], rho: float, beta: int) -> float:
     return total
 
 
-def sum_rate(cs: ChannelSet, scheme: Scheme, rho: float,
+def sum_rate(scheme: Scheme, rho: float,
              report: SchemeReport | None = None) -> float:
     """Achievable sum rate (bits/channel use) of a verified scheme.
 
@@ -167,22 +169,24 @@ def sum_rate(cs: ChannelSet, scheme: Scheme, rho: float,
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
-    return _spectra_rate(_cell_spectra(cs, scheme, report), rho,
-                         cs.config.beta)
+    return _spectra_rate(_cell_spectra(scheme, report), rho,
+                         scheme.channels.config.beta)
 
 
-def interference_limited_rate(cs: ChannelSet, scheme: Scheme,
-                              rho: float) -> float:
+def interference_limited_rate(scheme: Scheme, rho: float) -> float:
     """Sum rate when residual interference is treated as noise.
 
     Per cell: log2 det(I + Q_signal (I + Q_interference)^-1), evaluated as
     a difference of log-dets of two Hermitian positive definite matrices.
     Reduces to sum_rate when the interference terms vanish.  Baseline for
     the slope experiment; saturates at high SNR for generic precoders.
-    Receive planes, if the scheme has any, are ignored.
+    Receive planes, if the scheme has any, are ignored.  A channel set
+    that is not two-cell raises ConfigurationError.
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
+    cs = scheme.channels
+    schemes.require_two_cells(cs, "the interference-limited rate")
     cfg = cs.config
     per_stream_power = rho / cfg.beta
     total = 0.0
@@ -219,8 +223,7 @@ def _fit_line(x: np.ndarray, y: list[float]) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(r ** 2)
 
 
-def estimate_dof_slope(cs: ChannelSet, scheme: Scheme,
-                       grid: SnrGrid = DEFAULT_SNR_GRID,
+def estimate_dof_slope(scheme: Scheme, grid: SnrGrid = DEFAULT_SNR_GRID,
                        report: SchemeReport | None = None) -> SlopeEstimate:
     """Fit sum rate against log2(rho) over the grid.
 
@@ -231,11 +234,11 @@ def estimate_dof_slope(cs: ChannelSet, scheme: Scheme,
     repeating the verification.
     """
     if scheme.name == schemes.RANDOM:
-        rates = [interference_limited_rate(cs, scheme, rho)
+        rates = [interference_limited_rate(scheme, rho)
                  for rho in grid.linear]
     else:
-        spectra = _cell_spectra(cs, scheme, report)
-        rates = [_spectra_rate(spectra, rho, cs.config.beta)
+        spectra = _cell_spectra(scheme, report)
+        rates = [_spectra_rate(spectra, rho, scheme.channels.config.beta)
                  for rho in grid.linear]
     slope, intercept, r_squared = _fit_line(np.log2(grid.linear), rates)
     return SlopeEstimate(grid=grid, sum_rates=tuple(rates), slope=slope,
@@ -258,7 +261,7 @@ def random_precoders(cs: ChannelSet) -> Scheme:
             w = linalg.random_matrix(cfg.M, beta, cfg.dist, rng)
             q, _ = np.linalg.qr(w)
             precoders[(l, k)] = q
-    return Scheme(schemes.RANDOM, precoders)
+    return Scheme(schemes.RANDOM, cs, precoders)
 
 
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
@@ -283,6 +286,7 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     if n < max(m, l):
         raise InputError(f"lemma requires n >= max(m, l), got n={n}, "
                          f"max(m, l)={max(m, l)}")
+    tol.require_rankable(max(m, l), "max(m, l)")
 
     def chunk_passes(chunk: range) -> int:
         a, b = linalg.random_matrices(

@@ -55,7 +55,7 @@ def test_criterion_2_zf_achievability():
         for beta in (1, 2):
             for seed in range(20):
                 cs = channels_for(K, beta, bounds.TX_HEAVY, seed)
-                report = verify_scheme(cs, build_zf_precoders(cs))
+                report = verify_scheme(build_zf_precoders(cs))
                 worst = max(worst, report.residual_interference)
                 ok = ok and report.residual_interference <= RESIDUAL_LIMIT
                 ok = ok and all(r == K * beta
@@ -71,7 +71,7 @@ def test_criterion_3_nsia_achievability():
         for beta in (1, 2):
             for seed in range(20):
                 cs = channels_for(K, beta, bounds.RX_HEAVY, seed)
-                report = verify_scheme(cs, build_nsia(cs))
+                report = verify_scheme(build_nsia(cs))
                 worst = max(worst, report.residual_interference)
                 ok = ok and report.residual_interference <= RESIDUAL_LIMIT
                 ok = ok and all(d == beta for d in report.null_dims.values())
@@ -87,13 +87,13 @@ def test_criterion_4_empirical_dof_slope():
     for K in (2, 3):
         target = 2 * K
         cs = channels_for(K, 1, bounds.TX_HEAVY, seed=0)
-        est = estimate_dof_slope(cs, build_zf_precoders(cs), GRID)
+        est = estimate_dof_slope(build_zf_precoders(cs), GRID)
         ok = ok and abs(est.slope - target) <= SLOPE_RTOL * target
         ok = ok and est.r_squared >= MIN_R2
         details.append(f"zf K={K}: {est.slope:.4f}")
 
         cs = channels_for(K, 1, bounds.RX_HEAVY, seed=0)
-        est = estimate_dof_slope(cs, build_nsia(cs), GRID)
+        est = estimate_dof_slope(build_nsia(cs), GRID)
         ok = ok and abs(est.slope - target) <= SLOPE_RTOL * target
         ok = ok and est.r_squared >= MIN_R2
         details.append(f"nsia K={K}: {est.slope:.4f}")
@@ -101,7 +101,7 @@ def test_criterion_4_empirical_dof_slope():
         # interference-limited contrast: random precoders where the
         # interference fills the whole receive space
         cs = channels_for(K, 1, bounds.TX_HEAVY, seed=0)
-        est = estimate_dof_slope(cs, random_precoders(cs), GRID)
+        est = estimate_dof_slope(random_precoders(cs), GRID)
         ok = ok and est.slope <= 0.5
         details.append(f"baseline K={K}: {est.slope:.4f}")
     _criterion(4, "empirical DoF slope within 3% of 2*K*beta", ok,
@@ -135,12 +135,12 @@ def test_criterion_6_lemma2_suite():
 def test_criterion_7_pi_invariance():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=2)
     scheme = build_nsia(cs)
-    baseline = verify_scheme(cs, scheme)
+    baseline = verify_scheme(scheme)
     rng = linalg.seeded_rng(2, 7)
     ok = baseline.decodable
     for _ in range(100):
         pi = {m: linalg.random_matrix(2, 2, rng=rng) for m in (1, 2)}
-        report = verify_scheme(cs, pi_transform(scheme, pi))
+        report = verify_scheme(pi_transform(scheme, pi))
         ok = ok and report.null_dims == baseline.null_dims
         ok = ok and report.effective_rank == baseline.effective_rank
     _criterion(7, "null dims and ranks invariant under 100 random Pi", ok)

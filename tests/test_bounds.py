@@ -29,6 +29,17 @@ def test_two_user_ic_rejects_bad_dims():
         two_user_ic_dof(0, 1, 1, 1)
 
 
+@pytest.mark.parametrize("bound", [
+    lambda: dof_outer_bound(True, 2, 3, 2),
+    lambda: per_message_set_bound(2, 2, 3, True),
+    lambda: two_user_ic_dof(1, 1, True, 1),
+    lambda: antenna_profile(2, True, TX_HEAVY)])
+def test_bounds_refuse_bool_dimensions(bound):
+    # bool is an int subclass: True must not pass as 1
+    with pytest.raises(InputError, match="must be a positive integer, got True"):
+        bound()
+
+
 def test_per_set_bound_examples():
     # min(9, 4, max(6, 2), max(3, 2)) = 3
     assert per_message_set_bound(2, 2, 3, 2) == 3

@@ -393,6 +393,15 @@ def test_impossible_rank_tolerance_exits_1(capsys):
     assert "no singular value can pass" in captured.err
 
 
+def test_lemma1_impossible_rank_tolerance_exits_1(capsys):
+    # 0.5 * max(m, l) = 1.5 >= 1: used to report 0 passes
+    argv = ["lemma1", "--m", "2", "--n", "4", "--l", "3", "--rel-rank-tol", "0.5"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no singular value can pass" in captured.err
+
+
 def test_large_report_does_not_depend_on_prior_blas_threads(capsys):
     # N = 80 is past the size where OpenBLAS threads its kernels; run at 1
     # and at 2 threads, these sum rates differ in the last digits

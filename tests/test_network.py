@@ -5,7 +5,7 @@ import pytest
 
 from doflab.errors import InputError
 from doflab.linalg import Tolerance, null_space_basis
-from doflab.network import (ChannelSet, NetworkConfig, channel_set_from_dict,
+from doflab.network import (NetworkConfig, channel_set, channel_set_from_dict,
                             channel_set_to_dict, draw_channel,
                             generate_channels)
 
@@ -40,11 +40,30 @@ def test_cross_links_keep_the_null_space_of_their_wide_orientation(M, N):
         cs.cross_null(2, 2, 1)
     with pytest.raises(IndexError):
         cs.cross_null(1, 2, 3)
-    # a set built without factors computes each one on first use, once
-    bare = ChannelSet(cs.config, dict(cs.channels))
-    first = bare.cross_null(1, 2, 1)
-    assert bare.cross_null(1, 2, 1) is first
-    assert np.array_equal(first.basis, cs.cross_null(1, 2, 1).basis)
+
+
+def test_channel_set_checks_and_factors_given_matrices():
+    cs = make_set(L=3, seed=4)
+    rebuilt = channel_set(cs.config, {key: h.copy()
+                                      for key, h in cs.channels.items()})
+    assert set(rebuilt.cross_nulls) == set(cs.cross_nulls)
+    for key, null in cs.cross_nulls.items():
+        assert np.array_equal(rebuilt.cross_nulls[key].basis, null.basis)
+        assert not rebuilt.channels[key].flags.writeable
+
+
+@pytest.mark.parametrize("key", [(1, 1, 2), (3, 1, 1)])
+def test_channel_set_refuses_a_rank_deficient_matrix(key):
+    cs = make_set(L=3, seed=4)
+    channels = dict(cs.channels)
+    channels[key] = np.outer(cs.channels[key][:, 0], np.ones(3))  # rank 1
+    name = "channel (m={}, l={}, k={})".format(*key)
+    with pytest.raises(InputError,
+                       match=rf"^{re.escape(name)} has numeric rank 1 "):
+        channel_set(cs.config, channels)
+    del channels[key]
+    with pytest.raises(InputError, match="do not cover exactly"):
+        channel_set(cs.config, channels)
 
 
 def test_three_cell_topology_count():

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doflab import bounds, linalg
-from doflab.network import ChannelSet, NetworkConfig, generate_channels
+from doflab.network import NetworkConfig, channel_set, generate_channels
 from doflab.schemes import (NSIA, ZF, build_nsia, build_zf_precoders,
                             pi_transform, verify_scheme)
 from doflab.simulation import sum_rate
@@ -46,9 +46,9 @@ def draw(scheme, K, beta, seed):
 
 
 def transformed(cs, fn):
-    """A channel set without stored factors holding fn(m, l, k, H)."""
-    return ChannelSet(cs.config, {key: fn(*key, h)
-                                  for key, h in cs.channels.items()})
+    """The channel set holding fn(m, l, k, H), checked and factored anew."""
+    return channel_set(cs.config, {key: fn(*key, h)
+                                   for key, h in cs.channels.items()})
 
 
 def unitary(n, seed, *key):
@@ -57,8 +57,8 @@ def unitary(n, seed, *key):
     return q
 
 
-def verdicts(cs, scheme):
-    report = verify_scheme(cs, scheme)
+def verdicts(scheme):
+    report = verify_scheme(scheme)
     return report.decodable, report.effective_rank, report.null_dims
 
 
@@ -78,10 +78,10 @@ def rotate_users(cs, seed):
 def test_verdicts_invariant_under_common_scale(scheme, K, beta, seed,
                                                exponent):
     cs, build = draw(scheme, K, beta, seed)
-    baseline = verdicts(cs, build(cs))
+    baseline = verdicts(build(cs))
     assert baseline[0]
     scaled = transformed(cs, lambda m, l, k, h: h * 10.0 ** exponent)
-    assert verdicts(scaled, build(scaled)) == baseline
+    assert verdicts(build(scaled)) == baseline
 
 
 @pytest.mark.parametrize("rotate", [rotate_base_stations, rotate_users])
@@ -92,9 +92,9 @@ def test_verdicts_and_rates_invariant_under_rotation(rotate, scheme, K, beta,
     cs, build = draw(scheme, K, beta, seed)
     rotated = rotate(cs, seed)
     built, rebuilt = build(cs), build(rotated)
-    assert verdicts(rotated, rebuilt) == verdicts(cs, built)
-    assert sum_rate(rotated, rebuilt, RHO) == pytest.approx(
-        sum_rate(cs, built, RHO), rel=RATE_RTOL)
+    assert verdicts(rebuilt) == verdicts(built)
+    assert sum_rate(rebuilt, RHO) == pytest.approx(
+        sum_rate(built, RHO), rel=RATE_RTOL)
 
 
 @given(K=st.integers(1, 3), beta=st.integers(1, 2),
@@ -105,4 +105,4 @@ def test_verdicts_invariant_under_pi(K, beta, seed):
     scheme = build(cs)
     rng = linalg.seeded_rng(seed, 3)
     pi = {m: linalg.random_matrix(K * beta, K * beta, rng=rng) for m in (1, 2)}
-    assert verdicts(cs, pi_transform(scheme, pi)) == verdicts(cs, scheme)
+    assert verdicts(pi_transform(scheme, pi)) == verdicts(scheme)

@@ -5,11 +5,11 @@ from doflab import bounds, linalg
 from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
                            RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
-from doflab.network import ChannelSet, NetworkConfig, generate_channels
+from doflab.network import NetworkConfig, channel_set, generate_channels
 from doflab.schemes import (Scheme, alignment_plane, build_nsia,
                             build_zf_precoders, desired_matrix, other_cell,
                             pi_transform, verify_scheme)
-from doflab.simulation import random_precoders
+from doflab.simulation import random_precoders, sum_rate
 
 TOL = Tolerance()
 
@@ -55,11 +55,11 @@ def test_verify_refuses_non_finite_leakage(factor):
     # the Frobenius norms overflow (1e200) or underflow to 0/0 (1e-200);
     # a NaN leak must not fold into a zero residual and a pass
     cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
-    scaled = ChannelSet(cs.config, {key: h * factor
-                                    for key, h in cs.channels.items()})
+    scaled = channel_set(cs.config, {key: h * factor
+                                     for key, h in cs.channels.items()})
     pre = build_zf_precoders(scaled)
     with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
-        verify_scheme(scaled, pre)
+        verify_scheme(pre)
 
 
 def test_zf_rejects_wrong_profile():
@@ -80,7 +80,7 @@ def test_zf_rejects_three_cells():
 def test_zf_alignment_and_decodability_grid(K, beta, seed):
     cs = channels_for(K, beta, bounds.TX_HEAVY, seed=seed)
     pre = build_zf_precoders(cs)
-    report = verify_scheme(cs, pre)
+    report = verify_scheme(pre)
     assert report.scheme == "zf"
     assert report.residual_interference <= 10 * TOL.rel_rank_tol
     assert report.effective_rank == {1: K * beta, 2: K * beta}
@@ -97,12 +97,12 @@ def test_zf_alignment_and_decodability_grid(K, beta, seed):
 def test_nsia_shapes_and_null_dims():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=4)
     scheme = build_nsia(cs)
-    report = verify_scheme(cs, scheme)
+    report = verify_scheme(scheme)
     for m in (1, 2):
         p = scheme.projector(m)
         assert p.shape == (2, 3)
         np.testing.assert_allclose(p @ p.conj().T, np.eye(2), atol=1e-12)
-        g = desired_matrix(cs, scheme, m)
+        g = desired_matrix(scheme, m)
         assert g.shape == (2, 2)  # projected: K*beta rows, not N
         assert linalg.numeric_rank(g, TOL) == 2
     assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
@@ -115,7 +115,7 @@ def test_nsia_single_user_closed_form():
     # 1x1 effective channel has a 1-dimensional null space
     cs = channels_for(1, 1, bounds.RX_HEAVY, seed=6)
     scheme = build_nsia(cs)
-    report = verify_scheme(cs, scheme)
+    report = verify_scheme(scheme)
     for m in (1, 2):
         h = cs.channel(m, other_cell(m), 1)
         p = scheme.projector(m)
@@ -129,7 +129,7 @@ def test_nsia_single_user_closed_form():
 
 def test_nsia_two_streams():
     cs = channels_for(2, 2, bounds.RX_HEAVY, seed=7)
-    report = verify_scheme(cs, build_nsia(cs))
+    report = verify_scheme(build_nsia(cs))
     assert all(d == 2 for d in report.null_dims.values())
     assert report.effective_rank == {1: 4, 2: 4}
     assert report.decodable
@@ -157,7 +157,7 @@ def test_nsia_dimension_chain_grid(K, beta, seed):
     # exercises the equivalence dim null(P H) = dim(ran(H) ∩ null(P)) = beta
     cs = channels_for(K, beta, bounds.RX_HEAVY, seed=seed)
     scheme = build_nsia(cs)
-    report = verify_scheme(cs, scheme)
+    report = verify_scheme(scheme)
     assert report.decodable
     for m in (1, 2):
         p = scheme.projector(m)
@@ -175,7 +175,7 @@ def test_nsia_dimension_chain_grid(K, beta, seed):
 def test_random_precoders_do_not_self_align():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=8)
     pre = random_precoders(cs)
-    report = verify_scheme(cs, pre)
+    report = verify_scheme(pre)
     assert report.scheme == "random"
     assert report.residual_interference > 1e-2
     assert not report.decodable
@@ -195,19 +195,33 @@ def test_pi_transform_identity():
     for m in (1, 2):
         np.testing.assert_array_equal(same.projector(m), scheme.projector(m))
     assert same.precoders is scheme.precoders
-    assert not same.row_orthonormalized
+    assert same.channels is scheme.channels
+    assert sum_rate(same, 1e4) == sum_rate(scheme, 1e4)
 
 
 def test_pi_transform_preserves_null_dims_and_ranks():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=10)
     scheme = build_nsia(cs)
-    baseline = verify_scheme(cs, scheme)
+    baseline = verify_scheme(scheme)
     rng = linalg.seeded_rng(10, 99)
     for _ in range(10):
         pi = {m: linalg.random_matrix(2, 2, rng=rng) for m in (1, 2)}
-        report = verify_scheme(cs, pi_transform(scheme, pi))
+        report = verify_scheme(pi_transform(scheme, pi))
         assert report.null_dims == baseline.null_dims
         assert report.effective_rank == baseline.effective_rank
+
+
+def test_unitary_pi_keeps_the_sum_rate():
+    # a unitary Pi keeps the planes row-orthonormal, so the transformed
+    # scheme is rated, and at the rate of the original
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=16)
+    scheme = build_nsia(cs)
+    rng = linalg.seeded_rng(16, 99)
+    pi = {m: np.linalg.qr(linalg.random_matrix(2, 2, rng=rng))[0]
+          for m in (1, 2)}
+    rotated = pi_transform(scheme, pi)
+    assert sum_rate(rotated, 1e4) == pytest.approx(sum_rate(scheme, 1e4),
+                                                   rel=1e-9)
 
 
 def test_pi_transform_rejects_singular():
@@ -232,9 +246,9 @@ def test_nsia_stacking_order_is_a_pi_choice():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=12)
     scheme = build_nsia(cs)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    report = verify_scheme(cs, pi_transform(scheme, {1: swap, 2: swap}))
-    assert report.null_dims == verify_scheme(cs, scheme).null_dims
-    assert report.decodable == verify_scheme(cs, scheme).decodable
+    report = verify_scheme(pi_transform(scheme, {1: swap, 2: swap}))
+    assert report.null_dims == verify_scheme(scheme).null_dims
+    assert report.decodable == verify_scheme(scheme).decodable
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +267,6 @@ def count_svds(monkeypatch):
     return calls
 
 
-def build_and_verify(cs, name):
-    scheme = build_zf_precoders(cs) if name == "zf" else build_nsia(cs)
-    return scheme, verify_scheme(cs, scheme)
-
-
 # K=2, beta=1, L=2: 8 links.  zf: 4 cross null spaces and 4 direct ranks
 # at the draw, 2 effective ranks in verify.  nsia: the same 8 at the draw,
 # 2 plane ranks and 4 projected null spaces in the build, 2 effective ranks
@@ -267,51 +276,29 @@ def build_and_verify(cs, name):
 def test_generate_build_verify_factor_each_link_once(monkeypatch, scheme,
                                                      variant, svds):
     calls = count_svds(monkeypatch)
-    _, report = build_and_verify(channels_for(2, 1, variant, seed=3), scheme)
-    assert report.decodable
+    build = build_zf_precoders if scheme == "zf" else build_nsia
+    assert verify_scheme(build(channels_for(2, 1, variant, seed=3))).decodable
     assert len(calls) == svds
-
-
-@pytest.mark.parametrize("scheme,variant", [("zf", bounds.TX_HEAVY),
-                                            ("nsia", bounds.RX_HEAVY)])
-def test_channel_set_without_stored_factors_builds_the_same_scheme(scheme,
-                                                                   variant):
-    cs = channels_for(4, 2, variant, seed=5)  # K*beta = 8
-    bare = ChannelSet(cs.config, dict(cs.channels))
-    assert cs.cross_nulls and not bare.cross_nulls
-    built, report = build_and_verify(cs, scheme)
-    bare_built, bare_report = build_and_verify(bare, scheme)
-    assert bare_report == report
-    for key, w in built.precoders.items():
-        assert np.array_equal(bare_built.precoder(*key), w)
-    for m, p in (built.projectors or {}).items():
-        assert np.array_equal(bare_built.projector(m), p)
-    # factored on first use, and kept
-    assert set(bare.cross_nulls) == set(cs.cross_nulls)
 
 
 def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
     # pi_transform planes carry no stored null spaces, nor does a scheme
-    # built by hand, and stored ones belong to the channel set they were
-    # built from: in each case verify runs 2K projected rank SVDs on top of
-    # its 2 effective ranks
+    # built by hand: verify then runs 2K projected rank SVDs on top of its
+    # 2 effective ranks
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=15)
     scheme = build_nsia(cs)
     twisted = pi_transform(scheme, {1: 2 * np.eye(2), 2: np.eye(2)})
-    copy = ChannelSet(cs.config, dict(cs.channels))
-    by_hand = Scheme(scheme.name, scheme.precoders, scheme.projectors)
-    cases = [(cs, scheme, 2), (cs, twisted, 6), (copy, scheme, 6),
-             (cs, by_hand, 6)]
-    for channels, candidate, svds in cases:
+    by_hand = Scheme(scheme.name, cs, scheme.precoders, scheme.projectors)
+    for candidate, svds in [(scheme, 2), (twisted, 6), (by_hand, 6)]:
         calls = count_svds(monkeypatch)
-        report = verify_scheme(channels, candidate)
+        report = verify_scheme(candidate)
         assert len(calls) == svds
         assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
 
 
 def test_scheme_report_serialization():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=13)
-    doc = verify_scheme(cs, build_nsia(cs)).to_dict()
+    doc = verify_scheme(build_nsia(cs)).to_dict()
     assert doc["scheme"] == "nsia"
     assert doc["decodable"] is True
     assert {e["cell"] for e in doc["effective_rank"]} == {1, 2}

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from doflab import bounds, simulation
-from doflab.errors import ContractError, InputError
+from doflab.errors import ConfigurationError, ContractError, InputError
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
                            numeric_rank, random_matrix, range_basis, seeded_rng)
 from doflab.network import NetworkConfig, generate_channels
-from doflab.schemes import (build_nsia, build_zf_precoders, pi_transform,
-                            verify_scheme)
+from doflab.schemes import (NSIA, Scheme, build_nsia, build_zf_precoders,
+                            pi_transform, verify_scheme)
 from doflab.simulation import (DEFAULT_SNR_GRID, MAX_SNR_POINTS,
                                LemmaTrialReport, SnrGrid, estimate_dof_slope,
                                interference_limited_rate, monte_carlo_lemma1,
@@ -74,13 +74,13 @@ def test_grid_from_range_caps_the_point_count():
 
 def test_rate_vanishes_at_zero_power():
     cs, pre = zf_setup()
-    assert sum_rate(cs, pre, 1e-12) < 1e-9
+    assert sum_rate(pre, 1e-12) < 1e-9
 
 
 def test_rate_rejects_non_positive_power():
     cs, pre = zf_setup()
     with pytest.raises(InputError):
-        sum_rate(cs, pre, 0.0)
+        sum_rate(pre, 0.0)
 
 
 def test_rate_single_user_scalar_closed_form():
@@ -92,7 +92,7 @@ def test_rate_single_user_scalar_closed_form():
     for m in (1, 2):
         g = (cs.channel(m, m, 1) @ pre.precoder(m, 1))[0, 0]
         expected += math.log2(1.0 + rho * abs(g) ** 2)
-    assert sum_rate(cs, pre, rho) == pytest.approx(expected, rel=1e-12)
+    assert sum_rate(pre, rho) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_splits_power_equally_over_streams():
@@ -110,18 +110,18 @@ def test_rate_splits_power_equally_over_streams():
         _, logdet = np.linalg.slogdet(np.eye(g.shape[0])
                                       + (rho / beta) * g @ g.conj().T)
         expected += logdet / math.log(2)
-    assert sum_rate(cs, pre, rho) == pytest.approx(expected, rel=1e-12)
+    assert sum_rate(pre, rho) == pytest.approx(expected, rel=1e-12)
 
 
 def test_rate_doubling_power_adds_two_k_beta_bits():
     cs, pre = zf_setup(K=2, beta=1)
-    gain = sum_rate(cs, pre, 2e8) - sum_rate(cs, pre, 1e8)
+    gain = sum_rate(pre, 2e8) - sum_rate(pre, 1e8)
     assert gain == pytest.approx(4.0, abs=1e-4)
 
 
 def test_rate_strictly_increasing_in_power():
     cs, scheme = nsia_setup()
-    rates = [sum_rate(cs, scheme, rho)
+    rates = [sum_rate(scheme, rho)
              for rho in np.logspace(-2, 10, 13)]
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
@@ -130,7 +130,7 @@ def test_rate_rejects_non_decodable_scheme():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=1)
     pre = random_precoders(cs)
     with pytest.raises(ContractError):
-        sum_rate(cs, pre, 100.0)
+        sum_rate(pre, 100.0)
 
 
 def test_rate_rejects_non_orthonormal_projectors():
@@ -139,7 +139,20 @@ def test_rate_rejects_non_orthonormal_projectors():
     skew = rng.standard_normal((2, 2)) + np.eye(2) * 3
     twisted = pi_transform(scheme, {1: skew, 2: skew})
     with pytest.raises(ContractError):
-        sum_rate(cs, twisted, 100.0)
+        sum_rate(twisted, 100.0)
+
+
+def test_rate_refuses_hand_built_planes_without_orthonormal_rows():
+    # 3 P_m spans the same rows as P_m and verifies as decodable, but its
+    # projected noise is not white: the rate formula must refuse it
+    cs, scheme = nsia_setup(K=2, seed=1)
+    scaled = Scheme(NSIA, cs, scheme.precoders,
+                    {m: 3 * p for m, p in scheme.projectors.items()})
+    assert verify_scheme(scaled).decodable
+    with pytest.raises(ContractError, match="rows of P_1 are not orthonormal"):
+        sum_rate(scaled, 1e4)
+    with pytest.raises(ContractError, match="rows of P_1 are not orthonormal"):
+        estimate_dof_slope(scaled)
 
 
 def test_projected_rate_matches_colored_noise_formula():
@@ -158,7 +171,7 @@ def test_projected_rate_matches_colored_noise_formula():
         sign, logdet = np.linalg.slogdet(noise_cov + q)
         sign2, logdet2 = np.linalg.slogdet(noise_cov)
         expected += (logdet - logdet2) / math.log(2.0)
-    got = sum_rate(cs, scheme, rho)
+    got = sum_rate(scheme, rho)
     assert abs(got - expected) / expected <= 1e-9
 
 
@@ -169,14 +182,14 @@ def test_projected_rate_matches_colored_noise_formula():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_zf_slope_matches_dof(seed):
     cs, pre = zf_setup(K=2, beta=1, seed=seed)
-    est = estimate_dof_slope(cs, pre)
+    est = estimate_dof_slope(pre)
     assert abs(est.slope - 4.0) / 4.0 <= 0.03
     assert est.r_squared >= 0.999
 
 
 def test_nsia_slope_matches_dof_three_users():
     cs, scheme = nsia_setup(K=3)
-    est = estimate_dof_slope(cs, scheme)
+    est = estimate_dof_slope(scheme)
     assert abs(est.slope - 6.0) / 6.0 <= 0.03
     assert est.r_squared >= 0.999
 
@@ -186,7 +199,7 @@ def test_random_precoder_slope_is_interference_limited():
     # so the contrast runs on the zero-forcing antenna profile
     for seed in (0, 1, 2):
         cs = channels_for(2, 1, bounds.TX_HEAVY, seed)
-        est = estimate_dof_slope(cs, random_precoders(cs))
+        est = estimate_dof_slope(random_precoders(cs))
         assert est.slope <= 0.5
 
 
@@ -194,7 +207,7 @@ def test_random_precoder_slope_with_excess_receive_antennas():
     # with N = K*beta + beta the interference cannot cover the receive
     # space and beta dimensions per cell survive even without alignment
     cs = channels_for(2, 1, bounds.RX_HEAVY, 0)
-    est = estimate_dof_slope(cs, random_precoders(cs))
+    est = estimate_dof_slope(random_precoders(cs))
     assert est.slope == pytest.approx(2.0, rel=1e-3)
 
 
@@ -203,20 +216,20 @@ def test_random_precoder_slope_with_excess_receive_antennas():
 def test_slope_convergence_full_grid(K, beta):
     target = 2 * K * beta
     cs, pre = zf_setup(K, beta, seed=1)
-    est = estimate_dof_slope(cs, pre)
+    est = estimate_dof_slope(pre)
     assert abs(est.slope - target) <= 0.03 * target
     assert est.r_squared >= 0.999
     cs, scheme = nsia_setup(K, beta, seed=1)
-    est = estimate_dof_slope(cs, scheme)
+    est = estimate_dof_slope(scheme)
     assert abs(est.slope - target) <= 0.03 * target
     assert est.r_squared >= 0.999
 
 
 def test_slope_with_report_matches_slope_without():
     cs, scheme = nsia_setup(K=2)
-    report = verify_scheme(cs, scheme)
-    assert estimate_dof_slope(cs, scheme, report=report) == \
-        estimate_dof_slope(cs, scheme)
+    report = verify_scheme(scheme)
+    assert estimate_dof_slope(scheme, report=report) == \
+        estimate_dof_slope(scheme)
 
 
 def test_line_fit_matches_scipy_linregress():
@@ -237,7 +250,7 @@ def test_constant_rate_fit_is_flat_with_unit_r_squared():
 
 def test_slope_estimate_serialization():
     cs, pre = zf_setup()
-    doc = estimate_dof_slope(cs, pre).to_dict()
+    doc = estimate_dof_slope(pre).to_dict()
     assert doc["snr_db"] == [60, 70, 80, 90, 100]
     assert len(doc["sum_rates"]) == 5
     assert doc["r_squared"] == pytest.approx(1.0, abs=1e-6)
@@ -252,22 +265,34 @@ def test_interference_limited_reduces_to_sum_rate_without_leakage():
     # covariance vanishes and both formulas coincide
     cs, pre = zf_setup()
     rho = 1e3
-    assert interference_limited_rate(cs, pre, rho) == \
-        pytest.approx(sum_rate(cs, pre, rho), rel=1e-10)
+    assert interference_limited_rate(pre, rho) == \
+        pytest.approx(sum_rate(pre, rho), rel=1e-10)
 
 
 def test_interference_limited_vanishes_at_zero_power():
     cs = channels_for(2, 1, bounds.RX_HEAVY, 0)
     pre = random_precoders(cs)
-    assert interference_limited_rate(cs, pre, 1e-12) < 1e-9
+    assert interference_limited_rate(pre, 1e-12) < 1e-9
+
+
+def test_random_baseline_refuses_three_cells():
+    # random_precoders draws for every cell, but both rates pair cell m
+    # with the one other cell: an L=3 set must be refused, not rated as
+    # if cell 3 did not exist
+    cs = generate_channels(NetworkConfig(L=3, K=2, M=3, N=2, seed=0))
+    pre = random_precoders(cs)
+    with pytest.raises(ConfigurationError, match="needs L=2 cells, got L=3"):
+        interference_limited_rate(pre, 1e3)
+    with pytest.raises(ConfigurationError, match="needs L=2 cells, got L=3"):
+        estimate_dof_slope(pre)
 
 
 def test_interference_limited_saturates():
     for seed in (0, 1, 2):
         cs = channels_for(2, 1, bounds.TX_HEAVY, seed)
         pre = random_precoders(cs)
-        low = interference_limited_rate(cs, pre, 1e8)
-        high = interference_limited_rate(cs, pre, 1e10)
+        low = interference_limited_rate(pre, 1e8)
+        high = interference_limited_rate(pre, 1e10)
         assert high - low < 1.0
 
 
@@ -289,6 +314,13 @@ def test_lemma1_scalar_case():
 def test_lemma1_rejects_violated_hypothesis():
     with pytest.raises(InputError):
         monte_carlo_lemma1(3, 2, 3, trials=10, seed=0)
+
+
+def test_lemma1_refuses_a_tolerance_no_singular_value_can_pass():
+    # 0.5 * max(m, l) = 1.5 >= 1: every product would rank 0, and 0 passes
+    # would be a verdict on the tolerance, not on the lemma
+    with pytest.raises(InputError, match="no singular value"):
+        monte_carlo_lemma1(2, 4, 3, trials=10, seed=0, tol=Tolerance(0.5))
 
 
 def test_lemma1_deterministic():
