@@ -13,6 +13,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -70,6 +71,18 @@ def parse_snr(text: str) -> SnrGrid:
     except ValueError as exc:
         raise InputError(f"cannot parse SNR range {text!r}") from exc
     return SnrGrid.from_range(start, step, stop)
+
+
+def _fit_grid(args) -> SnrGrid:
+    """The SNR grid of a slope fit, after refusing --tol-slope and
+    --min-r2 values that would make the fit's verdict meaningless: a NaN
+    fails every fit, and an infinite tolerance passes every one."""
+    if not (math.isfinite(args.tol_slope) and args.tol_slope >= 0):
+        raise InputError(f"--tol-slope must be finite and non-negative, "
+                         f"got {args.tol_slope}")
+    if not 0 <= args.min_r2 <= 1:  # also refuses NaN
+        raise InputError(f"--min-r2 must be in [0, 1], got {args.min_r2}")
+    return parse_snr(args.snr)
 
 
 def _add_seed_flag(p: argparse.ArgumentParser):
@@ -333,9 +346,10 @@ def _run_slope(args):
         if args.profile not in (None, variant):
             raise InputError(f"--scheme {args.scheme} runs at the {variant} "
                              f"profile, not --profile {args.profile}")
+    grid = _fit_grid(args)
     cs = _scheme_channel_set(args, variant)
     report, estimate, expected, ok = _evaluate(args, cs, args.scheme, variant,
-                                               parse_snr(args.snr))
+                                               grid)
     doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
            "result": {**estimate.to_dict(), "expected_slope": expected,
                       "verification": report.to_dict()}}
@@ -377,7 +391,7 @@ def _run_sweep(args):
              else [_fallback_seed(None)])
     scheme_list = [schemes.ZF, schemes.NSIA] if args.schemes == "both" \
         else [args.schemes]
-    grid = parse_snr(args.snr)
+    grid = _fit_grid(args)
     rows = []
     ok = True
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):

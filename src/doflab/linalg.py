@@ -101,10 +101,17 @@ class SubspaceBasis:
                     f"basis columns are not orthonormal (max Gram error {err:.3e})")
 
 
-def orthonormal_columns(a: np.ndarray) -> tuple[bool, float]:
-    """(ok, err): err is max |A* A - I|, ok that it is within _ORTHO_TOL."""
-    err = float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[1]))))
-    return err <= _ORTHO_TOL, err
+def orthonormal_columns(a: np.ndarray, stacked: bool = False):
+    """(ok, err): err is max |A* A - I|, ok that it is within _ORTHO_TOL.
+
+    With ``stacked``, ``a`` is a (T, rows, cols) stack and ok and err are
+    arrays with one entry per matrix.  A NaN error is never ok.
+    """
+    gram = np.swapaxes(a.conj(), -1, -2) @ a
+    err = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
+    if stacked:
+        return err <= _ORTHO_TOL, err
+    return bool(err <= _ORTHO_TOL), float(err)
 
 
 @functools.cache
@@ -171,14 +178,19 @@ def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     return arr
 
 
+def require_seed(seed: int):
+    """Refuse a negative seed, which no generator stream is keyed by."""
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
+
+
 def seeded_rng(seed: int, *subkeys: int) -> np.random.Generator:
     """Generator for a (seed, subkeys) stream, stable across runs.
 
     Distinct subkey tuples give statistically independent streams, so one
     matrix can be regenerated without shifting any other.
     """
-    if seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed}")
+    require_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, *subkeys]))
 
 
@@ -305,16 +317,21 @@ def intersection_dim(u: SubspaceBasis, v: SubspaceBasis,
     return u.dim + v.dim - numeric_rank(stacked, tol)
 
 
-def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL,
+                        stacked: bool = False):
     """Replace A by Pi @ A with orthonormal rows and the same row space.
 
     Pi is the inverse of the (conjugated) triangular QR factor, so it is
     invertible whenever A has full row rank; rank-deficient input is
-    rejected rather than silently truncated.
+    rejected rather than silently truncated.  With ``stacked``, ``a`` is a
+    (T, rows, cols) stack, ranked and factored by one call each, and the
+    result is ``(q, full_rank)``: ``full_rank`` marks the matrices of the
+    stack whose ``q`` slice may be used, in place of the RankError.
     """
-    arr = as_matrix(a)
-    rows = arr.shape[0]
-    if numeric_rank(arr, tol) < rows:
+    arr = as_matrix(a, stacked=stacked)
+    full_rank = _rank_svd(arr, tol, stacked=stacked) == arr.shape[-2]
+    if not stacked and not full_rank:
         raise RankError(f"matrix of shape {arr.shape} is not full row rank")
-    q, _ = np.linalg.qr(arr.conj().T)
-    return q.conj().T
+    q, _ = np.linalg.qr(np.swapaxes(arr.conj(), -1, -2))
+    q = np.swapaxes(q.conj(), -1, -2)
+    return (q, full_rank) if stacked else q

@@ -15,10 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InputError, is_int
+from .errors import DegeneracyError, InputError, is_int
 from .linalg import SubspaceBasis, Tolerance
 
 log = logging.getLogger(__name__)
+
+# Most redraws of one degenerate draw (draw_channel, and the lemma2 random
+# source's H) before it is refused.  A tolerance just under the limit of
+# Tolerance.require_rankable passes that check yet makes a full-rank draw
+# so rare that an unbounded redraw would never end.
+MAX_REDRAWS = 1000
 
 
 @dataclass(frozen=True)
@@ -160,19 +166,23 @@ def draw_channel(config: NetworkConfig, m: int, l: int,
 
     Drawn from the (seed, m, l, k) stream.  A draw that fails the
     nondegeneracy check (numeric rank below min(M, N), probability zero at
-    double precision) is logged and redrawn from the same stream.
+    double precision) is logged and redrawn from the same stream, at most
+    MAX_REDRAWS times; then DegeneracyError names the link.
     """
     cfg = config
     rng = linalg.seeded_rng(cfg.seed, m, l, k)
-    h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-    rank, null = _link_rank(cfg, m, l, h)
-    while rank < min(cfg.M, cfg.N):
-        log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
-                    "redrawing", m, l, k)
+    for redraw in range(MAX_REDRAWS + 1):
+        if redraw:
+            log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
+                        "redrawing", m, l, k)
         h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
         rank, null = _link_rank(cfg, m, l, h)
-    h.setflags(write=False)
-    return h, null
+        if rank == min(cfg.M, cfg.N):
+            h.setflags(write=False)
+            return h, null
+    raise DegeneracyError(
+        f"channel (m={m}, l={l}, k={k}) is still degenerate after "
+        f"{MAX_REDRAWS} redraws at rel_rank_tol={cfg.tol.rel_rank_tol}")
 
 
 def channel_set_to_dict(cs: ChannelSet) -> dict:

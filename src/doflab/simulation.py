@@ -10,15 +10,15 @@ pass count depends only on (seed, trials), never on the chunk size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import linalg, schemes
-from .errors import ContractError, InputError
+from .errors import ContractError, DegeneracyError, InputError
 from .linalg import Tolerance
-from .network import ChannelSet, NetworkConfig, draw_channel
+from .network import MAX_REDRAWS, ChannelSet, NetworkConfig, draw_channel
 from .schemes import Scheme, SchemeReport, other_cell
 
 LOG2 = math.log(2.0)
@@ -287,6 +287,7 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
         raise InputError(f"lemma requires n >= max(m, l), got n={n}, "
                          f"max(m, l)={max(m, l)}")
     tol.require_rankable(max(m, l), "max(m, l)")
+    linalg.require_seed(seed)
 
     def chunk_passes(chunk: range) -> int:
         a, b = linalg.random_matrices(
@@ -331,9 +332,9 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     H is N x M with N > M and rank M; P is M x N, either generic or an
     alignment plane constructed by the null-space scheme (which makes both
     sides equal beta = N - M instead of the generic zero).  A random trial
-    i draws H (redrawn while rank-deficient) then P from
-    seeded_rng(seed, i); an nsia trial builds P_1 and takes H = H_1,21 from
-    the channels of a network seeded from (seed, i).
+    i draws H (redrawn while rank-deficient, at most MAX_REDRAWS times)
+    then P from seeded_rng(seed, i); an nsia trial builds P_1 and takes
+    H = H_1,21 from the channels of a network seeded from (seed, i).
     """
     if min(M, N) < 1:
         raise InputError(f"dimensions must be >= 1, got ({M}, {N})")
@@ -342,6 +343,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     if p_source not in ("random", "nsia"):
         raise InputError(f"p_source must be 'random' or 'nsia', got {p_source!r}")
     tol.require_rankable(N, "N")
+    linalg.require_seed(seed)
     if p_source == "nsia":
         beta = N - M
         if M % beta != 0:
@@ -349,15 +351,21 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
                 f"nsia-constructed P needs (N - M) | M so that K = M/(N-M) "
                 f"is an integer, got M={M}, N={N}")
         users = M // beta
+        # every trial's network but for its seed, validated once
+        config = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta, dist=dist,
+                               tol=tol)
 
     def redraw(i: int) -> tuple[np.ndarray, np.ndarray]:
         # one trial's draws in stream order, for a chunk whose stacked draw
         # of H came out rank-deficient
         rng = linalg.seeded_rng(seed, i)
-        h = linalg.random_matrix(N, M, dist, rng)
-        while linalg.numeric_rank(h, tol) < M:
+        for _ in range(MAX_REDRAWS + 1):
             h = linalg.random_matrix(N, M, dist, rng)
-        return h, linalg.random_matrix(M, N, dist, rng)
+            if linalg.numeric_rank(h, tol) == M:
+                return h, linalg.random_matrix(M, N, dist, rng)
+        raise DegeneracyError(
+            f"H of trial {i} is still rank-deficient after {MAX_REDRAWS} "
+            f"redraws at rel_rank_tol={tol.rel_rank_tol}")
 
     def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         h, p = linalg.random_matrices(
@@ -366,19 +374,43 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
             h[t], p[t] = redraw(chunk[t])
         return h, p
 
+    def one_nsia_trial(sub_seed: int) -> tuple[np.ndarray, np.ndarray]:
+        # the trial as a scheme build makes it, link by link, for a trial
+        # the stacked checks below refused: it redraws, warns and raises
+        # exactly where a one-trial-at-a-time run would
+        cfg = replace(config, seed=sub_seed)
+        cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
+        return cross[0][0], schemes.alignment_plane(
+            [null for _, null in cross], beta, tol, 1)
+
     def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         # only P_1 and H_1,21 enter the verdict, so only the channels from
-        # cell 2 into base station 1 are drawn
-        planes, channels = [], []
-        for i in chunk:
-            sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-            cfg = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta,
-                                seed=sub_seed, dist=dist, tol=tol)
-            cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
-            planes.append(schemes.alignment_plane(
-                [null for _, null in cross], beta, tol, 1))
-            channels.append(cross[0][0])
-        return np.stack(channels), np.stack(planes)
+        # cell 2 into base station 1 are drawn: draw_channel's streams,
+        # (sub-seed, 1, 2, k) for each user k, drawn as one stack
+        sub_seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+                     for i in chunk]
+        (h,) = linalg.random_matrices(
+            [(N, M)], dist, [linalg.seeded_rng(sub_seed, 1, 2, k)
+                             for sub_seed in sub_seeds
+                             for k in range(1, users + 1)])
+        # cross_null_space: the null space of each H* is the last N - M
+        # rows of its vh, of dimension beta exactly when H* has rank M
+        rank, _, vh = linalg._rank_svd(h.conj().transpose(0, 2, 1), tol,
+                                       vectors=True, stacked=True)
+        nulls = vh[:, M:]
+        ok = (rank == M) & linalg.orthonormal_columns(
+            nulls.conj().transpose(0, 2, 1), stacked=True)[0]
+        ok = ok.reshape(-1, users).all(axis=1)
+        # alignment_plane: user k's basis, conjugate-transposed, fills rows
+        # (k-1)*beta+1 .. k*beta of the plane
+        planes, full_rank = linalg.orthonormalize_rows(
+            nulls.reshape(-1, M, N), tol, stacked=True)
+        ok &= full_rank
+        planes = np.ascontiguousarray(planes)
+        h = np.ascontiguousarray(h.reshape(-1, users, N, M)[:, 0])
+        for t in np.flatnonzero(~ok):
+            h[t], planes[t] = one_nsia_trial(sub_seeds[t])
+        return h, planes
 
     pairs = random_pairs if p_source == "random" else nsia_pairs
 

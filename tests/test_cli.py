@@ -12,6 +12,15 @@ import doflab
 from doflab import bounds, linalg
 from doflab.cli import build_parser, config_to_argv, parse_int_range, parse_snr, run
 from doflab.errors import InputError
+from doflab.network import MAX_REDRAWS
+
+
+def package_env():
+    """The environment, with this doflab first on PYTHONPATH, for a
+    subprocess that imports it."""
+    src = str(Path(doflab.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def run_json(capsys, argv):
@@ -402,6 +411,76 @@ def test_lemma1_impossible_rank_tolerance_exits_1(capsys):
     assert "no singular value can pass" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nsia", "--K", "4"],
+    ["lemma2", "--M", "4", "--N", "6"],
+    ["lemma2", "--M", "4", "--N", "6", "--p-source", "nsia"],
+])
+def test_redraws_stop_at_the_cap(argv):
+    # 0.15 * max(M, N) < 1 passes require_rankable, but a full-rank draw is
+    # so rare at this tolerance that an unbounded redraw loop never ends.
+    # A subprocess, so that a hang fails the test instead of stalling it.
+    done = subprocess.run(
+        [sys.executable, "-m", "doflab.cli", *argv, "--rel-rank-tol", "0.15"],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    error = done.stderr.splitlines()[-1]
+    assert error.startswith("doflab: error: ")
+    assert f"after {MAX_REDRAWS} redraws at rel_rank_tol=0.15" in error
+
+
+FIT_COMMANDS = [["slope", "--scheme", "zf", "--K", "1"], ["sweep", "--K", "1"]]
+
+
+@pytest.mark.parametrize("command", FIT_COMMANDS)
+@pytest.mark.parametrize("flag, value", [
+    ("--tol-slope", "inf"), ("--tol-slope", "nan"), ("--tol-slope", "-0.01"),
+    ("--min-r2", "nan"), ("--min-r2", "-inf"), ("--min-r2", "-0.5"),
+    ("--min-r2", "1.5"),
+])
+def test_fit_thresholds_out_of_range_exit_1(capsys, command, flag, value):
+    # a NaN used to fail every fit (exit 2, "verification failed") and an
+    # infinite slope tolerance or r² floor of -inf to pass every fit
+    assert run([*command, f"{flag}={value}", "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"doflab: error: {flag} must be ")
+
+
+@pytest.mark.parametrize("key, value", [("tol_slope", -1), ("min_r2", 2)])
+def test_config_fit_thresholds_out_of_range_exit_1(tmp_path, capsys, key, value):
+    path = write_config(tmp_path, {"command": "slope", "scheme": "zf", "K": 1,
+                                   key: value})
+    assert run(["--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("doflab: error: --")
+
+
+@pytest.mark.parametrize("command", FIT_COMMANDS)
+def test_fit_thresholds_accept_their_limits(capsys, command):
+    # 0 and 1 are the limits; such strict thresholds fail the fit, which
+    # is a verdict (exit 2), not an input error
+    argv = [*command, "--tol-slope=0", "--min-r2=1", "--assert"]
+    assert run(argv) == 2
+    assert run([*command, "--tol-slope=0.5", "--min-r2=0"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma1", "--m", "2", "--n", "4", "--l", "3"],
+    ["lemma2", "--M", "2", "--N", "3"],
+    ["lemma2", "--M", "2", "--N", "3", "--p-source", "nsia"],
+])
+def test_negative_seed_exits_1_with_one_message(capsys, argv):
+    assert run([*argv, "--seed=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("doflab: error: seed must be a non-negative "
+                            "integer, got -1\n")
+
+
 def test_large_report_does_not_depend_on_prior_blas_threads(capsys):
     # N = 80 is past the size where OpenBLAS threads its kernels; run at 1
     # and at 2 threads, these sum rates differ in the last digits
@@ -509,11 +588,9 @@ def test_importing_the_cli_builds_no_parser():
              "before = cli.build_parser.cache_info().currsize; "
              "cli.build_parser(); "
              "print(before, cli.build_parser.cache_info().currsize)")
-    src = str(Path(doflab.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", probe], env=package_env(),
+                          check=True, capture_output=True, text=True,
+                          timeout=60)
     assert done.stdout.split() == ["0", "1"]
 
 

@@ -51,6 +51,11 @@ CASES = {
     "lemma2-nsia-two-users": ["lemma2", "--M", "4", "--N", "6", "--trials", "20",
                               "--seed", "4", "--p-source", "nsia",
                               "--dist", "uniform-square"],
+    # 600 trials cross two chunk boundaries, and two cross-channel draws
+    # come out degenerate and are redrawn on the one-trial path
+    "lemma2-nsia-loose": ["lemma2", "--M", "2", "--N", "3", "--p-source", "nsia",
+                          "--trials", "600", "--rel-rank-tol", "0.03",
+                          "--seed", "1"],
 }
 # One case per CSV projection (slope has two: a built scheme and the
 # random baseline).

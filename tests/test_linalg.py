@@ -297,6 +297,26 @@ def test_orthonormalize_rows_rejects_rank_deficient():
         orthonormalize_rows(np.vstack([row, row]), TOL)
 
 
+def test_stacked_orthonormalize_rows_matches_each_matrix_and_marks_rank():
+    row = gaussian(1, 3, 22)
+    stack = np.stack([gaussian(2, 3, 23), np.vstack([row, row]),
+                      gaussian(2, 3, 24)])
+    q, full_rank = orthonormalize_rows(stack, TOL, stacked=True)
+    assert full_rank.tolist() == [True, False, True]
+    for t in (0, 2):
+        assert np.array_equal(q[t], orthonormalize_rows(stack[t], TOL))
+
+
+def test_stacked_orthonormal_columns_matches_each_matrix():
+    q, _ = np.linalg.qr(gaussian(3, 2, 25))
+    stack = np.stack([q, 2 * q, np.full((3, 2), np.nan)])
+    ok, err = linalg.orthonormal_columns(stack, stacked=True)
+    assert ok.tolist() == [True, False, False]  # a NaN Gram error is not ok
+    for t in range(2):
+        assert (ok[t], err[t]) == linalg.orthonormal_columns(stack[t])
+    assert np.isnan(err[2]) and linalg.orthonormal_columns(stack[2])[0] is False
+
+
 # ---------------------------------------------------------------------------
 # one_blas_thread
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
+import collections
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from doflab import bounds, simulation
-from doflab.errors import ConfigurationError, ContractError, InputError
+from doflab.errors import (ConfigurationError, ContractError, DegeneracyError,
+                           InputError)
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
                            numeric_rank, random_matrix, range_basis, seeded_rng)
-from doflab.network import NetworkConfig, generate_channels
-from doflab.schemes import (NSIA, Scheme, build_nsia, build_zf_precoders,
-                            pi_transform, verify_scheme)
+from doflab.network import NetworkConfig, draw_channel, generate_channels
+from doflab.schemes import (NSIA, Scheme, alignment_plane, build_nsia,
+                            build_zf_precoders, pi_transform, verify_scheme)
 from doflab.simulation import (DEFAULT_SNR_GRID, MAX_SNR_POINTS,
                                LemmaTrialReport, SnrGrid, estimate_dof_slope,
                                interference_limited_rate, monte_carlo_lemma1,
@@ -341,6 +344,14 @@ def test_lemma_pass_counts_independent_of_chunk_size(chunk, monkeypatch):
     assert counts == (5, 15, 9)
 
 
+def reference_lemma2_holds(h, p, tol):
+    """The lemma on one (H, P) pair, from one basis at a time."""
+    scale = np.linalg.norm(p) * np.linalg.norm(h)
+    lhs = null_space_basis(p @ h, tol, scale=scale).dim
+    rhs = intersection_dim(range_basis(h, tol), null_space_basis(p, tol), tol)
+    return lhs == rhs
+
+
 def reference_lemma2_random(M, N, trials, seed, dist, tol):
     """One trial at a time, in the documented stream order."""
     passes = 0
@@ -350,10 +361,7 @@ def reference_lemma2_random(M, N, trials, seed, dist, tol):
         while numeric_rank(h, tol) < M:
             h = random_matrix(N, M, dist, rng)
         p = random_matrix(M, N, dist, rng)
-        scale = np.linalg.norm(p) * np.linalg.norm(h)
-        lhs = null_space_basis(p @ h, tol, scale=scale).dim
-        rhs = intersection_dim(range_basis(h, tol), null_space_basis(p, tol), tol)
-        passes += lhs == rhs
+        passes += reference_lemma2_holds(h, p, tol)
     return passes
 
 
@@ -374,6 +382,87 @@ def test_lemma2_random_planes():
 def test_lemma2_constructed_planes_align_beta_dimensions():
     report = monte_carlo_lemma2(2, 3, trials=100, seed=4, p_source="nsia")
     assert report.all_passed
+
+
+@functools.cache
+def reference_lemma2_nsia(M, N, trials, seed, dist, rel_tol):
+    """(H stack, P stack, passes), one trial at a time: trial i draws the
+    cross channels into base station 1 of a network seeded from (seed, i)
+    with draw_channel and builds P_1 with alignment_plane."""
+    tol = Tolerance(rel_tol)
+    beta = N - M
+    hs, ps = [], []
+    for i in range(trials):
+        sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
+        cfg = NetworkConfig(L=2, K=M // beta, M=M, N=N, beta=beta,
+                            seed=sub_seed, dist=dist, tol=tol)
+        cross = [draw_channel(cfg, 1, 2, k) for k in range(1, cfg.K + 1)]
+        hs.append(cross[0][0])
+        ps.append(alignment_plane([null for _, null in cross], beta, tol, 1))
+    passes = sum(reference_lemma2_holds(h, p, tol) for h, p in zip(hs, ps))
+    return np.stack(hs), np.stack(ps), passes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
+@pytest.mark.parametrize("M, N, trials, rel_tol", [(2, 3, 300, 0.03),
+                                                   (4, 6, 60, 0.02)])
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+def test_lemma2_nsia_matches_per_trial_reference(dist, M, N, trials, rel_tol,
+                                                 chunk, monkeypatch):
+    # At these tolerances 1 to 3 cross-channel draws per case come out
+    # degenerate and are redrawn, and at (4, 6) one gaussian trial fails
+    # the lemma.  The stacked source must hand the verdict the same pairs,
+    # bit for bit.
+    tol = Tolerance(rel_tol)
+    seen = []
+    holds = simulation._lemma2_holds
+
+    def recording(h, p, tol):
+        seen.append((h, p))
+        return holds(h, p, tol)
+
+    monkeypatch.setattr(simulation, "TRIAL_CHUNK", chunk)
+    monkeypatch.setattr(simulation, "_lemma2_holds", recording)
+    got = monte_carlo_lemma2(M, N, trials, seed=1, p_source="nsia", dist=dist,
+                             tol=tol)
+    h, p, passes = reference_lemma2_nsia(M, N, trials, 1, dist, rel_tol)
+    assert np.array_equal(np.concatenate([pair[0] for pair in seen]), h)
+    assert np.array_equal(np.concatenate([pair[1] for pair in seen]), p)
+    assert got.passes == passes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 256, 1000])
+def test_lemma2_nsia_raises_the_first_lost_plane_at_any_chunk_size(
+        chunk, monkeypatch, caplog):
+    # seed 1 at 0.04: four draws are redrawn, then trial 326's plane loses
+    # rank; the warnings and the error come out as one trial at a time
+    monkeypatch.setattr(simulation, "TRIAL_CHUNK", chunk)
+    with pytest.raises(DegeneracyError,
+                       match="^stacked alignment plane at base station 1 "
+                             "lost rank$"):
+        monte_carlo_lemma2(2, 3, 600, seed=1, p_source="nsia",
+                           tol=Tolerance(0.04))
+    redraw = "degenerate channel draw at (m=1, l=2, k={}); redrawing"
+    assert [r.getMessage() for r in caplog.records] == [
+        redraw.format(2), redraw.format(2), redraw.format(2), redraw.format(1)]
+
+
+def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
+    calls = collections.Counter()
+    for name in ("svd", "qr"):
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for trials in (1, simulation.TRIAL_CHUNK):
+        calls.clear()
+        assert monte_carlo_lemma2(2, 3, trials, seed=4,
+                                  p_source="nsia").all_passed
+        counts.append(dict(calls))
+    assert not caplog.records  # no draw was redrawn
+    assert counts[0] == counts[1]
+    assert counts[0]["qr"] == 1
 
 
 def test_lemma2_rejects_wide_h():
