@@ -1,10 +1,13 @@
 """Complex dense-matrix subspace algebra.
 
 Numeric rank, null/range bases, subspace intersection and seeded random
-matrix generation.  Everything here is a pure function of its inputs; RNG
-state is always passed explicitly so results are reproducible from a seed.
-one_blas_thread pins OpenBLAS to one thread, which keeps large-matrix
-results independent of the core count.
+matrix generation.  Everything here is a pure function of its inputs.
+Every random draw comes from a stream keyed by ``(seed, *subkeys)``:
+random_matrix takes the stream's generator (seeded_rng builds it), and
+random_matrices takes a whole array of keys and seeds their streams in
+bulk, bit for bit as seeded_rng would.  one_blas_thread pins OpenBLAS to
+one thread, which keeps large-matrix results independent of the core
+count.
 """
 
 from __future__ import annotations
@@ -30,6 +33,19 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
 )
+
+# numpy.random.SeedSequence's pool hash (NEP 19): pool words, hash
+# constants and shift.  Its entropy takes an integer below 2^32 as one word;
+# stream keys at or above it are seeded by numpy itself (seeded_rng).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_WORD = 2 ** 32
+# PCG64's 128-bit LCG multiplier (O'Neill 2014, pcg-random.org).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = 2 ** 128 - 1
 
 # Orthonormality slack (orthonormal_columns): 10x the default relative
 # rank tolerance.  SVD/QR factors are orthonormal to ~1e-15, so this only
@@ -194,27 +210,160 @@ def seeded_rng(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *subkeys]))
 
 
-def random_matrix(rows: int, cols: int, dist: str = "complex-gaussian",
-                  rng: np.random.Generator = None) -> np.ndarray:
-    """Draw a rows x cols matrix with i.i.d. entries from ``dist``.
+def _stream_keys(keys) -> np.ndarray:
+    """keys as a 2-D array of non-negative integers, one stream a row."""
+    arr = np.asarray(keys)
+    if arr.ndim != 2:
+        raise DimensionError(
+            f"stream keys must be 2-D, one (seed, *subkeys) row per stream, "
+            f"got ndim={arr.ndim}")
+    if arr.shape[1] < 1:
+        raise DimensionError("stream keys need at least a seed in each row")
+    if arr.dtype.kind not in "iuO":
+        raise InputError(f"stream keys must be integers, got dtype {arr.dtype}")
+    if arr.size and (arr < 0).any():
+        raise InputError("stream keys must be non-negative integers")
+    return arr
 
-    ``complex-gaussian`` is circularly symmetric with unit entry variance;
-    ``uniform-square`` draws real and imaginary parts uniformly from
-    [-1, 1] (a compact-support alternative).  The real block is drawn
-    before the imaginary block, which pins the output for a given rng
-    state.  ``rng`` is mandatory: every draw must be reproducible from a
-    seed.
+
+def _words_of(values):
+    # numpy's entropy words of keys below 2^32, (key length, rows) uint32
+    return np.asarray(values, dtype=np.uint32).T
+
+
+def _lcg32(init: int, mult: int, count: int) -> np.ndarray:
+    """init and its next ``count`` multiples by ``mult`` mod 2^32, as a
+    column: the successive hash constants of SeedSequence."""
+    seq = [init]
+    for _ in range(count):
+        seq.append(seq[-1] * mult % _WORD)
+    return np.array(seq, dtype=np.uint32)[:, None]
+
+
+@functools.cache
+def _pool_constants(width: int):
+    """The hash-constant columns of SeedSequence.mix_entropy for entropy of
+    ``width`` words: one (xor, multiply) pair for the pool fill, then one
+    per mixing round.
+
+    mix_entropy hashes every value with the running constant, which it
+    advances by one step per hash, in a fixed order.  So a round's
+    constants are known up front and a round is one vector operation; a
+    pool word does not mix into itself, and its slot holds a dummy 0.
     """
-    return random_matrices([(rows, cols)], dist, [rng])[0][0]
+    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(width - _POOL_SIZE, 0)
+    seq = _lcg32(_INIT_A, _MULT_A, steps)
+    pairs = iter(zip(seq[:-1], seq[1:]))
+    fill = [next(pairs) for _ in range(_POOL_SIZE)]
+    rounds = [[(np.zeros(1, np.uint32),) * 2 if dst == src else next(pairs)
+               for dst in range(_POOL_SIZE)] for src in range(_POOL_SIZE)]
+    rounds += [[next(pairs) for _ in range(_POOL_SIZE)]
+               for _ in range(_POOL_SIZE, width)]
+    stack = lambda group: tuple(np.vstack(c) for c in zip(*group))
+    return stack(fill), [stack(group) for group in rounds]
 
 
-def random_matrices(shapes, dist: str, rngs) -> list[np.ndarray]:
-    """Draw one matrix of each shape from every generator, stacked.
+@functools.cache
+def _state_constants(n_words: int):
+    """SeedSequence.generate_state's pool word and (xor, multiply)
+    constant columns for each of ``n_words`` output words."""
+    seq = _lcg32(_INIT_B, _MULT_B, n_words)
+    return np.arange(n_words) % _POOL_SIZE, seq[:-1], seq[1:]
+
+
+def _hashmix(value, xor, mult):
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _XSHIFT
+    return value
+
+
+def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(column).generate_state(n_words)`` for every column
+    of a (width, rows) uint32 entropy array, as (rows, n_words) uint32.
+
+    numpy's pool hash, run on all rows at once in uint32 arithmetic, which
+    wraps mod 2^32 as the C code does.
+    """
+    width, rows = entropy.shape
+    fill, rounds = _pool_constants(width)
+    pool = np.zeros((_POOL_SIZE, rows), dtype=np.uint32)
+    pool[:width] = entropy[:_POOL_SIZE]
+    pool = _hashmix(pool, *fill)
+    # round src mixes the hash of pool word src into every other pool
+    # word; each entropy word past the pool mixes into all of them
+    for src, (xor, mult) in enumerate(rounds):
+        value = pool[src] if src < _POOL_SIZE else entropy[src]
+        mixed = pool * _MIX_MULT_L
+        mixed -= _hashmix(value, xor, mult) * _MIX_MULT_R
+        mixed ^= mixed >> _XSHIFT
+        if src < _POOL_SIZE:
+            mixed[src] = pool[src]
+        pool = mixed
+    cycle, xor, mult = _state_constants(n_words)
+    return _hashmix(pool[cycle], xor, mult).T
+
+
+def stream_words(keys, n_words: int) -> np.ndarray:
+    """``SeedSequence(row).generate_state(n_words)`` for every
+    (seed, *subkeys) row of keys, as a (rows, n_words) uint32 array.
+
+    Rows with every entry below 2^32 are hashed together; any other row
+    is handed to numpy's SeedSequence.
+    """
+    keys = _stream_keys(keys)
+    bulk = (keys < _WORD).all(axis=1)
+    words = np.empty((len(keys), n_words), dtype=np.uint32)
+    words[bulk] = _seed_words(_words_of(keys[bulk]), n_words)
+    for t in np.flatnonzero(~bulk):
+        words[t] = np.random.SeedSequence(keys[t].tolist()).generate_state(n_words)
+    return words
+
+
+def _pcg64_states(words: np.ndarray):
+    """PCG64's (state, inc) as seeded from each row of 8 SeedSequence
+    words: ``srandom(initstate, initseq)`` with the 128-bit initstate from
+    words 0-3 and initseq from words 4-7 (64-bit halves high first, each
+    half little-endian in its two words)."""
+    w = words.astype(np.uint64)
+    halves = (w[:, 0::2] | w[:, 1::2] << np.uint64(32)).tolist()
+    for state_hi, state_lo, seq_hi, seq_lo in halves:
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
+
+
+def _streams(keys: np.ndarray):
+    """The generator of each (seed, *subkeys) row of keys, in row order,
+    each at the start of its stream, as seeded_rng would return it.
+
+    Rows below 2^32 share one Generator, whose public PCG64 state is set
+    from the bulk seeding before it is yielded; it must be drawn from
+    before the next one is requested.  Other rows get seeded_rng.
+    """
+    bulk = (keys < _WORD).all(axis=1)
+    if bulk.any():
+        states = _pcg64_states(_seed_words(_words_of(keys[bulk]), 8))
+        gen = np.random.Generator(np.random.PCG64(0))
+        bit_gen = gen.bit_generator
+        pcg = {}
+        state = {"bit_generator": "PCG64", "state": pcg,
+                 "has_uint32": 0, "uinteger": 0}
+    for row, fast in zip(keys.tolist(), bulk.tolist()):
+        if fast:
+            pcg["state"], pcg["inc"] = next(states)
+            bit_gen.state = state
+            yield gen
+        else:
+            yield seeded_rng(*row)
+
+
+def _draw_blocks(shapes, dist: str, count: int, rngs) -> list[np.ndarray]:
+    """Draw one matrix of each shape from each of ``count`` generators.
 
     Each generator fills its matrices with a single call, shape by shape
     and real block before imaginary block: the order in which repeated
-    random_matrix calls consume it.  Returns one (len(rngs), rows, cols)
-    array per shape; slice t holds the draws of ``rngs[t]``.
+    random_matrix calls consume it.  Returns one (count, rows, cols) array
+    per shape; slice t holds the draws of the t-th generator.
     """
     for rows, cols in shapes:
         if rows < 1 or cols < 1:
@@ -222,10 +371,8 @@ def random_matrices(shapes, dist: str, rngs) -> list[np.ndarray]:
                 f"matrix dimensions must be >= 1, got {rows}x{cols}")
     if dist not in DISTRIBUTIONS:
         raise InputError(f"unknown distribution {dist!r}, expected one of {DISTRIBUTIONS}")
-    if any(rng is None for rng in rngs):
-        raise InputError("rng is required; build one with seeded_rng(seed, ...)")
     sizes = [rows * cols for rows, cols in shapes]
-    raw = np.empty((len(rngs), 2 * sum(sizes)))
+    raw = np.empty((count, 2 * sum(sizes)))
     for row, rng in zip(raw, rngs):
         if dist == "complex-gaussian":
             rng.standard_normal(out=row)
@@ -242,6 +389,35 @@ def random_matrices(shapes, dist: str, rngs) -> list[np.ndarray]:
         else:
             blocks.append(re + 1j * im)
     return blocks
+
+
+def random_matrix(rows: int, cols: int, dist: str = "complex-gaussian",
+                  rng: np.random.Generator = None) -> np.ndarray:
+    """Draw a rows x cols matrix with i.i.d. entries from ``dist``.
+
+    ``complex-gaussian`` is circularly symmetric with unit entry variance;
+    ``uniform-square`` draws real and imaginary parts uniformly from
+    [-1, 1] (a compact-support alternative).  The real block is drawn
+    before the imaginary block, which pins the output for a given rng
+    state.  ``rng`` is mandatory: every draw must be reproducible from a
+    seed.
+    """
+    if rng is None:
+        raise InputError("rng is required; build one with seeded_rng(seed, ...)")
+    return _draw_blocks([(rows, cols)], dist, 1, [rng])[0][0]
+
+
+def random_matrices(shapes, dist: str, keys) -> list[np.ndarray]:
+    """Draw one matrix of each shape from the stream of every key, stacked.
+
+    ``keys`` holds one (seed, *subkeys) row of non-negative integers per
+    stream.  Row t's matrices are what random_matrix calls, shape by
+    shape, would draw from seeded_rng(*keys[t]), bit for bit; the streams
+    are seeded in bulk.  Returns one (len(keys), rows, cols) array per
+    shape.
+    """
+    keys = _stream_keys(keys)
+    return _draw_blocks(shapes, dist, len(keys), _streams(keys))
 
 
 def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False,

@@ -248,20 +248,17 @@ def estimate_dof_slope(scheme: Scheme, grid: SnrGrid = DEFAULT_SNR_GRID,
 def random_precoders(cs: ChannelSet) -> Scheme:
     """Generic orthonormal-column precoders, the non-aligned baseline, with
     the channel set's beta (NetworkConfig.beta) columns each.  User (l, k)
-    draws from seeded_rng(cs.config.seed, l, k); the base stations receive
-    unprojected."""
+    draws from the stream (cs.config.seed, l, k); the base stations
+    receive unprojected."""
     cfg = cs.config
     beta = cfg.beta
     if beta > cfg.M:
         raise InputError(f"beta={beta} exceeds M={cfg.M}")
-    precoders = {}
-    for l in range(1, cfg.L + 1):
-        for k in range(1, cfg.K + 1):
-            rng = linalg.seeded_rng(cfg.seed, l, k)
-            w = linalg.random_matrix(cfg.M, beta, cfg.dist, rng)
-            q, _ = np.linalg.qr(w)
-            precoders[(l, k)] = q
-    return Scheme(schemes.RANDOM, cs, precoders)
+    users = [(l, k) for l in range(1, cfg.L + 1) for k in range(1, cfg.K + 1)]
+    (w,) = linalg.random_matrices([(cfg.M, beta)], cfg.dist,
+                                  [(cfg.seed, *user) for user in users])
+    return Scheme(schemes.RANDOM, cs, {user: np.linalg.qr(w_user)[0]
+                                       for user, w_user in zip(users, w)})
 
 
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
@@ -278,8 +275,8 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     """Check rank(A B) = min(m, l) for independent A (m x n), B (n x l).
 
     Requires n >= max(m, l), the hypothesis under which the product is
-    full rank with probability one.  Trial i draws A then B from
-    seeded_rng(seed, i).
+    full rank with probability one.  Trial i draws A then B from the
+    stream (seed, i).
     """
     if min(m, n, l) < 1:
         raise InputError(f"dimensions must be >= 1, got ({m}, {n}, {l})")
@@ -290,8 +287,8 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     linalg.require_seed(seed)
 
     def chunk_passes(chunk: range) -> int:
-        a, b = linalg.random_matrices(
-            [(m, n), (n, l)], dist, [linalg.seeded_rng(seed, i) for i in chunk])
+        a, b = linalg.random_matrices([(m, n), (n, l)], dist,
+                                      [(seed, i) for i in chunk])
         ranks = linalg._rank_svd(a @ b, tol, stacked=True)
         return int(np.count_nonzero(ranks == min(m, l)))
 
@@ -333,7 +330,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     alignment plane constructed by the null-space scheme (which makes both
     sides equal beta = N - M instead of the generic zero).  A random trial
     i draws H (redrawn while rank-deficient, at most MAX_REDRAWS times)
-    then P from seeded_rng(seed, i); an nsia trial builds P_1 and takes
+    then P from the stream (seed, i); an nsia trial builds P_1 and takes
     H = H_1,21 from the channels of a network seeded from (seed, i).
     """
     if min(M, N) < 1:
@@ -368,8 +365,8 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
             f"redraws at rel_rank_tol={tol.rel_rank_tol}")
 
     def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
-        h, p = linalg.random_matrices(
-            [(N, M), (M, N)], dist, [linalg.seeded_rng(seed, i) for i in chunk])
+        h, p = linalg.random_matrices([(N, M), (M, N)], dist,
+                                      [(seed, i) for i in chunk])
         for t in np.flatnonzero(linalg._rank_svd(h, tol, stacked=True) < M):
             h[t], p[t] = redraw(chunk[t])
         return h, p
@@ -386,12 +383,11 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         # only P_1 and H_1,21 enter the verdict, so only the channels from
         # cell 2 into base station 1 are drawn: draw_channel's streams,
-        # (sub-seed, 1, 2, k) for each user k, drawn as one stack
-        sub_seeds = [int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-                     for i in chunk]
+        # (sub-seed, 1, 2, k) for each user k, drawn as one stack.  The
+        # sub-seed is SeedSequence([seed, i]).generate_state(1)[0].
+        sub_seeds = linalg.stream_words([(seed, i) for i in chunk], 1)[:, 0].tolist()
         (h,) = linalg.random_matrices(
-            [(N, M)], dist, [linalg.seeded_rng(sub_seed, 1, 2, k)
-                             for sub_seed in sub_seeds
+            [(N, M)], dist, [(sub_seed, 1, 2, k) for sub_seed in sub_seeds
                              for k in range(1, users + 1)])
         # cross_null_space: the null space of each H* is the last N - M
         # rows of its vh, of dimension beta exactly when H* has rank M

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -139,3 +140,39 @@ def test_converse_known_points():
 def test_outer_bound_requires_two_cells():
     with pytest.raises(InputError):
         dof_outer_bound(2, 1, 3, 2)
+
+
+def message_subsets(K, L):
+    """The K*L message subsets of the outer bound, each with its cell j:
+    all K users of cell j plus user k of every other cell."""
+    return [(j, {(j, u) for u in range(1, K + 1)}
+             | {(l, k) for l in range(1, L + 1) if l != j})
+            for j in range(1, L + 1) for k in range(1, K + 1)]
+
+
+def subset_ic_dof(j, subset, M, N):
+    """The subset network with each side's users cooperating: cell j's
+    users into base station j, against the other users into their own
+    base stations."""
+    own = [msg for msg in subset if msg[0] == j]
+    rest = [msg for msg in subset if msg[0] != j]
+    cells = {l for l, _ in rest}
+    return two_user_ic_dof(len(own) * M, N, len(rest) * M, len(cells) * N)
+
+
+@pytest.mark.parametrize("L", range(2, 6))
+@pytest.mark.parametrize("K", range(1, 6))
+def test_outer_bound_matches_message_subset_oracle(K, L):
+    subsets = message_subsets(K, L)
+    assert len(subsets) == K * L
+    counts = Counter(msg for _, subset in subsets for msg in subset)
+    assert counts == {(l, k): K + L - 1
+                      for l in range(1, L + 1) for k in range(1, K + 1)}
+    for M in range(1, 9):
+        for N in range(1, 9):
+            per_set = Fraction(sum(subset_ic_dof(j, subset, M, N)
+                                   for j, subset in subsets), K + L - 1)
+            report = dof_outer_bound(K, L, M, N)
+            assert report.per_set_bound == per_set, (K, L, M, N)
+            assert report.final_bound == min(Fraction(K * L * M),
+                                             Fraction(L * N), per_set)

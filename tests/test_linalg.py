@@ -157,8 +157,7 @@ def test_stacked_rank_validates_like_as_matrix():
 @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
 def test_batched_draws_equal_per_trial_draws(dist):
     shapes = [(2, 4), (4, 3), (1, 1)]
-    blocks = linalg.random_matrices(shapes, dist,
-                                    [seeded_rng(11, i) for i in range(5)])
+    blocks = linalg.random_matrices(shapes, dist, [(11, i) for i in range(5)])
     assert [b.shape for b in blocks] == [(5, 2, 4), (5, 4, 3), (5, 1, 1)]
     for i in range(5):
         rng = seeded_rng(11, i)
@@ -169,9 +168,82 @@ def test_batched_draws_equal_per_trial_draws(dist):
 
 def test_batched_draws_validate_inputs():
     with pytest.raises(InputError):
-        linalg.random_matrices([(2, 2)], "complex-gaussian", [seeded_rng(1), None])
+        linalg.random_matrices([(2, 2)], "complex-gaussian", [(1, 0), (1, -1)])
+    with pytest.raises(InputError):
+        linalg.random_matrices([(2, 2)], "complex-gaussian", [(1.5, 0)])
     with pytest.raises(DimensionError):
-        linalg.random_matrices([(2, 0)], "uniform-square", [seeded_rng(1)])
+        linalg.random_matrices([(2, 2)], "complex-gaussian", [1, 2])
+    with pytest.raises(DimensionError):
+        linalg.random_matrices([(2, 2)], "complex-gaussian", np.zeros((3, 0), int))
+    with pytest.raises(DimensionError):
+        linalg.random_matrices([(2, 0)], "uniform-square", [(1,)])
+    with pytest.raises(InputError):
+        random_matrix(2, 2, "complex-gaussian", None)
+
+
+# Seeds on both sides of numpy's one-word entropy limit: keys below 2^32
+# are seeded in bulk, 2^32 and above by numpy through seeded_rng.
+BULK_SEEDS = [0, 1, 2**31 - 1, 2**32, 2**70]
+
+
+def key_rows(seed, width, rows=40):
+    # rows of `width` entries after the seed, varied in every column; the
+    # last rows put a large value into a subkey
+    keys = [(seed, *(7 * t + 3 * j for j in range(width - 1)))
+            for t in range(rows)]
+    if width > 1:
+        keys += [(seed, *[2**32 - 1] * (width - 1)), (seed, 5, *[0] * (width - 2))]
+    return keys
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+@pytest.mark.parametrize("width", [1, 2, 4, 5])
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_bulk_streams_equal_numpy_seeding(seed, width, dist):
+    keys = key_rows(seed, width)
+    shapes = [(3, 2), (1, 4)]
+    blocks = linalg.random_matrices(shapes, dist, keys)
+    gaussian = dist == "complex-gaussian"
+    for t, key in enumerate(keys):
+        # numpy's own generator for the key, not seeded_rng
+        rng = np.random.default_rng(np.random.SeedSequence(list(key)))
+        for block, (rows, cols) in zip(blocks, shapes):
+            if gaussian:
+                re, im = rng.standard_normal((2, rows, cols))
+                expected = (re + 1j * im) / np.sqrt(2.0)
+            else:
+                re, im = rng.uniform(-1.0, 1.0, (2, rows, cols))
+                expected = re + 1j * im
+            np.testing.assert_array_equal(block[t], expected)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 5, 9])
+@pytest.mark.parametrize("seed", BULK_SEEDS)
+def test_stream_words_equal_seed_sequence_state(seed, width):
+    keys = key_rows(seed, width)
+    words = linalg.stream_words(keys, 8)
+    assert words.dtype == np.uint32 and words.shape == (len(keys), 8)
+    for row, key in zip(words, keys):
+        np.testing.assert_array_equal(
+            row, np.random.SeedSequence(list(key)).generate_state(8))
+    # a word does not depend on how many follow it
+    np.testing.assert_array_equal(linalg.stream_words(keys, 1), words[:, :1])
+
+
+def test_stream_words_are_the_sub_seeds_of_a_thousand_trials():
+    sub_seeds = linalg.stream_words([(12345, i) for i in range(1000)], 1)[:, 0]
+    assert sub_seeds.tolist() == [
+        int(np.random.SeedSequence([12345, i]).generate_state(1)[0])
+        for i in range(1000)]
+
+
+def test_bulk_seeding_calls_seeded_rng_only_for_wide_keys(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "seeded_rng",
+                        lambda *key: calls.append(key) or seeded_rng(*key))
+    linalg.random_matrices([(2, 2)], "complex-gaussian",
+                           [(3, i) for i in range(300)] + [(3, 2**32)])
+    assert calls == [(3, 2**32)]
 
 
 # ---------------------------------------------------------------------------

