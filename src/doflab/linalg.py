@@ -16,7 +16,7 @@ import contextlib
 import functools
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,13 @@ _MASK128 = 2 ** 128 - 1
 # rank tolerance.  SVD/QR factors are orthonormal to ~1e-15, so this only
 # trips on genuinely broken bases.
 _ORTHO_TOL = 1e-9
+
+# Most bytes one stacked factorization covers, its matrices and their full
+# SVD factors together (stack_chunks).  Every stack of a two-cell scheme at
+# K <= 4 fits in one call; at K=32, beta=4 (about 0.8 MB a link) a call
+# covers two links, so the peak memory stays near that of factoring one
+# link at a time.
+STACK_BYTES = 2 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -93,14 +100,18 @@ class SubspaceBasis:
     """Orthonormal basis of a subspace of C^ambient_dim.
 
     ``basis`` has shape (ambient_dim, dim) with orthonormal columns;
-    ``dim`` may be zero (the trivial subspace).  ``==`` is identity.
+    ``dim`` may be zero (the trivial subspace).  ``checked`` skips the
+    orthonormality check, for a basis that a stacked Gram check
+    (orthonormal_columns(..., stacked=True)) has passed.  ``==`` is
+    identity.
     """
 
     ambient_dim: int
     dim: int
     basis: np.ndarray = field(repr=False)
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked):
         if self.ambient_dim < 1:
             raise DimensionError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
         if not 0 <= self.dim <= self.ambient_dim:
@@ -110,7 +121,7 @@ class SubspaceBasis:
             raise DimensionError(
                 f"basis shape {self.basis.shape} does not match "
                 f"({self.ambient_dim}, {self.dim})")
-        if self.dim > 0:
+        if self.dim > 0 and not checked:
             ok, err = orthonormal_columns(self.basis)
             if not ok:
                 raise RankError(
@@ -457,6 +468,21 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     return _rank_svd(a, tol, scale)
 
 
+def numeric_ranks(mats, tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """numeric_rank of each matrix of ``mats`` (a list, or a stack), from
+    one stacked SVD call per shape and stack_chunks run."""
+    ranks = [0] * len(mats)
+    by_shape = {}
+    for i, a in enumerate(mats):
+        by_shape.setdefault(np.shape(a), []).append(i)
+    for shape, group in by_shape.items():
+        for chunk in stack_chunks(group, *shape):
+            stack = np.stack([mats[i] for i in chunk])
+            for i, rank in zip(chunk, _rank_svd(stack, tol, stacked=True).tolist()):
+                ranks[i] = rank
+    return ranks
+
+
 def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
                      scale: float | None = None) -> SubspaceBasis:
     """Orthonormal basis of the right null space {x : A x = 0}.
@@ -469,6 +495,37 @@ def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
     rank, _, vh = _rank_svd(a, tol, scale, vectors=True)
     cols = vh.shape[0]
     return SubspaceBasis(cols, cols - rank, vh[rank:].conj().T)
+
+
+def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL,
+                     scale=None) -> list[SubspaceBasis | None]:
+    """null_space_basis of each matrix of a (T, rows, cols) stack whose
+    null space has dimension ``dim``, and None for every other matrix.
+
+    One SVD factors the stack and one stacked Gram check covers the bases,
+    which are bit for bit what null_space_basis gives matrix by matrix.  A
+    basis that fails the check is None as well: null_space_basis, given
+    that matrix alone, raises its RankError.  ``scale`` as in numeric_rank,
+    one value per matrix.  The bases share one array that holds only the
+    null-space rows, so they keep no factor of the stack alive.
+    """
+    rank, _, vh = _rank_svd(a, tol, scale, vectors=True, stacked=True)
+    cols = vh.shape[-1]
+    bases = vh[:, cols - dim:].conj().transpose(0, 2, 1)
+    ok = rank == cols - dim
+    if dim:
+        ok &= orthonormal_columns(bases, stacked=True)[0]
+    return [SubspaceBasis(cols, dim, basis, checked=True) if good else None
+            for good, basis in zip(ok.tolist(), bases)]
+
+
+def stack_chunks(items: list, rows: int, cols: int) -> list[list]:
+    """``items``, one rows x cols complex matrix each, split in order into
+    runs that one stacked factorization may cover: at most STACK_BYTES of
+    matrices and full SVD factors per run, and at least one item."""
+    item_bytes = 16 * (rows * cols + rows * rows + cols * cols)
+    size = max(1, STACK_BYTES // item_bytes)
+    return [items[i:i + size] for i in range(0, len(items), size)]
 
 
 def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:

@@ -138,23 +138,61 @@ def _link_rank(config: NetworkConfig, m: int, l: int,
     return null.ambient_dim - null.dim, null
 
 
+def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
+                 h: np.ndarray) -> tuple[list[bool], list[SubspaceBasis | None]]:
+    """The nondegeneracy check of a stack of links: for each link (m, l, k)
+    with matrix h[t], whether it passed (rank min(M, N)) and, for a cross
+    link that passed, its null space (cross_null_space).
+
+    One full SVD covers the cross links' wide orientations and one
+    singular-values-only SVD the direct links, as _link_rank does link by
+    link and with the same bits.  A cross link whose basis fails the Gram
+    check does not pass either.
+    """
+    cfg = config
+    cross = [t for t, (m, l, _) in enumerate(links) if m != l]
+    direct = [t for t, (m, l, _) in enumerate(links) if m == l]
+    passed, nulls = [False] * len(links), [None] * len(links)
+    if cross:
+        wide = h[cross] if cfg.N <= cfg.M else h[cross].conj().transpose(0, 2, 1)
+        bases = linalg.null_space_bases(wide, abs(cfg.M - cfg.N), cfg.tol)
+        for t, null in zip(cross, bases):
+            passed[t], nulls[t] = null is not None, null
+    if direct:
+        for t, rank in zip(direct, linalg.numeric_ranks(h[direct], cfg.tol)):
+            passed[t] = rank == min(cfg.M, cfg.N)
+    return passed, nulls
+
+
+def _links(config: NetworkConfig) -> list[tuple[int, int, int]]:
+    return [(m, l, k) for m in range(1, config.L + 1)
+            for l in range(1, config.L + 1) for k in range(1, config.K + 1)]
+
+
 def generate_channels(config: NetworkConfig) -> ChannelSet:
     """Draw the full family of nondegenerate channel matrices.
 
     Each matrix gets its own RNG stream keyed by (seed, m, l, k), so the
     set is bit-reproducible and individual links can be regenerated in
-    isolation with draw_channel.  The cross-link null spaces computed by
-    the nondegeneracy check are kept on the set.
+    isolation with draw_channel.  The links are drawn and checked in
+    stacks (linalg.stack_chunks): one random_matrices call and one stacked
+    check (_link_checks) per stack.  A link that fails is drawn again by
+    draw_channel from the start of its stream, in link order, so it is
+    redrawn, logged and refused as on its own.  The cross-link null spaces
+    computed by the check are kept on the set.
     """
     cfg = config
     channels, nulls = {}, {}
-    for m in range(1, cfg.L + 1):
-        for l in range(1, cfg.L + 1):
-            for k in range(1, cfg.K + 1):
-                h, null = draw_channel(cfg, m, l, k)
-                channels[(m, l, k)] = h
-                if null is not None:
-                    nulls[(m, l, k)] = null
+    for chunk in linalg.stack_chunks(_links(cfg), cfg.N, cfg.M):
+        (h,) = linalg.random_matrices([(cfg.N, cfg.M)], cfg.dist,
+                                      [(cfg.seed, *link) for link in chunk])
+        h.setflags(write=False)
+        for link, h_link, ok, null in zip(chunk, h, *_link_checks(cfg, chunk, h)):
+            if not ok:
+                h_link, null = draw_channel(cfg, *link)
+            channels[link] = h_link
+            if null is not None:
+                nulls[link] = null
     return ChannelSet(cfg, channels, nulls)
 
 
@@ -166,13 +204,14 @@ def draw_channel(config: NetworkConfig, m: int, l: int,
 
     Drawn from the (seed, m, l, k) stream.  A draw that fails the
     nondegeneracy check (numeric rank below min(M, N), probability zero at
-    double precision) is logged and redrawn from the same stream, at most
-    MAX_REDRAWS times; then DegeneracyError names the link.
+    double precision) is redrawn from the same stream, at most MAX_REDRAWS
+    times, with one warning at the first redraw; then DegeneracyError
+    names the link and the count.
     """
     cfg = config
     rng = linalg.seeded_rng(cfg.seed, m, l, k)
     for redraw in range(MAX_REDRAWS + 1):
-        if redraw:
+        if redraw == 1:
             log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
                         "redrawing", m, l, k)
         h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
@@ -238,25 +277,38 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
 def channel_set(config: NetworkConfig,
                 channels: dict[tuple[int, int, int], np.ndarray]) -> ChannelSet:
     """The ChannelSet of ``channels``, keyed (m, l, k) like a draw and made
-    read-only.  Every link must pass a draw's nondegeneracy check, which
-    also gives the cross-link null spaces the set stores."""
+    read-only.  Every link must be a finite N x M matrix, refused naming
+    its (m, l, k) before any link is factored, and must pass a draw's
+    nondegeneracy check, which also gives the cross-link null spaces the
+    set stores.  The check runs in stacks as in generate_channels; the
+    first link in (m, l, k) order that fails it is refused."""
     cfg = config
-    expected = {(m, l, k)
-                for m in range(1, cfg.L + 1)
-                for l in range(1, cfg.L + 1)
-                for k in range(1, cfg.K + 1)}
-    if set(channels) != expected:
+    links = _links(cfg)
+    if set(channels) != set(links):
         raise InputError("channels do not cover exactly the "
-                         f"{len(expected)} (m, l, k) triples of the config")
+                         f"{len(links)} (m, l, k) triples of the config")
+    for link in links:
+        h = channels[link]
+        name = "channel (m={}, l={}, k={})".format(*link)
+        if np.shape(h) != (cfg.N, cfg.M):
+            raise InputError(f"{name} has shape {np.shape(h)}, expected "
+                             f"({cfg.N}, {cfg.M})")
+        if not np.isfinite(h).all():
+            raise InputError(f"{name} has non-finite entries")
+        h.setflags(write=False)
     nulls = {}
-    for m, l, k in sorted(channels):
-        channels[(m, l, k)].setflags(write=False)
-        rank, null = _link_rank(cfg, m, l, channels[(m, l, k)])
-        if rank < min(cfg.M, cfg.N):
-            raise InputError(
-                f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} at "
-                f"rel_rank_tol={cfg.tol.rel_rank_tol}, below min(M, N)="
-                f"{min(cfg.M, cfg.N)}: channels must be nondegenerate")
-        if null is not None:
-            nulls[(m, l, k)] = null
+    for chunk in linalg.stack_chunks(links, cfg.N, cfg.M):
+        h = np.stack([channels[link] for link in chunk])
+        for link, ok, null in zip(chunk, *_link_checks(cfg, chunk, h)):
+            if not ok:
+                m, l, k = link
+                rank, null = _link_rank(cfg, m, l, channels[link])
+                if rank < min(cfg.M, cfg.N):
+                    raise InputError(
+                        f"channel (m={m}, l={l}, k={k}) has numeric rank "
+                        f"{rank} at rel_rank_tol={cfg.tol.rel_rank_tol}, below "
+                        f"min(M, N)={min(cfg.M, cfg.N)}: channels must be "
+                        f"nondegenerate")
+            if null is not None:
+                nulls[link] = null
     return ChannelSet(cfg, channels, nulls)

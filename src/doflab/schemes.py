@@ -147,26 +147,36 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     white.  Each projected cross channel P_m H is then square with a
     beta-dimensional null space, which becomes the precoder of the
     interfering user and is kept on the scheme for verify_scheme.
+
+    Both planes are ranked and orthonormalized as one stack, and the 2K
+    projected cross channels are factored as one stack.  A plane or link
+    that fails a stacked check is done again on its own, in the order
+    above, which raises its error.
     """
     cfg = cs.config
     beta = cfg.beta
     _require_profile(cs, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
+    users = range(1, cfg.K + 1)
+    nulls = {m: [cs.cross_null(m, other_cell(m), k) for k in users]
+             for m in (1, 2)}
+    planes = _alignment_planes(nulls, beta, cfg.tol)
+    stacked_nulls = _projected_nulls(cs, planes)
     projectors = {}
     precoders = {}
     projected_nulls = {}
     for m in (1, 2):
         src = other_cell(m)
-        p = alignment_plane([cs.cross_null(m, src, k)
-                             for k in range(1, cfg.K + 1)], beta, cfg.tol, m)
+        p = planes.get(m)
+        if p is None:
+            p = alignment_plane(nulls[m], beta, cfg.tol, m)
         projectors[m] = p
-        for k in range(1, cfg.K + 1):
-            h = cs.channel(m, src, k)
-            # Threshold anchored to the factor magnitudes (Frobenius upper
-            # bounds the spectral norm): for K=1 the product cancels to
-            # zero entirely and has no scale of its own.
-            null = linalg.null_space_basis(
-                p @ h, cfg.tol, scale=np.linalg.norm(p) * np.linalg.norm(h))
+        for k in users:
+            null = stacked_nulls.get((m, k))
+            if null is None:
+                h = cs.channel(m, src, k)
+                null = linalg.null_space_basis(
+                    p @ h, cfg.tol, scale=_product_scale(p, h))
             if null.dim != beta:
                 raise DegeneracyError(
                     f"projected cross channel (m={m}, l={src}, k={k}) has "
@@ -174,6 +184,56 @@ def build_nsia(cs: ChannelSet) -> Scheme:
             precoders[(src, k)] = null.basis
             projected_nulls[(m, k)] = null
     return Scheme(NSIA, cs, precoders, projectors, projected_nulls)
+
+
+def _product_scale(p: np.ndarray, h: np.ndarray) -> float:
+    # Threshold anchor of P_m H, from the factor magnitudes (Frobenius upper
+    # bounds the spectral norm): for K=1 the product cancels to zero
+    # entirely and has no scale of its own.
+    return np.linalg.norm(p) * np.linalg.norm(h)
+
+
+def _alignment_planes(nulls: dict[int, list[SubspaceBasis]], beta: int,
+                      tol: Tolerance) -> dict[int, np.ndarray]:
+    """The alignment plane of each base station m from its cross null
+    spaces ``nulls[m]``, all planes ranked by one SVD and orthonormalized
+    by one QR per stack.  A plane with a null space of another dimension
+    than beta, or that loses rank, is left out (alignment_plane raises for
+    it)."""
+    ms = [m for m, group in nulls.items()
+          if all(null.dim == beta for null in group)]
+    planes = {}
+    if not ms:
+        return planes
+    rows, cols = len(nulls[ms[0]]) * beta, nulls[ms[0]][0].ambient_dim
+    for chunk in linalg.stack_chunks(ms, rows, cols):
+        q, full_rank = linalg.orthonormalize_rows(
+            np.stack([np.hstack([null.basis for null in nulls[m]]).conj().T
+                      for m in chunk]), tol, stacked=True)
+        planes.update((m, q[i]) for i, m in enumerate(chunk) if full_rank[i])
+    return planes
+
+
+def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
+                     ) -> dict[tuple[int, int], SubspaceBasis]:
+    """The beta-dimensional null space of each projected cross channel
+    P_m H_m,lk, keyed (m, k), for every plane given, from one stacked SVD
+    (linalg.null_space_bases) per stack; a link whose null space is not
+    beta-dimensional, or fails the Gram check, is left out."""
+    cfg = cs.config
+    pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
+    found = {}
+    for chunk in linalg.stack_chunks(pairs, cfg.K * cfg.beta, cfg.M):
+        products, scales = [], []
+        for m, k in chunk:
+            p, h = planes[m], cs.channel(m, other_cell(m), k)
+            products.append(p @ h)
+            scales.append(_product_scale(p, h))
+        bases = linalg.null_space_bases(np.stack(products), cfg.beta, cfg.tol,
+                                        scale=scales)
+        found.update((pair, null) for pair, null in zip(chunk, bases)
+                     if null is not None)
+    return found
 
 
 def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
@@ -191,12 +251,11 @@ def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
             raise DegeneracyError(
                 f"null space of conjugated cross channel (m={m}, l={src}, "
                 f"k={k}) has dimension {null.dim}, expected {beta}")
-    try:
-        return linalg.orthonormalize_rows(
-            np.hstack([null.basis for null in nulls]).conj().T, tol)
-    except RankError as exc:
+    plane = _alignment_planes({m: nulls}, beta, tol).get(m)
+    if plane is None:
         raise DegeneracyError(
-            f"stacked alignment plane at base station {m} lost rank") from exc
+            f"stacked alignment plane at base station {m} lost rank")
+    return plane
 
 
 def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
@@ -240,7 +299,7 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
     residual = 0.0
-    effective_rank = {}
+    desired = []
     null_dims = {} if scheme.projectors is not None else None
     for m in (1, 2):
         src = other_cell(m)
@@ -262,11 +321,10 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
             if scheme.projected_nulls is not None:
                 null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
             elif null_dims is not None:
-                scale = np.linalg.norm(p) * np.linalg.norm(h)
                 null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
-                    cross, cfg.tol, scale=scale)
-        effective_rank[m] = linalg.numeric_rank(desired_matrix(scheme, m),
-                                                cfg.tol)
+                    cross, cfg.tol, scale=_product_scale(p, h))
+        desired.append(desired_matrix(scheme, m))
+    effective_rank = dict(zip((1, 2), linalg.numeric_ranks(desired, cfg.tol)))
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)
     return SchemeReport(

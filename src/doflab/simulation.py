@@ -185,21 +185,41 @@ def interference_limited_rate(scheme: Scheme, rho: float) -> float:
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
+    return _grams_rate(_link_grams(scheme), rho, scheme.channels.config.beta)
+
+
+def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Per cell m, the Gram matrices (H W)(H W)* of user k's desired link
+    and of the other cell's user k's link into m, in user order.
+
+    They do not depend on rho, so one call serves a whole SNR grid.
+    """
     cs = scheme.channels
     schemes.require_two_cells(cs, "the interference-limited rate")
-    cfg = cs.config
-    per_stream_power = rho / cfg.beta
-    total = 0.0
+    grams = []
     for m in (1, 2):
         src = other_cell(m)
-        q_signal = np.zeros((cfg.N, cfg.N), dtype=complex)
-        q_interf = np.zeros((cfg.N, cfg.N), dtype=complex)
-        for k in range(1, cfg.K + 1):
-            hw = cs.channel(m, m, k) @ scheme.precoder(m, k)
-            q_signal += per_stream_power * (hw @ hw.conj().T)
-            hw = cs.channel(m, src, k) @ scheme.precoder(src, k)
-            q_interf += per_stream_power * (hw @ hw.conj().T)
-        eye = np.eye(cfg.N)
+        cell = []
+        for k in range(1, cs.config.K + 1):
+            signal = cs.channel(m, m, k) @ scheme.precoder(m, k)
+            interf = cs.channel(m, src, k) @ scheme.precoder(src, k)
+            cell.append((signal @ signal.conj().T, interf @ interf.conj().T))
+        grams.append(cell)
+    return grams
+
+
+def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
+                beta: int) -> float:
+    per_stream_power = rho / beta
+    total = 0.0
+    for cell in grams:
+        n = cell[0][0].shape[0]
+        q_signal = np.zeros((n, n), dtype=complex)
+        q_interf = np.zeros((n, n), dtype=complex)
+        for signal, interf in cell:
+            q_signal += per_stream_power * signal
+            q_interf += per_stream_power * interf
+        eye = np.eye(n)
         _, num = np.linalg.slogdet(eye + q_interf + q_signal)
         _, den = np.linalg.slogdet(eye + q_interf)
         total += (num - den) / LOG2
@@ -233,13 +253,13 @@ def estimate_dof_slope(scheme: Scheme, grid: SnrGrid = DEFAULT_SNR_GRID,
     ``report``, when given, is the scheme's verify_scheme result and saves
     repeating the verification.
     """
+    beta = scheme.channels.config.beta
     if scheme.name == schemes.RANDOM:
-        rates = [interference_limited_rate(scheme, rho)
-                 for rho in grid.linear]
+        grams = _link_grams(scheme)
+        rates = [_grams_rate(grams, rho, beta) for rho in grid.linear]
     else:
         spectra = _cell_spectra(scheme, report)
-        rates = [_spectra_rate(spectra, rho, scheme.channels.config.beta)
-                 for rho in grid.linear]
+        rates = [_spectra_rate(spectra, rho, beta) for rho in grid.linear]
     slope, intercept, r_squared = _fit_line(np.log2(grid.linear), rates)
     return SlopeEstimate(grid=grid, sum_rates=tuple(rates), slope=slope,
                          intercept=intercept, r_squared=r_squared)

@@ -430,6 +430,20 @@ def test_redraws_stop_at_the_cap(argv):
     assert f"after {MAX_REDRAWS} redraws at rel_rank_tol=0.15" in error
 
 
+def test_a_link_at_the_redraw_cap_warns_once():
+    # the link used to log one warning per redraw: 1000 lines before the
+    # error.  Now one warning names the link and the error gives the count.
+    done = subprocess.run(
+        [sys.executable, "-m", "doflab.cli", "nsia", "--K", "4",
+         "--rel-rank-tol", "0.15"],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "degenerate channel draw at (m=1, l=1, k=1); redrawing",
+        "doflab: error: channel (m=1, l=1, k=1) is still degenerate after "
+        f"{MAX_REDRAWS} redraws at rel_rank_tol=0.15"]
+
+
 FIT_COMMANDS = [["slope", "--scheme", "zf", "--K", "1"], ["sweep", "--K", "1"]]
 
 

@@ -143,6 +143,36 @@ def test_stacked_rank_covers_the_interesting_cases():
     assert anchored.tolist() == [3, 1, 0, 0, 3, 2]
 
 
+@pytest.mark.parametrize("scale", [None, (0.0, 5.0, 1.0, 1.0, 0.0, 3.0)])
+def test_null_space_bases_match_null_space_basis_or_give_none(scale):
+    # a 3x4 slice of rank 3 has a 1-dimensional null space; of the test
+    # stack, the full-rank slices do (the cancelled product too, unless it
+    # is anchored to a scale), the others give None
+    stack = rank_test_stack()
+    per_slice = [None] * len(stack) if scale is None else scale
+    bases = linalg.null_space_bases(stack, 1, TOL, scale)
+    for a, sc, got in zip(stack, per_slice, bases):
+        expected = null_space_basis(a, TOL, sc)
+        if expected.dim != 1:
+            assert got is None
+            continue
+        assert (got.ambient_dim, got.dim) == (4, 1)
+        assert got.basis.strides == expected.basis.strides
+        assert np.array_equal(got.basis, expected.basis)
+    assert [b is None for b in bases] == (
+        [False, True, True, False, False, True] if scale is None
+        else [False, True, True, True, False, True])
+
+
+def test_null_space_bases_give_none_for_a_basis_that_fails_the_gram_check(
+        monkeypatch):
+    stack = np.stack([gaussian(2, 3, 40), gaussian(2, 3, 41)])
+    monkeypatch.setattr(linalg, "orthonormal_columns",
+                        lambda a, stacked: (np.array([True, False]), None))
+    first, second = linalg.null_space_bases(stack, 1, TOL)
+    assert first.dim == 1 and second is None
+
+
 def test_stacked_rank_validates_like_as_matrix():
     bad = rank_test_stack()
     bad[2, 0, 0] = np.nan

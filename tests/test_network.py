@@ -66,6 +66,36 @@ def test_channel_set_refuses_a_rank_deficient_matrix(key):
         channel_set(cs.config, channels)
 
 
+@pytest.mark.parametrize("key, bad", [
+    ((2, 1, 1), lambda h: h.T.copy()),  # a transposed cross link, 2 x 1
+    ((1, 1, 1), lambda h: np.ones((2, 3), dtype=complex)),
+])
+def test_channel_set_refuses_a_matrix_that_is_not_n_by_m(monkeypatch, key, bad):
+    # K=1, M=2, N=1: every link is 1 x 2.  Both used to pass the rank check
+    # and fail only in the scheme build, naming a precoder instead
+    cs = make_set(K=1, M=2, N=1, seed=2)
+    channels = dict(cs.channels)
+    channels[key] = bad(cs.channels[key])
+    svds = []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svds.append(a))
+    name = "channel (m={}, l={}, k={})".format(*key)
+    with pytest.raises(InputError, match=rf"^{re.escape(name)} has shape "
+                                         rf"\({channels[key].shape[0]}, "
+                                         rf"{channels[key].shape[1]}\), "
+                                         rf"expected \(1, 2\)$"):
+        channel_set(cs.config, channels)
+    assert svds == []  # refused before any link is factored
+
+
+def test_channel_set_refuses_non_finite_entries_naming_the_link():
+    cs = make_set(seed=3)
+    channels = {key: h.copy() for key, h in cs.channels.items()}
+    channels[(2, 1, 2)][0, 1] = np.nan
+    with pytest.raises(InputError, match=r"^channel \(m=2, l=1, k=2\) has "
+                                         r"non-finite entries$"):
+        channel_set(cs.config, channels)
+
+
 def test_three_cell_topology_count():
     cs = make_set(L=3, K=2, M=2, N=2)
     assert len(cs.channels) == 18

@@ -1,0 +1,270 @@
+"""The stacked scheme pipeline against a link-by-link reference, bit for bit.
+
+Channel generation, channel replays, the nsia build, verification and the
+random baseline's rate all run as stacked numpy calls over links of equal
+shape.  Each reference below factors, builds and rates one link at a time,
+as the pipeline did before it was stacked; every array, report and rate
+must come out the same to the last bit, in the same memory layout.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from doflab import bounds, linalg, network, schemes, simulation
+from doflab.errors import DegeneracyError
+from doflab.network import NetworkConfig
+
+
+def same(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.shape == b.shape and a.strides == b.strides
+            and np.array_equal(a, b))
+
+
+def reference_generate(cfg: NetworkConfig):
+    channels, nulls = {}, {}
+    for m in range(1, cfg.L + 1):
+        for l in range(1, cfg.L + 1):
+            for k in range(1, cfg.K + 1):
+                channels[(m, l, k)], null = network.draw_channel(cfg, m, l, k)
+                if null is not None:
+                    nulls[(m, l, k)] = null
+    return channels, nulls
+
+
+def reference_replay_nulls(cfg: NetworkConfig, channels: dict):
+    nulls = {}
+    for (m, l, k), h in sorted(channels.items()):
+        rank, null = network._link_rank(cfg, m, l, h)
+        assert rank == min(cfg.M, cfg.N)
+        if null is not None:
+            nulls[(m, l, k)] = null
+    return nulls
+
+
+def reference_nsia(cs):
+    cfg = cs.config
+    planes, precoders = {}, {}
+    for m in (1, 2):
+        src = schemes.other_cell(m)
+        p = linalg.orthonormalize_rows(np.hstack([
+            cs.cross_null(m, src, k).basis
+            for k in range(1, cfg.K + 1)]).conj().T, cfg.tol)
+        planes[m] = p
+        for k in range(1, cfg.K + 1):
+            h = cs.channel(m, src, k)
+            null = linalg.null_space_basis(
+                p @ h, cfg.tol, scale=np.linalg.norm(p) * np.linalg.norm(h))
+            assert null.dim == cfg.beta
+            precoders[(src, k)] = null.basis
+    return planes, precoders
+
+
+def reference_report(scheme) -> dict:
+    cs = scheme.channels
+    cfg = cs.config
+    residual, ranks, null_dims = 0.0, {}, {}
+    for m in (1, 2):
+        src = schemes.other_cell(m)
+        p = scheme.projector(m)
+        for k in range(1, cfg.K + 1):
+            h = cs.channel(m, src, k)
+            cross = h if p is None else p @ h
+            leak = float(np.linalg.norm(cross @ scheme.precoder(src, k))
+                         / np.linalg.norm(h))
+            assert math.isfinite(leak)
+            residual = max(residual, leak)
+            if p is not None:
+                null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
+                    cross, cfg.tol, scale=np.linalg.norm(p) * np.linalg.norm(h))
+        ranks[m] = linalg.numeric_rank(schemes.desired_matrix(scheme, m),
+                                       cfg.tol)
+    kb = cfg.K * cfg.beta
+    return schemes.SchemeReport(
+        scheme=scheme.name, residual_interference=residual,
+        effective_rank=ranks,
+        decodable=(all(r == kb for r in ranks.values())
+                   and residual <= schemes.RESIDUAL_THRESHOLD),
+        null_dims=null_dims or None).to_dict()
+
+
+def reference_interference_rate(scheme, rho: float) -> float:
+    cs = scheme.channels
+    cfg = cs.config
+    power = rho / cfg.beta
+    total = 0.0
+    for m in (1, 2):
+        src = schemes.other_cell(m)
+        q_signal = np.zeros((cfg.N, cfg.N), dtype=complex)
+        q_interf = np.zeros((cfg.N, cfg.N), dtype=complex)
+        for k in range(1, cfg.K + 1):
+            hw = cs.channel(m, m, k) @ scheme.precoder(m, k)
+            q_signal += power * (hw @ hw.conj().T)
+            hw = cs.channel(m, src, k) @ scheme.precoder(src, k)
+            q_interf += power * (hw @ hw.conj().T)
+        eye = np.eye(cfg.N)
+        _, num = np.linalg.slogdet(eye + q_interf + q_signal)
+        _, den = np.linalg.slogdet(eye + q_interf)
+        total += (num - den) / simulation.LOG2
+    return total
+
+
+def assert_same_sets(cs, channels, nulls):
+    assert set(cs.channels) == set(channels)
+    assert set(cs.cross_nulls) == set(nulls)
+    for key, h in channels.items():
+        assert same(cs.channels[key], h)
+        assert not cs.channels[key].flags.writeable
+    for key, null in nulls.items():
+        got = cs.cross_nulls[key]
+        assert (got.ambient_dim, got.dim) == (null.ambient_dim, null.dim)
+        assert same(got.basis, null.basis)
+
+
+def forbid_one_by_one(mp):
+    """Make the one-link fallbacks raise: a stacked check that refuses a
+    healthy link would otherwise hide behind a correct fallback result."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a link or plane fell back to the one-by-one path")
+
+    for module, name in [(network, "draw_channel"), (network, "_link_rank"),
+                         (schemes, "alignment_plane"),
+                         (linalg, "null_space_basis")]:
+        mp.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize("dist", linalg.DISTRIBUTIONS)
+@pytest.mark.parametrize("variant", [bounds.TX_HEAVY, bounds.RX_HEAVY])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_stacked_pipeline_equals_the_link_by_link_reference(
+        monkeypatch, K, beta, variant, dist):
+    M, N = bounds.antenna_profile(K, beta, variant)
+    grid = simulation.DEFAULT_SNR_GRID.linear
+    for seed in (0, 7 * K + beta):
+        cfg = NetworkConfig(L=2, K=K, M=M, N=N, beta=beta, seed=seed,
+                            dist=dist)
+        with monkeypatch.context() as mp:
+            forbid_one_by_one(mp)
+            cs = network.generate_channels(cfg)
+            doc = network.channel_set_to_dict(cs)
+            replay = network.channel_set_from_dict(doc)
+            if variant == bounds.RX_HEAVY:
+                scheme = schemes.build_nsia(cs)
+            else:
+                scheme = schemes.build_zf_precoders(cs)
+                baseline = simulation.random_precoders(cs)
+                baseline_rates = simulation.estimate_dof_slope(baseline).sum_rates
+            report = schemes.verify_scheme(scheme)
+            rates = simulation.estimate_dof_slope(scheme, report=report).sum_rates
+
+        channels, nulls = reference_generate(cfg)
+        assert_same_sets(cs, channels, nulls)
+        copies = {key: h.copy() for key, h in cs.channels.items()}
+        assert_same_sets(replay, channels, reference_replay_nulls(cfg, copies))
+        if variant == bounds.RX_HEAVY:
+            planes, precoders = reference_nsia(cs)
+            for m in (1, 2):
+                assert same(scheme.projector(m), planes[m])
+                for k in range(1, K + 1):
+                    assert scheme.projected_nulls[(m, k)].dim == beta
+        else:
+            precoders = {(l, k): cs.cross_null(3 - l, l, k).basis
+                         for l in (1, 2) for k in range(1, K + 1)}
+            assert baseline_rates == tuple(
+                reference_interference_rate(baseline, rho) for rho in grid)
+            assert baseline_rates[0] == simulation.interference_limited_rate(
+                baseline, grid[0])
+        assert set(scheme.precoders) == set(precoders)
+        for user, w in precoders.items():
+            assert same(scheme.precoder(*user), w)
+        assert report.to_dict() == reference_report(scheme)
+        assert rates == tuple(simulation.sum_rate(scheme, rho, report)
+                              for rho in grid)
+
+
+def test_a_link_that_fails_the_stacked_check_is_redrawn_on_its_own(
+        monkeypatch, caplog):
+    # the stacked check refuses link (1, 2, 1) as if it were degenerate:
+    # draw_channel draws it again from the start of its stream, which gives
+    # the same matrix, warns nothing and leaves the set bit for bit the same
+    cfg = NetworkConfig(L=2, K=2, M=2, N=3, beta=1, seed=5)
+    expected = network.generate_channels(cfg)
+    checks = network._link_checks
+
+    def refusing(config, links, h):
+        passed, nulls = checks(config, links, h)
+        t = links.index((1, 2, 1))
+        passed[t], nulls[t] = False, None
+        return passed, nulls
+
+    drawn = []
+    draw = network.draw_channel
+    monkeypatch.setattr(network, "_link_checks", refusing)
+    monkeypatch.setattr(network, "draw_channel",
+                        lambda *args: drawn.append(args[1:]) or draw(*args))
+    cs = network.generate_channels(cfg)
+    assert drawn == [(1, 2, 1)]
+    assert not caplog.records
+    assert_same_sets(cs, expected.channels, expected.cross_nulls)
+
+
+def test_nsia_plane_that_fails_the_stacked_check_raises_its_error(monkeypatch):
+    # a plane the stacked rank refuses is built again by alignment_plane,
+    # which raises the one-plane error; here both users of base station 2
+    # share one null space, so only its plane loses rank
+    cs = network.generate_channels(NetworkConfig(L=2, K=2, M=2, N=3, beta=1,
+                                                 seed=6))
+    nulls = dict(cs.cross_nulls)
+    nulls[(2, 1, 2)] = nulls[(2, 1, 1)]
+    twin = network.ChannelSet(cs.config, cs.channels, nulls)
+    with pytest.raises(DegeneracyError) as exc:
+        schemes.build_nsia(twin)
+    assert str(exc.value) == "stacked alignment plane at base station 2 lost rank"
+
+
+def test_stacks_split_by_byte_budget(monkeypatch):
+    # at K=32, beta=4 one link and its SVD factors take about 0.8 MB, so
+    # a stack covers two links; every link of K <= 4 fits in one stack
+    assert len(linalg.stack_chunks(list(range(16)), 10, 8)) == 1
+    runs = linalg.stack_chunks(list(range(5)), 132, 128)
+    assert runs == [[0, 1], [2, 3], [4]]
+    monkeypatch.setattr(linalg, "STACK_BYTES", 1)
+    assert linalg.stack_chunks([1, 2], 2, 3) == [[1], [2]]
+
+
+def test_chunked_stacks_equal_one_stack(monkeypatch):
+    # results do not depend on how the links are split into stacks
+    M, N = bounds.antenna_profile(3, 2, bounds.RX_HEAVY)
+    cfg = NetworkConfig(L=2, K=3, M=M, N=N, beta=2, seed=11)
+    whole = network.generate_channels(cfg)
+    scheme = schemes.build_nsia(whole)
+    monkeypatch.setattr(linalg, "STACK_BYTES", 3 * 16 * (M * N + M * M + N * N))
+    split = network.generate_channels(cfg)
+    assert_same_sets(split, whole.channels, whole.cross_nulls)
+    split_scheme = schemes.build_nsia(split)
+    for m in (1, 2):
+        assert same(split_scheme.projector(m), scheme.projector(m))
+    for user, w in scheme.precoders.items():
+        assert same(split_scheme.precoder(*user), w)
+    assert (schemes.verify_scheme(split_scheme).to_dict()
+            == schemes.verify_scheme(scheme).to_dict())
+
+
+def test_verify_ranks_desired_matrices_of_unequal_shapes_apart():
+    # a hand-built scheme whose user (1, 1) sends two streams: cell 1's
+    # desired matrix is 2 x 3 and cell 2's 2 x 2, so they cannot share a
+    # stack, and each is ranked as numeric_rank ranks it alone
+    cs = network.generate_channels(NetworkConfig(L=2, K=2, M=3, N=2, beta=1,
+                                                 seed=8))
+    zf = schemes.build_zf_precoders(cs)
+    precoders = dict(zf.precoders)
+    precoders[(1, 1)] = np.linalg.qr(linalg.random_matrix(
+        3, 2, rng=linalg.seeded_rng(8, 1)))[0]
+    wide = schemes.Scheme(schemes.ZF, cs, precoders)
+    report = schemes.verify_scheme(wide)
+    assert report.effective_rank == {
+        m: linalg.numeric_rank(schemes.desired_matrix(wide, m))
+        for m in (1, 2)}
+    assert report.to_dict() == reference_report(wide)
