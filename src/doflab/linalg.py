@@ -2,6 +2,11 @@
 
 Numeric rank, null/range bases, subspace intersection and seeded random
 matrix generation.  Everything here is a pure function of its inputs.
+The rank rule (_rank_svd), as_matrix and orthonormal_columns broadcast
+over the leading axes of a stack of matrices, as numpy.linalg.svd does;
+null_space_bases reports each matrix's result as arrays, for the caller
+to refuse a failed matrix from.  numeric_rank, null_space_basis,
+range_basis and orthonormalize_rows (unless ``stacked``) take one matrix.
 Every random draw comes from a stream keyed by ``(seed, *subkeys)``:
 random_matrix takes the stream's generator (seeded_rng builds it), and
 random_matrices takes a whole array of keys and seeds their streams in
@@ -102,8 +107,7 @@ class SubspaceBasis:
     ``basis`` has shape (ambient_dim, dim) with orthonormal columns;
     ``dim`` may be zero (the trivial subspace).  ``checked`` skips the
     orthonormality check, for a basis that a stacked Gram check
-    (orthonormal_columns(..., stacked=True)) has passed.  ``==`` is
-    identity.
+    (null_space_bases) has passed.  ``==`` is identity.
     """
 
     ambient_dim: int
@@ -128,17 +132,15 @@ class SubspaceBasis:
                     f"basis columns are not orthonormal (max Gram error {err:.3e})")
 
 
-def orthonormal_columns(a: np.ndarray, stacked: bool = False):
+def orthonormal_columns(a: np.ndarray):
     """(ok, err): err is max |A* A - I|, ok that it is within _ORTHO_TOL.
 
-    With ``stacked``, ``a`` is a (T, rows, cols) stack and ok and err are
-    arrays with one entry per matrix.  A NaN error is never ok.
+    For a stack of matrices over the leading axes, ok and err have one
+    entry per matrix.  A NaN error is never ok.
     """
     gram = np.swapaxes(a.conj(), -1, -2) @ a
     err = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
-    if stacked:
-        return err <= _ORTHO_TOL, err
-    return bool(err <= _ORTHO_TOL), float(err)
+    return err <= _ORTHO_TOL, err
 
 
 @functools.cache
@@ -190,19 +192,21 @@ def one_blas_thread():
         set_threads(previous)
 
 
-def as_matrix(a, name: str = "matrix", stacked: bool = False) -> np.ndarray:
-    """Validate and convert input to a finite 2-D complex array.
-
-    With ``stacked`` the input must instead be a (T, rows, cols) stack of
-    matrices.
-    """
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and convert input to a finite complex array of at least two
+    dimensions: one matrix, or a stack of matrices over the leading axes."""
     arr = np.asarray(a, dtype=np.complex128)
-    ndim = 3 if stacked else 2
-    if arr.ndim != ndim:
-        raise DimensionError(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
+    if arr.ndim < 2:
+        raise DimensionError(f"{name} must be at least 2-D, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
     return arr
+
+
+def _require_one_matrix(a):
+    # the contract of the one-matrix functions: a stack is refused
+    if np.ndim(a) != 2:
+        raise DimensionError(f"matrix must be 2-D, got ndim={np.ndim(a)}")
 
 
 def require_seed(seed: int):
@@ -431,18 +435,17 @@ def random_matrices(shapes, dist: str, keys) -> list[np.ndarray]:
     return _draw_blocks(shapes, dist, len(keys), _streams(keys))
 
 
-def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False,
-              stacked: bool = False):
-    """The rank rule, for one matrix or a (T, rows, cols) stack.
+def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False):
+    """The rank rule, for one matrix or a stack over the leading axes.
 
     Counts the singular values above
     ``tol.absolute(rows, cols, max(sigma_max, scale))``.  Singular values
     are non-negative, so a zero reference gives rank 0.  ``scale`` is a
-    float, or one value per matrix of a stack.  Returns the rank (an int,
-    or an int array over the stack) and, with ``vectors``, the full
-    ``(rank, u, vh)`` of the SVD.
+    float, or one value per matrix of a stack.  Returns the rank (an int
+    array over the leading axes, 0-d for one matrix) and, with
+    ``vectors``, the full ``(rank, u, vh)`` of the SVD.
     """
-    arr = as_matrix(a, stacked=stacked)
+    arr = as_matrix(a)
     rows, cols = arr.shape[-2:]
     if vectors:
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
@@ -450,9 +453,8 @@ def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False,
         s = np.linalg.svd(arr, compute_uv=False)
     ref = s[..., :1]  # sigma_max, kept as an axis so a stack broadcasts
     if scale is not None:
-        ref = np.maximum(ref, np.reshape(scale, (-1, 1)) if stacked else scale)
-    above = s > tol.absolute(rows, cols, ref)
-    rank = above.sum(axis=-1) if stacked else int(np.count_nonzero(above))
+        ref = np.maximum(ref, np.asarray(scale)[..., None])
+    rank = (s > tol.absolute(rows, cols, ref)).sum(axis=-1)
     return (rank, u, vh) if vectors else rank
 
 
@@ -465,7 +467,8 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     singular values may all cancel, otherwise a fully cancelled product
     (entries at rounding level) would still count as rank >= 1.
     """
-    return _rank_svd(a, tol, scale)
+    _require_one_matrix(a)
+    return int(_rank_svd(a, tol, scale))
 
 
 def numeric_ranks(mats, tol: Tolerance = DEFAULT_TOL) -> list[int]:
@@ -478,7 +481,7 @@ def numeric_ranks(mats, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     for shape, group in by_shape.items():
         for chunk in stack_chunks(group, *shape):
             stack = np.stack([mats[i] for i in chunk])
-            for i, rank in zip(chunk, _rank_svd(stack, tol, stacked=True).tolist()):
+            for i, rank in zip(chunk, _rank_svd(stack, tol).tolist()):
                 ranks[i] = rank
     return ranks
 
@@ -492,31 +495,32 @@ def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
     output is deterministic for a given input.  ``scale`` as in
     numeric_rank.
     """
+    _require_one_matrix(a)
     rank, _, vh = _rank_svd(a, tol, scale, vectors=True)
     cols = vh.shape[0]
-    return SubspaceBasis(cols, cols - rank, vh[rank:].conj().T)
+    return SubspaceBasis(cols, cols - int(rank), vh[rank:].conj().T)
 
 
-def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL,
-                     scale=None) -> list[SubspaceBasis | None]:
-    """null_space_basis of each matrix of a (T, rows, cols) stack whose
-    null space has dimension ``dim``, and None for every other matrix.
+def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL, scale=None):
+    """The null spaces of a stack of matrices, expected ``dim``-dimensional,
+    from one SVD: ``(dims, bases, ok)``, arrays over the stack.
 
-    One SVD factors the stack and one stacked Gram check covers the bases,
-    which are bit for bit what null_space_basis gives matrix by matrix.  A
-    basis that fails the check is None as well: null_space_basis, given
-    that matrix alone, raises its RankError.  ``scale`` as in numeric_rank,
-    one value per matrix.  The bases share one array that holds only the
-    null-space rows, so they keep no factor of the stack alive.
+    ``dims`` is each matrix's null dimension and ``bases`` its last ``dim``
+    right singular vectors as columns: where dims is ``dim``, bit for bit
+    null_space_basis's basis.  ``ok`` marks the matrices whose null
+    dimension is ``dim`` and whose basis passes one stacked Gram check
+    (SubspaceBasis raises the RankError of a basis that failed it).
+    ``scale`` as in numeric_rank, one value per matrix.  ``bases`` holds
+    only the null-space rows, so it keeps no factor of the stack alive.
     """
-    rank, _, vh = _rank_svd(a, tol, scale, vectors=True, stacked=True)
+    rank, _, vh = _rank_svd(a, tol, scale, vectors=True)
     cols = vh.shape[-1]
-    bases = vh[:, cols - dim:].conj().transpose(0, 2, 1)
-    ok = rank == cols - dim
+    dims = cols - rank
+    bases = np.swapaxes(vh[..., cols - dim:, :].conj(), -1, -2)
+    ok = dims == dim
     if dim:
-        ok &= orthonormal_columns(bases, stacked=True)[0]
-    return [SubspaceBasis(cols, dim, basis, checked=True) if good else None
-            for good, basis in zip(ok.tolist(), bases)]
+        ok &= orthonormal_columns(bases)[0]
+    return dims, bases, ok
 
 
 def stack_chunks(items: list, rows: int, cols: int) -> list[list]:
@@ -530,8 +534,9 @@ def stack_chunks(items: list, rows: int, cols: int) -> list[list]:
 
 def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the column space (range) of A."""
+    _require_one_matrix(a)
     rank, u, _ = _rank_svd(a, tol, vectors=True)
-    return SubspaceBasis(u.shape[0], rank, u[:, :rank])
+    return SubspaceBasis(u.shape[0], int(rank), u[:, :rank])
 
 
 def intersection_dim(u: SubspaceBasis, v: SubspaceBasis,
@@ -557,12 +562,15 @@ def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL,
     Pi is the inverse of the (conjugated) triangular QR factor, so it is
     invertible whenever A has full row rank; rank-deficient input is
     rejected rather than silently truncated.  With ``stacked``, ``a`` is a
-    (T, rows, cols) stack, ranked and factored by one call each, and the
-    result is ``(q, full_rank)``: ``full_rank`` marks the matrices of the
-    stack whose ``q`` slice may be used, in place of the RankError.
+    stack of matrices over the leading axes, ranked and factored by one
+    call each, and the result is ``(q, full_rank)``: ``full_rank`` marks
+    the matrices of the stack whose ``q`` slice may be used, in place of
+    the RankError.
     """
-    arr = as_matrix(a, stacked=stacked)
-    full_rank = _rank_svd(arr, tol, stacked=stacked) == arr.shape[-2]
+    if not stacked:
+        _require_one_matrix(a)
+    arr = as_matrix(a)
+    full_rank = _rank_svd(arr, tol) == arr.shape[-2]
     if not stacked and not full_rank:
         raise RankError(f"matrix of shape {arr.shape} is not full row rank")
     q, _ = np.linalg.qr(np.swapaxes(arr.conj(), -1, -2))

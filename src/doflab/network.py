@@ -10,6 +10,7 @@ interfaces, matching the usual lk subscript convention.
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,9 +85,9 @@ class ChannelSet:
 
     ``cross_nulls`` holds the factor of each cross link (m != l) that the
     schemes build from, keyed like ``channels``: the null space of its wide
-    orientation (cross_null_space).  generate_channels and channel_set
-    store it while checking the link, so no link is factored after the set
-    is built.  ``==`` is identity.
+    orientation (_link_checks).  generate_channels and channel_set store it
+    while checking the link, so no link is factored after the set is
+    built.  ``==`` is identity.
     """
 
     config: NetworkConfig
@@ -112,56 +113,41 @@ class ChannelSet:
         return self.cross_nulls[(m, l, k)]
 
 
-def cross_null_space(h: np.ndarray, tol: Tolerance) -> SubspaceBasis:
-    """Null space of ``h`` when it has no more rows than columns, else of
-    its conjugate transpose ``h*``.
+def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
+                 h: np.ndarray) -> Iterator[tuple[int, SubspaceBasis | None]]:
+    """The nondegeneracy check of a stack of links, link by link: yields,
+    for each link (m, l, k) with matrix h[t] in order, its numeric rank
+    and, for a cross link of full rank min(M, N), the null space of its
+    wide orientation (H when it has no more rows than columns, else H*;
+    None for any other link).
 
     Zero forcing precodes in null(H) (N < M); null-space alignment stacks
     the null spaces of H* into its planes (N > M).  Either way the
-    dimension is |M - N| exactly when h has full rank.
-    """
-    wide = h if h.shape[0] <= h.shape[1] else h.conj().T
-    return linalg.null_space_basis(wide, tol)
-
-
-def _link_rank(config: NetworkConfig, m: int, l: int,
-               h: np.ndarray) -> tuple[int, SubspaceBasis | None]:
-    """Numeric rank of link (m, l) and, for a cross link, its null space.
-
-    A cross link's rank comes from the SVD that also gives the null space
-    the schemes need; a direct link's factors are never read, so it gets
-    the cheaper singular-values-only rank.
-    """
-    if m == l:
-        return linalg.numeric_rank(h, config.tol), None
-    null = cross_null_space(h, config.tol)
-    return null.ambient_dim - null.dim, null
-
-
-def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
-                 h: np.ndarray) -> tuple[list[bool], list[SubspaceBasis | None]]:
-    """The nondegeneracy check of a stack of links: for each link (m, l, k)
-    with matrix h[t], whether it passed (rank min(M, N)) and, for a cross
-    link that passed, its null space (cross_null_space).
-
-    One full SVD covers the cross links' wide orientations and one
-    singular-values-only SVD the direct links, as _link_rank does link by
-    link and with the same bits.  A cross link whose basis fails the Gram
-    check does not pass either.
+    dimension is |M - N| exactly when the link has full rank.  One full
+    SVD covers the cross links' wide orientations and one singular-values-
+    only SVD the direct links, whose factors nothing reads; both run
+    before the first link is yielded.  A basis that failed the stacked
+    Gram check raises its RankError when its link is reached, so a caller
+    that handles the links in order meets every refusal in link order.
     """
     cfg = config
+    dim = abs(cfg.M - cfg.N)
     cross = [t for t, (m, l, _) in enumerate(links) if m != l]
     direct = [t for t, (m, l, _) in enumerate(links) if m == l]
-    passed, nulls = [False] * len(links), [None] * len(links)
+    ranks = np.empty(len(links), dtype=int)
+    ranks[direct] = linalg.numeric_ranks(h[direct], cfg.tol)
+    bases = {}
     if cross:
         wide = h[cross] if cfg.N <= cfg.M else h[cross].conj().transpose(0, 2, 1)
-        bases = linalg.null_space_bases(wide, abs(cfg.M - cfg.N), cfg.tol)
-        for t, null in zip(cross, bases):
-            passed[t], nulls[t] = null is not None, null
-    if direct:
-        for t, rank in zip(direct, linalg.numeric_ranks(h[direct], cfg.tol)):
-            passed[t] = rank == min(cfg.M, cfg.N)
-    return passed, nulls
+        dims, stack, ok = linalg.null_space_bases(wide, dim, cfg.tol)
+        ranks[cross] = wide.shape[-1] - dims
+        bases = dict(zip(cross, zip(stack, ok.tolist())))
+    for t, rank in enumerate(ranks.tolist()):
+        null = None
+        if t in bases and rank == min(cfg.M, cfg.N):
+            basis, good = bases[t]
+            null = SubspaceBasis(basis.shape[0], dim, basis, checked=good)
+        yield rank, null
 
 
 def _links(config: NetworkConfig) -> list[tuple[int, int, int]]:
@@ -176,8 +162,8 @@ def generate_channels(config: NetworkConfig) -> ChannelSet:
     set is bit-reproducible and individual links can be regenerated in
     isolation with draw_channel.  The links are drawn and checked in
     stacks (linalg.stack_chunks): one random_matrices call and one stacked
-    check (_link_checks) per stack.  A link that fails is drawn again by
-    draw_channel from the start of its stream, in link order, so it is
+    check (_link_checks) per stack.  A rank-deficient link is drawn again
+    by draw_channel from the start of its stream, in link order, so it is
     redrawn, logged and refused as on its own.  The cross-link null spaces
     computed by the check are kept on the set.
     """
@@ -187,8 +173,9 @@ def generate_channels(config: NetworkConfig) -> ChannelSet:
         (h,) = linalg.random_matrices([(cfg.N, cfg.M)], cfg.dist,
                                       [(cfg.seed, *link) for link in chunk])
         h.setflags(write=False)
-        for link, h_link, ok, null in zip(chunk, h, *_link_checks(cfg, chunk, h)):
-            if not ok:
+        for link, h_link, (rank, null) in zip(chunk, h,
+                                              _link_checks(cfg, chunk, h)):
+            if rank < min(cfg.M, cfg.N):
                 h_link, null = draw_channel(cfg, *link)
             channels[link] = h_link
             if null is not None:
@@ -200,7 +187,7 @@ def draw_channel(config: NetworkConfig, m: int, l: int,
                  k: int) -> tuple[np.ndarray, SubspaceBasis | None]:
     """Channel from user (l, k) to base station m, read-only, and for a
     cross link (m != l) the null space of its wide orientation
-    (cross_null_space; None for a direct link).
+    (_link_checks, on a stack of one; None for a direct link).
 
     Drawn from the (seed, m, l, k) stream.  A draw that fails the
     nondegeneracy check (numeric rank below min(M, N), probability zero at
@@ -215,7 +202,7 @@ def draw_channel(config: NetworkConfig, m: int, l: int,
             log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
                         "redrawing", m, l, k)
         h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-        rank, null = _link_rank(cfg, m, l, h)
+        ((rank, null),) = _link_checks(cfg, [(m, l, k)], h[None])
         if rank == min(cfg.M, cfg.N):
             h.setflags(write=False)
             return h, null
@@ -239,7 +226,14 @@ def channel_set_to_dict(cs: ChannelSet) -> dict:
 
 def channel_set_from_dict(doc: dict) -> ChannelSet:
     """Rebuild a ChannelSet from the document format above (channel_set
-    checks the links)."""
+    checks the links).
+
+    Each (m, l, k) may appear once.  A link whose largest real or
+    imaginary part is above 1e150 in magnitude, or nonzero and below
+    1e-150, is refused: the products and norms the schemes form of two
+    links must stay within double precision.  An all-zero link is left to
+    channel_set's rank check.
+    """
     if not isinstance(doc, dict) or set(doc) != {"config", "channels"}:
         raise InputError("channel document must be a JSON object with "
                          "exactly the keys 'config' and 'channels'")
@@ -257,6 +251,8 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
             raise InputError(f"channel indices (m, l, k) must be integers, "
                              f"got {index!r}")
         name = "channel (m={}, l={}, k={})".format(*index)
+        if index in channels:
+            raise InputError(f"{name} is listed more than once")
         try:
             real, imag = (np.asarray(entry[part], dtype=float)
                           for part in ("re", "im"))
@@ -270,6 +266,11 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
                                  f"expected ({cfg.N}, {cfg.M})")
             if not np.isfinite(values).all():
                 raise InputError(f"{name} has non-finite entries")
+        peak = max(np.abs(real).max(), np.abs(imag).max())
+        if peak > 1e150 or 0 < peak < 1e-150:
+            raise InputError(
+                f"{name} has entries of magnitude up to {peak:.3e}, outside "
+                f"the supported range [1e-150, 1e150]")
         channels[index] = real + 1j * imag
     return channel_set(cfg, channels)
 
@@ -281,7 +282,8 @@ def channel_set(config: NetworkConfig,
     its (m, l, k) before any link is factored, and must pass a draw's
     nondegeneracy check, which also gives the cross-link null spaces the
     set stores.  The check runs in stacks as in generate_channels; the
-    first link in (m, l, k) order that fails it is refused."""
+    first link in (m, l, k) order that fails it is refused, from the
+    stack's own result."""
     cfg = config
     links = _links(cfg)
     if set(channels) != set(links):
@@ -299,16 +301,13 @@ def channel_set(config: NetworkConfig,
     nulls = {}
     for chunk in linalg.stack_chunks(links, cfg.N, cfg.M):
         h = np.stack([channels[link] for link in chunk])
-        for link, ok, null in zip(chunk, *_link_checks(cfg, chunk, h)):
-            if not ok:
-                m, l, k = link
-                rank, null = _link_rank(cfg, m, l, channels[link])
-                if rank < min(cfg.M, cfg.N):
-                    raise InputError(
-                        f"channel (m={m}, l={l}, k={k}) has numeric rank "
-                        f"{rank} at rel_rank_tol={cfg.tol.rel_rank_tol}, below "
-                        f"min(M, N)={min(cfg.M, cfg.N)}: channels must be "
-                        f"nondegenerate")
+        for (m, l, k), (rank, null) in zip(chunk, _link_checks(cfg, chunk, h)):
+            if rank < min(cfg.M, cfg.N):
+                raise InputError(
+                    f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} "
+                    f"at rel_rank_tol={cfg.tol.rel_rank_tol}, below "
+                    f"min(M, N)={min(cfg.M, cfg.N)}: channels must be "
+                    f"nondegenerate")
             if null is not None:
-                nulls[link] = null
+                nulls[(m, l, k)] = null
     return ChannelSet(cfg, channels, nulls)

@@ -149,41 +149,37 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     interfering user and is kept on the scheme for verify_scheme.
 
     Both planes are ranked and orthonormalized as one stack, and the 2K
-    projected cross channels are factored as one stack.  A plane or link
-    that fails a stacked check is done again on its own, in the order
-    above, which raises its error.
+    projected cross channels are factored as one stack.  Each stacked
+    check reports every plane and link it refuses, and the errors are
+    raised from those results base station by base station: the plane's
+    first, then its projected links' in user order.
     """
     cfg = cs.config
     beta = cfg.beta
     _require_profile(cs, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
     users = range(1, cfg.K + 1)
-    nulls = {m: [cs.cross_null(m, other_cell(m), k) for k in users]
-             for m in (1, 2)}
-    planes = _alignment_planes(nulls, beta, cfg.tol)
-    stacked_nulls = _projected_nulls(cs, planes)
-    projectors = {}
+    planes = alignment_planes(
+        {m: [cs.cross_null(m, other_cell(m), k) for k in users] for m in (1, 2)},
+        beta, cfg.tol)
+    projected = _projected_nulls(cs, {m: p for m, p in planes.items()
+                                      if isinstance(p, np.ndarray)})
     precoders = {}
     projected_nulls = {}
     for m in (1, 2):
+        if isinstance(planes[m], DegeneracyError):
+            raise planes[m]
         src = other_cell(m)
-        p = planes.get(m)
-        if p is None:
-            p = alignment_plane(nulls[m], beta, cfg.tol, m)
-        projectors[m] = p
         for k in users:
-            null = stacked_nulls.get((m, k))
-            if null is None:
-                h = cs.channel(m, src, k)
-                null = linalg.null_space_basis(
-                    p @ h, cfg.tol, scale=_product_scale(p, h))
-            if null.dim != beta:
+            dim, basis, ok = projected[(m, k)]
+            if dim != beta:
                 raise DegeneracyError(
                     f"projected cross channel (m={m}, l={src}, k={k}) has "
-                    f"null dimension {null.dim}, expected {beta}")
+                    f"null dimension {dim}, expected {beta}")
+            null = SubspaceBasis(basis.shape[0], beta, basis, checked=ok)
             precoders[(src, k)] = null.basis
             projected_nulls[(m, k)] = null
-    return Scheme(NSIA, cs, precoders, projectors, projected_nulls)
+    return Scheme(NSIA, cs, precoders, planes, projected_nulls)
 
 
 def _product_scale(p: np.ndarray, h: np.ndarray) -> float:
@@ -193,33 +189,47 @@ def _product_scale(p: np.ndarray, h: np.ndarray) -> float:
     return np.linalg.norm(p) * np.linalg.norm(h)
 
 
-def _alignment_planes(nulls: dict[int, list[SubspaceBasis]], beta: int,
-                      tol: Tolerance) -> dict[int, np.ndarray]:
-    """The alignment plane of each base station m from its cross null
-    spaces ``nulls[m]``, all planes ranked by one SVD and orthonormalized
-    by one QR per stack.  A plane with a null space of another dimension
-    than beta, or that loses rank, is left out (alignment_plane raises for
-    it)."""
-    ms = [m for m, group in nulls.items()
-          if all(null.dim == beta for null in group)]
+def alignment_planes(nulls: dict[int, list[SubspaceBasis]], beta: int,
+                     tol: Tolerance) -> dict[int, np.ndarray | DegeneracyError]:
+    """The row-orthonormal alignment plane P_m of each base station m, or
+    the DegeneracyError that refuses it, for the caller to raise in its
+    own order.
+
+    ``nulls[m]`` holds the null spaces of the conjugated cross channels
+    H*_m,lk of the other cell's users in user order (ChannelSet.cross_null).
+    Each needs dimension beta; user k's basis fills rows
+    (k-1)*beta+1 .. k*beta of P_m.  All planes are ranked by one SVD and
+    orthonormalized by one QR per stack (linalg.stack_chunks); a plane
+    that loses rank is refused.
+    """
     planes = {}
-    if not ms:
-        return planes
-    rows, cols = len(nulls[ms[0]]) * beta, nulls[ms[0]][0].ambient_dim
-    for chunk in linalg.stack_chunks(ms, rows, cols):
+    for m, group in nulls.items():
+        for k, null in enumerate(group, start=1):
+            if null.dim != beta:
+                planes[m] = DegeneracyError(
+                    f"null space of conjugated cross channel (m={m}, "
+                    f"l={other_cell(m)}, k={k}) has dimension {null.dim}, "
+                    f"expected {beta}")
+                break
+    ms = [m for m in nulls if m not in planes]
+    group = next(iter(nulls.values()))
+    for chunk in linalg.stack_chunks(ms, len(group) * beta,
+                                     group[0].ambient_dim):
         q, full_rank = linalg.orthonormalize_rows(
             np.stack([np.hstack([null.basis for null in nulls[m]]).conj().T
                       for m in chunk]), tol, stacked=True)
-        planes.update((m, q[i]) for i, m in enumerate(chunk) if full_rank[i])
+        for m, plane, good in zip(chunk, q, full_rank.tolist()):
+            planes[m] = plane if good else DegeneracyError(
+                f"stacked alignment plane at base station {m} lost rank")
     return planes
 
 
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
-                     ) -> dict[tuple[int, int], SubspaceBasis]:
-    """The beta-dimensional null space of each projected cross channel
-    P_m H_m,lk, keyed (m, k), for every plane given, from one stacked SVD
-    (linalg.null_space_bases) per stack; a link whose null space is not
-    beta-dimensional, or fails the Gram check, is left out."""
+                     ) -> dict[tuple[int, int], tuple[int, np.ndarray, bool]]:
+    """linalg.null_space_bases of each projected cross channel P_m H_m,lk,
+    keyed (m, k), for every plane given, from one stacked SVD per stack:
+    its null dimension, its beta-column basis and whether that is its null
+    space and passed the Gram check."""
     cfg = cs.config
     pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
     found = {}
@@ -229,33 +239,10 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
             p, h = planes[m], cs.channel(m, other_cell(m), k)
             products.append(p @ h)
             scales.append(_product_scale(p, h))
-        bases = linalg.null_space_bases(np.stack(products), cfg.beta, cfg.tol,
-                                        scale=scales)
-        found.update((pair, null) for pair, null in zip(chunk, bases)
-                     if null is not None)
+        dims, bases, ok = linalg.null_space_bases(
+            np.stack(products), cfg.beta, cfg.tol, scale=scales)
+        found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
     return found
-
-
-def alignment_plane(nulls: list[SubspaceBasis], beta: int, tol: Tolerance,
-                    m: int) -> np.ndarray:
-    """Row-orthonormal alignment plane P_m of base station m.
-
-    ``nulls`` holds the null spaces of the conjugated cross channels
-    H*_m,lk of the other cell's users in user order (ChannelSet.cross_null).
-    Each needs dimension beta; user k's basis fills rows
-    (k-1)*beta+1 .. k*beta of P_m.
-    """
-    src = other_cell(m)
-    for k, null in enumerate(nulls, start=1):
-        if null.dim != beta:
-            raise DegeneracyError(
-                f"null space of conjugated cross channel (m={m}, l={src}, "
-                f"k={k}) has dimension {null.dim}, expected {beta}")
-    plane = _alignment_planes({m: nulls}, beta, tol).get(m)
-    if plane is None:
-        raise DegeneracyError(
-            f"stacked alignment plane at base station {m} lost rank")
-    return plane
 
 
 def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):

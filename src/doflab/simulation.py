@@ -309,7 +309,7 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     def chunk_passes(chunk: range) -> int:
         a, b = linalg.random_matrices([(m, n), (n, l)], dist,
                                       [(seed, i) for i in chunk])
-        ranks = linalg._rank_svd(a @ b, tol, stacked=True)
+        ranks = linalg._rank_svd(a @ b, tol)
         return int(np.count_nonzero(ranks == min(m, l)))
 
     passes = _count_passes(chunk_passes, trials)
@@ -324,9 +324,9 @@ def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
     and V of null(P), evaluated per group of trials with equal dims.
     """
     scale = np.linalg.norm(p, axis=(1, 2)) * np.linalg.norm(h, axis=(1, 2))
-    lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, scale, stacked=True)
-    rank_h, u, _ = linalg._rank_svd(h, tol, vectors=True, stacked=True)
-    rank_p, _, vh = linalg._rank_svd(p, tol, vectors=True, stacked=True)
+    lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, scale)
+    rank_h, u, _ = linalg._rank_svd(h, tol, vectors=True)
+    rank_p, _, vh = linalg._rank_svd(p, tol, vectors=True)
     null_p = p.shape[2] - rank_p
     rhs = np.zeros_like(lhs)
     for dim_u, dim_v in set(zip(rank_h.tolist(), null_p.tolist())):
@@ -336,7 +336,7 @@ def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
         bases = np.concatenate(
             [u[group, :, :dim_u],
              vh[group, p.shape[2] - dim_v:].conj().transpose(0, 2, 1)], axis=2)
-        rhs[group] = dim_u + dim_v - linalg._rank_svd(bases, tol, stacked=True)
+        rhs[group] = dim_u + dim_v - linalg._rank_svd(bases, tol)
     return lhs == rhs
 
 
@@ -374,11 +374,11 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
 
     def redraw(i: int) -> tuple[np.ndarray, np.ndarray]:
         # one trial's draws in stream order, for a chunk whose stacked draw
-        # of H came out rank-deficient
+        # of H came out rank-deficient, checked by the same rank rule
         rng = linalg.seeded_rng(seed, i)
         for _ in range(MAX_REDRAWS + 1):
             h = linalg.random_matrix(N, M, dist, rng)
-            if linalg.numeric_rank(h, tol) == M:
+            if linalg._rank_svd(h, tol) == M:
                 return h, linalg.random_matrix(M, N, dist, rng)
         raise DegeneracyError(
             f"H of trial {i} is still rank-deficient after {MAX_REDRAWS} "
@@ -387,7 +387,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         h, p = linalg.random_matrices([(N, M), (M, N)], dist,
                                       [(seed, i) for i in chunk])
-        for t in np.flatnonzero(linalg._rank_svd(h, tol, stacked=True) < M):
+        for t in np.flatnonzero(linalg._rank_svd(h, tol) < M):
             h[t], p[t] = redraw(chunk[t])
         return h, p
 
@@ -397,8 +397,11 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # exactly where a one-trial-at-a-time run would
         cfg = replace(config, seed=sub_seed)
         cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
-        return cross[0][0], schemes.alignment_plane(
-            [null for _, null in cross], beta, tol, 1)
+        plane = schemes.alignment_planes({1: [null for _, null in cross]},
+                                         beta, tol)[1]
+        if isinstance(plane, DegeneracyError):
+            raise plane
+        return cross[0][0], plane
 
     def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         # only P_1 and H_1,21 enter the verdict, so only the channels from
@@ -409,18 +412,16 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         (h,) = linalg.random_matrices(
             [(N, M)], dist, [(sub_seed, 1, 2, k) for sub_seed in sub_seeds
                              for k in range(1, users + 1)])
-        # cross_null_space: the null space of each H* is the last N - M
-        # rows of its vh, of dimension beta exactly when H* has rank M
-        rank, _, vh = linalg._rank_svd(h.conj().transpose(0, 2, 1), tol,
-                                       vectors=True, stacked=True)
-        nulls = vh[:, M:]
-        ok = (rank == M) & linalg.orthonormal_columns(
-            nulls.conj().transpose(0, 2, 1), stacked=True)[0]
+        # draw_channel's check: the null space of each H*, which passes
+        # when it is beta-dimensional and orthonormal
+        _, nulls, ok = linalg.null_space_bases(h.conj().transpose(0, 2, 1),
+                                               beta, tol)
         ok = ok.reshape(-1, users).all(axis=1)
-        # alignment_plane: user k's basis, conjugate-transposed, fills rows
+        # alignment_planes: user k's basis, conjugate-transposed, fills rows
         # (k-1)*beta+1 .. k*beta of the plane
         planes, full_rank = linalg.orthonormalize_rows(
-            nulls.reshape(-1, M, N), tol, stacked=True)
+            nulls.conj().transpose(0, 2, 1).reshape(-1, M, N), tol,
+            stacked=True)
         ok &= full_rank
         planes = np.ascontiguousarray(planes)
         h = np.ascontiguousarray(h.reshape(-1, users, N, M)[:, 0])

@@ -308,9 +308,10 @@ def test_replay_at_another_profile_exits_1(tmp_path, capsys):
     assert run(["nsia", "--channels", str(dump)]) == 1
 
 
-def scaled_dump(tmp_path, capsys, factor, mutate=None):
+def scaled_dump(tmp_path, capsys, factor, mutate=None, scheme="zf"):
     dump = tmp_path / "channels.json"
-    assert run(["zf", "--K", "2", "--seed", "3", "--dump-channels", str(dump)]) == 0
+    assert run([scheme, "--K", "2", "--seed", "3",
+                "--dump-channels", str(dump)]) == 0
     capsys.readouterr()
     doc = json.loads(dump.read_text())
     for entry in doc["channels"]:
@@ -324,11 +325,35 @@ def scaled_dump(tmp_path, capsys, factor, mutate=None):
 
 @pytest.mark.parametrize("factor", [1e200, 1e-200])
 def test_replay_with_non_finite_leakage_exits_1(tmp_path, capsys, factor):
+    # the loader refuses the first link out of range before any leakage
+    # is formed
     dump = scaled_dump(tmp_path, capsys, factor)
     assert run(["zf", "--channels", str(dump), "--assert"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "cross link (m=1, l=2, k=1)" in captured.err
+    assert "channel (m=1, l=1, k=1) has entries of magnitude up to" in captured.err
+    assert "outside the supported range [1e-150, 1e150]" in captured.err
+
+
+@pytest.mark.parametrize("scheme", ["zf", "nsia"])
+@pytest.mark.parametrize("factor", [1e149, 1e-149])
+def test_replay_inside_the_magnitude_range_verifies(tmp_path, capsys, scheme,
+                                                    factor):
+    dump = scaled_dump(tmp_path, capsys, factor, scheme=scheme)
+    assert run([scheme, "--channels", str(dump), "--assert"]) == 0
+
+
+def test_nsia_replay_beyond_the_magnitude_range_exits_1(tmp_path, capsys):
+    # at 1e154 the projected links' norm overflows: without the range
+    # check, numpy warned of the overflow and the build refused a projected
+    # null dimension of 2
+    dump = scaled_dump(tmp_path, capsys, 1e154, scheme="nsia")
+    assert run(["nsia", "--channels", str(dump), "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "doflab: error: channel (m=1, l=1, k=1) has entries of magnitude up to")
+    assert "null dimension" not in captured.err
 
 
 def test_replay_rejects_nan_entries(tmp_path, capsys):

@@ -130,16 +130,16 @@ def rank_test_stack():
 def test_stacked_rank_matches_numeric_rank_slice_by_slice(scale):
     stack = rank_test_stack()
     per_slice = np.broadcast_to(np.nan if scale is None else scale, len(stack))
-    ranks = linalg._rank_svd(stack, TOL, scale, stacked=True)
+    ranks = linalg._rank_svd(stack, TOL, scale)
     expected = [numeric_rank(a, TOL, None if scale is None else float(sc))
                 for a, sc in zip(stack, per_slice)]
     assert ranks.tolist() == expected
 
 
 def test_stacked_rank_covers_the_interesting_cases():
-    ranks = linalg._rank_svd(rank_test_stack(), TOL, stacked=True).tolist()
+    ranks = linalg._rank_svd(rank_test_stack(), TOL).tolist()
     assert ranks == [3, 1, 0, 3, 3, 2]
-    anchored = linalg._rank_svd(rank_test_stack(), TOL, 1.0, stacked=True)
+    anchored = linalg._rank_svd(rank_test_stack(), TOL, 1.0)
     assert anchored.tolist() == [3, 1, 0, 0, 3, 2]
 
 
@@ -147,41 +147,43 @@ def test_stacked_rank_covers_the_interesting_cases():
 def test_null_space_bases_match_null_space_basis_or_give_none(scale):
     # a 3x4 slice of rank 3 has a 1-dimensional null space; of the test
     # stack, the full-rank slices do (the cancelled product too, unless it
-    # is anchored to a scale), the others give None
+    # is anchored to a scale), the others are not ok
     stack = rank_test_stack()
     per_slice = [None] * len(stack) if scale is None else scale
-    bases = linalg.null_space_bases(stack, 1, TOL, scale)
-    for a, sc, got in zip(stack, per_slice, bases):
+    dims, bases, ok = linalg.null_space_bases(stack, 1, TOL, scale)
+    assert bases.shape == (len(stack), 4, 1)
+    for a, sc, dim, got, good in zip(stack, per_slice, dims, bases, ok):
         expected = null_space_basis(a, TOL, sc)
-        if expected.dim != 1:
-            assert got is None
-            continue
-        assert (got.ambient_dim, got.dim) == (4, 1)
-        assert got.basis.strides == expected.basis.strides
-        assert np.array_equal(got.basis, expected.basis)
-    assert [b is None for b in bases] == (
-        [False, True, True, False, False, True] if scale is None
-        else [False, True, True, True, False, True])
+        assert dim == expected.dim
+        assert good == (expected.dim == 1)
+        if good:
+            assert got.strides == expected.basis.strides
+            assert np.array_equal(got, expected.basis)
+    assert ok.tolist() == (
+        [True, False, False, True, True, False] if scale is None
+        else [True, False, False, False, True, False])
 
 
 def test_null_space_bases_give_none_for_a_basis_that_fails_the_gram_check(
         monkeypatch):
     stack = np.stack([gaussian(2, 3, 40), gaussian(2, 3, 41)])
     monkeypatch.setattr(linalg, "orthonormal_columns",
-                        lambda a, stacked: (np.array([True, False]), None))
-    first, second = linalg.null_space_bases(stack, 1, TOL)
-    assert first.dim == 1 and second is None
+                        lambda a: (np.array([True, False]), None))
+    dims, _, ok = linalg.null_space_bases(stack, 1, TOL)
+    assert dims.tolist() == [1, 1] and ok.tolist() == [True, False]
 
 
 def test_stacked_rank_validates_like_as_matrix():
     bad = rank_test_stack()
     bad[2, 0, 0] = np.nan
     with pytest.raises(InputError):
-        linalg._rank_svd(bad, TOL, stacked=True)
+        linalg._rank_svd(bad, TOL)
     with pytest.raises(DimensionError):
-        linalg._rank_svd(np.zeros((2, 3)), TOL, stacked=True)
-    with pytest.raises(DimensionError):
-        numeric_rank(np.zeros((2, 2, 3)), TOL)
+        linalg._rank_svd(np.zeros(3), TOL)
+    # the one-matrix functions refuse a stack
+    for one_matrix in (numeric_rank, null_space_basis, orthonormalize_rows):
+        with pytest.raises(DimensionError):
+            one_matrix(np.zeros((2, 2, 3)), TOL)
 
 
 @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
@@ -412,11 +414,11 @@ def test_stacked_orthonormalize_rows_matches_each_matrix_and_marks_rank():
 def test_stacked_orthonormal_columns_matches_each_matrix():
     q, _ = np.linalg.qr(gaussian(3, 2, 25))
     stack = np.stack([q, 2 * q, np.full((3, 2), np.nan)])
-    ok, err = linalg.orthonormal_columns(stack, stacked=True)
+    ok, err = linalg.orthonormal_columns(stack)
     assert ok.tolist() == [True, False, False]  # a NaN Gram error is not ok
     for t in range(2):
         assert (ok[t], err[t]) == linalg.orthonormal_columns(stack[t])
-    assert np.isnan(err[2]) and linalg.orthonormal_columns(stack[2])[0] is False
+    assert np.isnan(err[2]) and not linalg.orthonormal_columns(stack[2])[0]
 
 
 # ---------------------------------------------------------------------------

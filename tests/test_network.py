@@ -271,6 +271,44 @@ def test_channel_deserialization_rejects_non_finite_entries(bad):
         channel_set_from_dict(doc)
 
 
+def test_channel_deserialization_rejects_a_repeated_link():
+    # the repeat would replace the first copy: a K=1 dump with link
+    # (1, 1, 1) listed again at twice its values
+    doc = channel_set_to_dict(make_set(K=1, seed=9))
+    first = doc["channels"][0]
+    assert (first["m"], first["l"], first["k"]) == (1, 1, 1)
+    doc["channels"].append({**first,
+                            "re": [[2 * v for v in row] for row in first["re"]],
+                            "im": [[2 * v for v in row] for row in first["im"]]})
+    with pytest.raises(InputError, match=r"^channel \(m=1, l=1, k=1\) is "
+                                         r"listed more than once$"):
+        channel_set_from_dict(doc)
+
+
+@pytest.mark.parametrize("factor, refused", [
+    (1e149, False), (1e-149, False), (1e151, True), (1e-151, True)])
+def test_channel_deserialization_refuses_magnitudes_out_of_range(factor,
+                                                                 refused):
+    # a link is judged by its largest real or imaginary part, here scaled
+    # to 1.5e±149 and 1.5e±151 (an all-zero link is left to the rank
+    # check, test_channel_deserialization_rejects_degenerate_links)
+    doc = channel_set_to_dict(make_set(seed=9))
+    entry = doc["channels"][3]
+    peak = max(abs(v) for part in ("re", "im") for row in entry[part]
+               for v in row)
+    for part in ("re", "im"):
+        entry[part] = [[v * factor / peak * 1.5 for v in row]
+                       for row in entry[part]]
+    name = "channel (m={m}, l={l}, k={k})".format(**entry)
+    if not refused:
+        channel_set_from_dict(doc)
+        return
+    with pytest.raises(InputError, match=(
+            rf"^{re.escape(name)} has entries of magnitude up to 1\.500e[+-]151, "
+            r"outside the supported range \[1e-150, 1e150\]$")):
+        channel_set_from_dict(doc)
+
+
 @pytest.mark.parametrize("index", [True, 1.0, "1"])
 def test_channel_deserialization_rejects_non_integer_indices(index):
     doc = channel_set_to_dict(make_set(seed=9))

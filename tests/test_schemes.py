@@ -5,8 +5,9 @@ from doflab import bounds, linalg
 from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
                            RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
-from doflab.network import NetworkConfig, channel_set, generate_channels
-from doflab.schemes import (Scheme, alignment_plane, build_nsia,
+from doflab.network import (ChannelSet, NetworkConfig, channel_set,
+                            generate_channels)
+from doflab.schemes import (Scheme, alignment_planes, build_nsia,
                             build_zf_precoders, desired_matrix, other_cell,
                             pi_transform, verify_scheme)
 from doflab.simulation import random_precoders, sum_rate
@@ -137,11 +138,28 @@ def test_nsia_two_streams():
 
 def test_rank_deficient_alignment_plane_raises_degeneracy():
     # two users behind the same cross channel get the same null space, so
-    # the stacked 2 x 3 plane has rank 1
-    null = channels_for(2, 1, bounds.RX_HEAVY, seed=14).cross_null(1, 2, 1)
+    # base station 1's stacked 2 x 3 plane has rank 1
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=14)
+    nulls = dict(cs.cross_nulls)
+    nulls[(1, 2, 2)] = nulls[(1, 2, 1)]
     with pytest.raises(DegeneracyError) as exc:
-        alignment_plane([null, null], 1, TOL, 1)
+        build_nsia(ChannelSet(cs.config, cs.channels, nulls))
     assert str(exc.value) == "stacked alignment plane at base station 1 lost rank"
+
+
+def test_alignment_planes_report_each_refused_plane():
+    # a null space of the wrong dimension refuses its plane before any
+    # factoring; the other plane is still built
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=14)
+    wide = cs.cross_null(1, 2, 1)
+    other = [cs.cross_null(2, 1, k) for k in (1, 2)]
+    planes = alignment_planes({1: [wide, null_space_basis(np.zeros((2, 3)))],
+                               2: other}, 1, TOL)
+    assert list(planes) == [1, 2]
+    assert str(planes[1]) == ("null space of conjugated cross channel "
+                              "(m=1, l=2, k=2) has dimension 3, expected 1")
+    assert isinstance(planes[1], DegeneracyError)
+    assert np.array_equal(planes[2], build_nsia(cs).projector(2))
 
 
 def test_nsia_rejects_wrong_profile():

@@ -9,10 +9,11 @@ from doflab import bounds, linalg, simulation
 from doflab.errors import (ConfigurationError, ContractError, DegeneracyError,
                            InputError)
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
-                           numeric_rank, random_matrix, range_basis, seeded_rng)
-from doflab.network import NetworkConfig, draw_channel, generate_channels
-from doflab.schemes import (NSIA, Scheme, alignment_plane, build_nsia,
-                            build_zf_precoders, pi_transform, verify_scheme)
+                           numeric_rank, orthonormalize_rows, random_matrix,
+                           range_basis, seeded_rng)
+from doflab.network import NetworkConfig, generate_channels
+from doflab.schemes import (NSIA, Scheme, build_nsia, build_zf_precoders,
+                            pi_transform, verify_scheme)
 from doflab.simulation import (DEFAULT_SNR_GRID, MAX_SNR_POINTS,
                                LemmaTrialReport, SnrGrid, estimate_dof_slope,
                                interference_limited_rate, monte_carlo_lemma1,
@@ -387,18 +388,26 @@ def test_lemma2_constructed_planes_align_beta_dimensions():
 @functools.cache
 def reference_lemma2_nsia(M, N, trials, seed, dist, rel_tol):
     """(H stack, P stack, passes), one trial at a time: trial i draws the
-    cross channels into base station 1 of a network seeded from (seed, i)
-    with draw_channel and builds P_1 with alignment_plane."""
+    cross channels into base station 1 of a network seeded from (seed, i),
+    each from its (sub-seed, 1, 2, k) stream until the null space of H* is
+    beta-dimensional, and stacks those null spaces into P_1."""
     tol = Tolerance(rel_tol)
     beta = N - M
     hs, ps = [], []
     for i in range(trials):
         sub_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
-        cfg = NetworkConfig(L=2, K=M // beta, M=M, N=N, beta=beta,
-                            seed=sub_seed, dist=dist, tol=tol)
-        cross = [draw_channel(cfg, 1, 2, k) for k in range(1, cfg.K + 1)]
-        hs.append(cross[0][0])
-        ps.append(alignment_plane([null for _, null in cross], beta, tol, 1))
+        nulls = []
+        for k in range(1, M // beta + 1):
+            rng = seeded_rng(sub_seed, 1, 2, k)
+            while True:
+                h = random_matrix(N, M, dist, rng)
+                null = null_space_basis(h.conj().T, tol)
+                if null.dim == beta:
+                    break
+            if k == 1:
+                hs.append(h)
+            nulls.append(null.basis)
+        ps.append(orthonormalize_rows(np.hstack(nulls).conj().T, tol))
     passes = sum(reference_lemma2_holds(h, p, tol) for h, p in zip(hs, ps))
     return np.stack(hs), np.stack(ps), passes
 

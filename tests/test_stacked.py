@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from doflab import bounds, linalg, network, schemes, simulation
-from doflab.errors import DegeneracyError
+from doflab.errors import DegeneracyError, InputError, RankError
 from doflab.network import NetworkConfig
 
 
@@ -22,12 +22,29 @@ def same(a: np.ndarray, b: np.ndarray) -> bool:
             and np.array_equal(a, b))
 
 
+def reference_null(cfg: NetworkConfig, m: int, l: int, h: np.ndarray):
+    """The null space of cross link (m, l)'s wide orientation (H when it
+    has no more rows than columns, else H*), None for a direct link; the
+    link must have full rank."""
+    if m == l:
+        assert linalg.numeric_rank(h, cfg.tol) == min(cfg.M, cfg.N)
+        return None
+    null = linalg.null_space_basis(h if cfg.N <= cfg.M else h.conj().T, cfg.tol)
+    assert null.dim == abs(cfg.M - cfg.N)
+    return null
+
+
 def reference_generate(cfg: NetworkConfig):
+    # no draw of these cases is redrawn, so each link is the first draw
+    # of its stream
     channels, nulls = {}, {}
     for m in range(1, cfg.L + 1):
         for l in range(1, cfg.L + 1):
             for k in range(1, cfg.K + 1):
-                channels[(m, l, k)], null = network.draw_channel(cfg, m, l, k)
+                h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist,
+                                         linalg.seeded_rng(cfg.seed, m, l, k))
+                channels[(m, l, k)] = h
+                null = reference_null(cfg, m, l, h)
                 if null is not None:
                     nulls[(m, l, k)] = null
     return channels, nulls
@@ -36,8 +53,7 @@ def reference_generate(cfg: NetworkConfig):
 def reference_replay_nulls(cfg: NetworkConfig, channels: dict):
     nulls = {}
     for (m, l, k), h in sorted(channels.items()):
-        rank, null = network._link_rank(cfg, m, l, h)
-        assert rank == min(cfg.M, cfg.N)
+        null = reference_null(cfg, m, l, h)
         if null is not None:
             nulls[(m, l, k)] = null
     return nulls
@@ -123,14 +139,16 @@ def assert_same_sets(cs, channels, nulls):
 
 
 def forbid_one_by_one(mp):
-    """Make the one-link fallbacks raise: a stacked check that refuses a
-    healthy link would otherwise hide behind a correct fallback result."""
+    """Make the one-link paths raise: the redraw of a link and the
+    one-matrix rank functions.  A stacked check that refuses a healthy link
+    would otherwise hide behind a correct redraw, and a refusal must come
+    from the stacked result, not from factoring the link again."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a link or plane fell back to the one-by-one path")
+        raise AssertionError("a link or plane took a one-by-one path")
 
-    for module, name in [(network, "draw_channel"), (network, "_link_rank"),
-                         (schemes, "alignment_plane"),
-                         (linalg, "null_space_basis")]:
+    for module, name in [(network, "draw_channel"),
+                         (linalg, "null_space_basis"),
+                         (linalg, "numeric_rank")]:
         mp.setattr(module, name, refuse)
 
 
@@ -186,18 +204,18 @@ def test_stacked_pipeline_equals_the_link_by_link_reference(
 
 def test_a_link_that_fails_the_stacked_check_is_redrawn_on_its_own(
         monkeypatch, caplog):
-    # the stacked check refuses link (1, 2, 1) as if it were degenerate:
-    # draw_channel draws it again from the start of its stream, which gives
-    # the same matrix, warns nothing and leaves the set bit for bit the same
+    # the check of the whole stack reports link (1, 2, 1) as rank-deficient:
+    # draw_channel draws it again from the start of its stream and checks
+    # it on a stack of one, which passes it; the same matrix comes out, no
+    # warning is logged and the set is bit for bit the same
     cfg = NetworkConfig(L=2, K=2, M=2, N=3, beta=1, seed=5)
     expected = network.generate_channels(cfg)
     checks = network._link_checks
 
     def refusing(config, links, h):
-        passed, nulls = checks(config, links, h)
-        t = links.index((1, 2, 1))
-        passed[t], nulls[t] = False, None
-        return passed, nulls
+        for link, result in zip(links, checks(config, links, h)):
+            refused = link == (1, 2, 1) and len(links) > 1
+            yield (0, None) if refused else result
 
     drawn = []
     draw = network.draw_channel
@@ -211,17 +229,90 @@ def test_a_link_that_fails_the_stacked_check_is_redrawn_on_its_own(
 
 
 def test_nsia_plane_that_fails_the_stacked_check_raises_its_error(monkeypatch):
-    # a plane the stacked rank refuses is built again by alignment_plane,
-    # which raises the one-plane error; here both users of base station 2
-    # share one null space, so only its plane loses rank
+    # a plane the stacked rank refuses raises its error from that result;
+    # here both users of base station 2 share one null space, so only its
+    # plane loses rank
     cs = network.generate_channels(NetworkConfig(L=2, K=2, M=2, N=3, beta=1,
                                                  seed=6))
     nulls = dict(cs.cross_nulls)
     nulls[(2, 1, 2)] = nulls[(2, 1, 1)]
     twin = network.ChannelSet(cs.config, cs.channels, nulls)
+    forbid_one_by_one(monkeypatch)
     with pytest.raises(DegeneracyError) as exc:
         schemes.build_nsia(twin)
     assert str(exc.value) == "stacked alignment plane at base station 2 lost rank"
+
+
+# Each refusal below is raised from the stacked check's own result, with
+# the error type and text of checking the link on its own.
+
+def replay_doc(seed: int):
+    # K=2 at the tx-heavy profile: cross links are 2 x 3
+    return network.channel_set_to_dict(network.generate_channels(
+        NetworkConfig(L=2, K=2, M=3, N=2, beta=1, seed=seed)))
+
+
+@pytest.mark.parametrize("index,link", [(1, "(m=1, l=1, k=2)"),
+                                        (2, "(m=1, l=2, k=1)")])
+def test_replay_refuses_a_rank_deficient_link_from_the_stack(
+        monkeypatch, index, link):
+    # entry 1 is the direct link (1, 1, 2), entry 2 the cross link
+    # (1, 2, 1); both rows made equal leaves rank 1
+    doc = replay_doc(12)
+    entry = doc["channels"][index]
+    for part in ("re", "im"):
+        entry[part] = [entry[part][0]] * 2
+    forbid_one_by_one(monkeypatch)
+    with pytest.raises(InputError) as exc:
+        network.channel_set_from_dict(doc)
+    assert str(exc.value) == (
+        f"channel {link} has numeric rank 1 at rel_rank_tol=1e-10, below "
+        f"min(M, N)=2: channels must be nondegenerate")
+
+
+def test_replay_refuses_a_basis_that_fails_the_gram_check(monkeypatch):
+    # with no Gram error small enough, the first cross link in (m, l, k)
+    # order, (1, 2, 1), is refused as null_space_basis refuses it alone
+    doc = replay_doc(12)
+    h = network.channel_set_from_dict(doc).channel(1, 2, 1)
+    monkeypatch.setattr(linalg, "_ORTHO_TOL", -1.0)
+    with pytest.raises(RankError) as expected:
+        linalg.null_space_basis(h)
+    assert "not orthonormal" in str(expected.value)
+    forbid_one_by_one(monkeypatch)
+    with pytest.raises(RankError) as exc:
+        network.channel_set_from_dict(doc)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_nsia_refuses_a_projected_link_of_the_wrong_null_dimension(
+        monkeypatch):
+    # link (2, 1, 2) swapped for a fresh draw: the planes still come from
+    # the stored null spaces, so P_2 H_2,12 is square and full rank, with
+    # no null space; base station 1 passes, so it is the first refusal
+    cs = network.generate_channels(NetworkConfig(L=2, K=2, M=2, N=3, beta=1,
+                                                 seed=6))
+    channels = dict(cs.channels)
+    channels[(2, 1, 2)] = linalg.random_matrix(3, 2,
+                                               rng=linalg.seeded_rng(6, 99))
+    swapped = network.ChannelSet(cs.config, channels, cs.cross_nulls)
+    forbid_one_by_one(monkeypatch)
+    with pytest.raises(DegeneracyError) as exc:
+        schemes.build_nsia(swapped)
+    assert str(exc.value) == ("projected cross channel (m=2, l=1, k=2) has "
+                              "null dimension 0, expected 1")
+
+
+def test_lemma2_nsia_raises_a_lost_plane_from_the_stack(monkeypatch, caplog):
+    # seed 1 at 0.04: trial 326's plane loses rank in the stacked check.
+    # The trial is replayed from its streams by draw_channel, which the
+    # simulation module imported by name and so is not refused here, and
+    # alignment_planes' result for it is raised
+    forbid_one_by_one(monkeypatch)
+    with pytest.raises(DegeneracyError) as exc:
+        simulation.monte_carlo_lemma2(2, 3, 600, seed=1, p_source="nsia",
+                                      tol=linalg.Tolerance(0.04))
+    assert str(exc.value) == "stacked alignment plane at base station 1 lost rank"
 
 
 def test_stacks_split_by_byte_budget(monkeypatch):
