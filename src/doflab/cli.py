@@ -24,6 +24,8 @@ from .linalg import Tolerance, one_blas_thread
 from .network import NetworkConfig
 from .simulation import SnrGrid
 
+# Most values a 'lo:hi' range (sweep's --K, --beta, --seeds) may list.
+MAX_RANGE_VALUES = 10_000
 SCHEME_VARIANT = {schemes.ZF: bounds.TX_HEAVY, schemes.NSIA: bounds.RX_HEAVY}
 # Scheme name -> builder, looked up in its module at call time so that a
 # patched module attribute (the benchmark's tracer) is the one called.
@@ -44,21 +46,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_int_range(text: str) -> list[int]:
-    """'2' -> [2]; '1:3' -> [1, 2, 3]; '1,4,5' -> [1, 4, 5]."""
+    """'2' -> [2]; '1:3' -> [1, 2, 3]; '1,4,5' -> [1, 4, 5]; a 'lo:hi'
+    range longer than MAX_RANGE_VALUES is refused before it is built."""
     text = text.strip()
     try:
         if "," in text:
             values = [int(p) for p in text.split(",")]
         elif ":" in text:
             lo, hi = (int(p) for p in text.split(":"))
-            values = list(range(lo, hi + 1))
+            values = range(lo, hi + 1)
         else:
             values = [int(text)]
     except ValueError as exc:
         raise InputError(f"cannot parse integer range {text!r}") from exc
     if not values:
         raise InputError(f"integer range {text!r} is empty")
-    return values
+    # len() of a huge range overflows
+    if isinstance(values, range) and values.stop - values.start > MAX_RANGE_VALUES:
+        raise InputError(f"integer range {text!r} has more than "
+                         f"{MAX_RANGE_VALUES} values")
+    return list(values)
 
 
 def parse_snr(text: str) -> SnrGrid:

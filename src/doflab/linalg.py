@@ -5,7 +5,8 @@ matrix generation.  Everything here is a pure function of its inputs.
 The rank rule (_rank_svd), as_matrix and orthonormal_columns broadcast
 over the leading axes of a stack of matrices, as numpy.linalg.svd does;
 null_space_bases reports each matrix's result as arrays, for the caller
-to refuse a failed matrix from.  numeric_rank, null_space_basis,
+to refuse a failed matrix from (the schemes and lemma2's nsia source call
+it through network.cross_null_bases).  numeric_rank, null_space_basis,
 range_basis and orthonormalize_rows (unless ``stacked``) take one matrix.
 Every random draw comes from a stream keyed by ``(seed, *subkeys)``:
 random_matrix takes the stream's generator (seeded_rng builds it), and
@@ -471,19 +472,11 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     return int(_rank_svd(a, tol, scale))
 
 
-def numeric_ranks(mats, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """numeric_rank of each matrix of ``mats`` (a list, or a stack), from
-    one stacked SVD call per shape and stack_chunks run."""
-    ranks = [0] * len(mats)
-    by_shape = {}
-    for i, a in enumerate(mats):
-        by_shape.setdefault(np.shape(a), []).append(i)
-    for shape, group in by_shape.items():
-        for chunk in stack_chunks(group, *shape):
-            stack = np.stack([mats[i] for i in chunk])
-            for i, rank in zip(chunk, _rank_svd(stack, tol).tolist()):
-                ranks[i] = rank
-    return ranks
+def numeric_ranks(stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """numeric_rank of each matrix of a stack of equal shape, from one
+    stacked SVD call per stack_chunks run."""
+    return [rank for run in stack_chunks(stack, *stack.shape[-2:])
+            for rank in _rank_svd(run, tol).tolist()]
 
 
 def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
@@ -523,10 +516,10 @@ def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL, scale=None):
     return dims, bases, ok
 
 
-def stack_chunks(items: list, rows: int, cols: int) -> list[list]:
-    """``items``, one rows x cols complex matrix each, split in order into
-    runs that one stacked factorization may cover: at most STACK_BYTES of
-    matrices and full SVD factors per run, and at least one item."""
+def stack_chunks(items, rows: int, cols: int) -> list:
+    """``items`` (a list or a stack), one rows x cols complex matrix each,
+    split in order into runs that one stacked factorization may cover: at
+    most STACK_BYTES of matrices and full SVD factors, and at least one."""
     item_bytes = 16 * (rows * cols + rows * rows + cols * cols)
     size = max(1, STACK_BYTES // item_bytes)
     return [items[i:i + size] for i in range(0, len(items), size)]

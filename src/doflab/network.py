@@ -85,9 +85,9 @@ class ChannelSet:
 
     ``cross_nulls`` holds the factor of each cross link (m != l) that the
     schemes build from, keyed like ``channels``: the null space of its wide
-    orientation (_link_checks).  generate_channels and channel_set store it
-    while checking the link, so no link is factored after the set is
-    built.  ``==`` is identity.
+    orientation (cross_null_bases).  generate_channels and channel_set
+    store it while checking the link, so no link is factored after the set
+    is built.  ``==`` is identity.
     """
 
     config: NetworkConfig
@@ -113,40 +113,44 @@ class ChannelSet:
         return self.cross_nulls[(m, l, k)]
 
 
+def cross_null_bases(config: NetworkConfig, h: np.ndarray):
+    """linalg.null_space_bases of a stack of cross links' wide orientations:
+    null(H) for zero forcing's precoders (N < M), null(H*) for null-space
+    alignment's planes (N > M), |M - N|-dimensional when H has full rank."""
+    cfg = config
+    wide = h if cfg.N <= cfg.M else np.swapaxes(h.conj(), -1, -2)
+    return linalg.null_space_bases(wide, abs(cfg.M - cfg.N), cfg.tol)
+
+
 def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
                  h: np.ndarray) -> Iterator[tuple[int, SubspaceBasis | None]]:
     """The nondegeneracy check of a stack of links, link by link: yields,
     for each link (m, l, k) with matrix h[t] in order, its numeric rank
     and, for a cross link of full rank min(M, N), the null space of its
-    wide orientation (H when it has no more rows than columns, else H*;
-    None for any other link).
+    wide orientation (cross_null_bases; None for any other link).
 
-    Zero forcing precodes in null(H) (N < M); null-space alignment stacks
-    the null spaces of H* into its planes (N > M).  Either way the
-    dimension is |M - N| exactly when the link has full rank.  One full
-    SVD covers the cross links' wide orientations and one singular-values-
-    only SVD the direct links, whose factors nothing reads; both run
-    before the first link is yielded.  A basis that failed the stacked
-    Gram check raises its RankError when its link is reached, so a caller
-    that handles the links in order meets every refusal in link order.
+    One full SVD covers the cross links' wide orientations and one
+    singular-values-only SVD the direct links, whose factors nothing
+    reads; both run before the first link is yielded.  A basis that
+    failed the stacked Gram check raises its RankError when its link is
+    reached, so a caller that handles the links in order meets every
+    refusal in link order.
     """
     cfg = config
-    dim = abs(cfg.M - cfg.N)
     cross = [t for t, (m, l, _) in enumerate(links) if m != l]
     direct = [t for t, (m, l, _) in enumerate(links) if m == l]
     ranks = np.empty(len(links), dtype=int)
     ranks[direct] = linalg.numeric_ranks(h[direct], cfg.tol)
     bases = {}
     if cross:
-        wide = h[cross] if cfg.N <= cfg.M else h[cross].conj().transpose(0, 2, 1)
-        dims, stack, ok = linalg.null_space_bases(wide, dim, cfg.tol)
-        ranks[cross] = wide.shape[-1] - dims
+        dims, stack, ok = cross_null_bases(cfg, h[cross])
+        ranks[cross] = max(cfg.M, cfg.N) - dims
         bases = dict(zip(cross, zip(stack, ok.tolist())))
     for t, rank in enumerate(ranks.tolist()):
         null = None
         if t in bases and rank == min(cfg.M, cfg.N):
             basis, good = bases[t]
-            null = SubspaceBasis(basis.shape[0], dim, basis, checked=good)
+            null = SubspaceBasis(*basis.shape, basis, checked=good)
         yield rank, null
 
 

@@ -141,34 +141,40 @@ def build_nsia(cs: ChannelSet) -> Scheme:
 
     With beta the channel set's (NetworkConfig.beta), for each base station
     m the conjugated cross channels H* are K*beta x (K*beta + beta) with
-    beta-dimensional null spaces N_mk; P_m stacks the N_mk as rows (user k
-    occupying rows (k-1)*beta+1 .. k*beta) and is then row-orthonormalized,
-    a specific choice of the left factor that keeps the projected noise
-    white.  Each projected cross channel P_m H is then square with a
-    beta-dimensional null space, which becomes the precoder of the
+    beta-dimensional null spaces N_mk, which alignment_planes stacks into
+    the plane P_m.  Each projected cross channel P_m H is then square with
+    a beta-dimensional null space, which becomes the precoder of the
     interfering user and is kept on the scheme for verify_scheme.
 
-    Both planes are ranked and orthonormalized as one stack, and the 2K
-    projected cross channels are factored as one stack.  Each stacked
-    check reports every plane and link it refuses, and the errors are
-    raised from those results base station by base station: the plane's
-    first, then its projected links' in user order.
+    A stored null space of another dimension (only in a hand-built
+    ChannelSet) is refused first.  The 2K projected cross channels are
+    factored as one stack, and the errors are raised from the stacked
+    results base station by base station: the plane's, then its projected
+    links' in user order.
     """
     cfg = cs.config
     beta = cfg.beta
     _require_profile(cs, cfg.K * beta, cfg.K * beta + beta,
                      "null-space alignment")
     users = range(1, cfg.K + 1)
-    planes = alignment_planes(
-        {m: [cs.cross_null(m, other_cell(m), k) for k in users] for m in (1, 2)},
-        beta, cfg.tol)
-    projected = _projected_nulls(cs, {m: p for m, p in planes.items()
-                                      if isinstance(p, np.ndarray)})
+    for (m, l, k), null in sorted(cs.cross_nulls.items()):
+        if null.dim != beta:
+            raise DegeneracyError(
+                f"null space of conjugated cross channel (m={m}, l={l}, "
+                f"k={k}) has dimension {null.dim}, expected {beta}")
+    planes = {}
+    for chunk in linalg.stack_chunks([1, 2], cfg.K * beta, cfg.N):
+        q, full_rank = alignment_planes(np.array(
+            [[cs.cross_null(m, other_cell(m), k).basis for k in users]
+             for m in chunk]), cfg.tol)
+        planes.update((m, p) for m, p, ok in zip(chunk, q, full_rank) if ok)
+    projected = _projected_nulls(cs, planes)
     precoders = {}
     projected_nulls = {}
     for m in (1, 2):
-        if isinstance(planes[m], DegeneracyError):
-            raise planes[m]
+        if m not in planes:
+            raise DegeneracyError(
+                f"stacked alignment plane at base station {m} lost rank")
         src = other_cell(m)
         for k in users:
             dim, basis, ok = projected[(m, k)]
@@ -182,46 +188,35 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     return Scheme(NSIA, cs, precoders, planes, projected_nulls)
 
 
-def _product_scale(p: np.ndarray, h: np.ndarray) -> float:
+def _product_scale(p: np.ndarray, h: np.ndarray, m: int, k: int) -> float:
     # Threshold anchor of P_m H, from the factor magnitudes (Frobenius upper
     # bounds the spectral norm): for K=1 the product cancels to zero
-    # entirely and has no scale of its own.
-    return np.linalg.norm(p) * np.linalg.norm(h)
+    # entirely and has no scale of its own.  An overflow would rank it 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.linalg.norm(p) * np.linalg.norm(h)
+    if not math.isfinite(scale):
+        raise DegeneracyError(
+            f"threshold scale of projected cross channel (m={m}, "
+            f"l={other_cell(m)}, k={k}) is {scale}: channel magnitudes "
+            f"overflow double precision")
+    return scale
 
 
-def alignment_planes(nulls: dict[int, list[SubspaceBasis]], beta: int,
-                     tol: Tolerance) -> dict[int, np.ndarray | DegeneracyError]:
-    """The row-orthonormal alignment plane P_m of each base station m, or
-    the DegeneracyError that refuses it, for the caller to raise in its
-    own order.
+def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
+    """``(planes, full_rank)``: the row-orthonormal alignment planes P_m of
+    a stack of base stations, and which of them have full rank.
 
-    ``nulls[m]`` holds the null spaces of the conjugated cross channels
-    H*_m,lk of the other cell's users in user order (ChannelSet.cross_null).
-    Each needs dimension beta; user k's basis fills rows
-    (k-1)*beta+1 .. k*beta of P_m.  All planes are ranked by one SVD and
-    orthonormalized by one QR per stack (linalg.stack_chunks); a plane
-    that loses rank is refused.
+    ``nulls`` is shaped (..., K, N, beta): the null spaces of the
+    conjugated cross channels H*_m,lk of the other cell's users in user
+    order (network.cross_null_bases).  User k's basis, conjugate-
+    transposed, fills rows (k-1)*beta+1 .. k*beta of P_m; one SVD ranks
+    the planes and one QR orthonormalizes their rows, which keeps the
+    projected noise white.  build_nsia and lemma2's nsia source build
+    their planes here.
     """
-    planes = {}
-    for m, group in nulls.items():
-        for k, null in enumerate(group, start=1):
-            if null.dim != beta:
-                planes[m] = DegeneracyError(
-                    f"null space of conjugated cross channel (m={m}, "
-                    f"l={other_cell(m)}, k={k}) has dimension {null.dim}, "
-                    f"expected {beta}")
-                break
-    ms = [m for m in nulls if m not in planes]
-    group = next(iter(nulls.values()))
-    for chunk in linalg.stack_chunks(ms, len(group) * beta,
-                                     group[0].ambient_dim):
-        q, full_rank = linalg.orthonormalize_rows(
-            np.stack([np.hstack([null.basis for null in nulls[m]]).conj().T
-                      for m in chunk]), tol, stacked=True)
-        for m, plane, good in zip(chunk, q, full_rank.tolist()):
-            planes[m] = plane if good else DegeneracyError(
-                f"stacked alignment plane at base station {m} lost rank")
-    return planes
+    *stack, users, n, beta = nulls.shape
+    rows = np.swapaxes(nulls.conj(), -1, -2).reshape(*stack, users * beta, n)
+    return linalg.orthonormalize_rows(rows, tol, stacked=True)
 
 
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
@@ -238,7 +233,7 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
         for m, k in chunk:
             p, h = planes[m], cs.channel(m, other_cell(m), k)
             products.append(p @ h)
-            scales.append(_product_scale(p, h))
+            scales.append(_product_scale(p, h, m, k))
         dims, bases, ok = linalg.null_space_bases(
             np.stack(products), cfg.beta, cfg.tol, scale=scales)
         found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
@@ -309,9 +304,13 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
                 null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
             elif null_dims is not None:
                 null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
-                    cross, cfg.tol, scale=_product_scale(p, h))
+                    cross, cfg.tol, scale=_product_scale(p, h, m, k))
         desired.append(desired_matrix(scheme, m))
-    effective_rank = dict(zip((1, 2), linalg.numeric_ranks(desired, cfg.tol)))
+    if desired[0].shape == desired[1].shape:
+        ranks = linalg.numeric_ranks(np.stack(desired), cfg.tol)
+    else:  # precoders of unequal widths, only in a hand-built scheme
+        ranks = [linalg.numeric_rank(g, cfg.tol) for g in desired]
+    effective_rank = dict(zip((1, 2), ranks))
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)
     return SchemeReport(

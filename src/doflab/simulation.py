@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg, schemes
+from . import linalg, network, schemes
 from .errors import ContractError, DegeneracyError, InputError
 from .linalg import Tolerance
 from .network import MAX_REDRAWS, ChannelSet, NetworkConfig, draw_channel
@@ -397,32 +397,27 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # exactly where a one-trial-at-a-time run would
         cfg = replace(config, seed=sub_seed)
         cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
-        plane = schemes.alignment_planes({1: [null for _, null in cross]},
-                                         beta, tol)[1]
-        if isinstance(plane, DegeneracyError):
-            raise plane
+        plane, full_rank = schemes.alignment_planes(
+            np.stack([null.basis for _, null in cross]), tol)
+        if not full_rank:
+            raise DegeneracyError(
+                "stacked alignment plane at base station 1 lost rank")
         return cross[0][0], plane
 
     def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         # only P_1 and H_1,21 enter the verdict, so only the channels from
-        # cell 2 into base station 1 are drawn: draw_channel's streams,
-        # (sub-seed, 1, 2, k) for each user k, drawn as one stack.  The
-        # sub-seed is SeedSequence([seed, i]).generate_state(1)[0].
+        # cell 2 into base station 1 are drawn, as one stack from
+        # draw_channel's streams (sub-seed, 1, 2, k) for each user k, then
+        # checked and stacked into planes by the scheme's own functions.
+        # The sub-seed is SeedSequence([seed, i]).generate_state(1)[0].
         sub_seeds = linalg.stream_words([(seed, i) for i in chunk], 1)[:, 0].tolist()
         (h,) = linalg.random_matrices(
             [(N, M)], dist, [(sub_seed, 1, 2, k) for sub_seed in sub_seeds
                              for k in range(1, users + 1)])
-        # draw_channel's check: the null space of each H*, which passes
-        # when it is beta-dimensional and orthonormal
-        _, nulls, ok = linalg.null_space_bases(h.conj().transpose(0, 2, 1),
-                                               beta, tol)
-        ok = ok.reshape(-1, users).all(axis=1)
-        # alignment_planes: user k's basis, conjugate-transposed, fills rows
-        # (k-1)*beta+1 .. k*beta of the plane
-        planes, full_rank = linalg.orthonormalize_rows(
-            nulls.conj().transpose(0, 2, 1).reshape(-1, M, N), tol,
-            stacked=True)
-        ok &= full_rank
+        _, nulls, ok = network.cross_null_bases(config, h)
+        planes, full_rank = schemes.alignment_planes(
+            nulls.reshape(-1, users, N, beta), tol)
+        ok = ok.reshape(-1, users).all(axis=1) & full_rank
         planes = np.ascontiguousarray(planes)
         h = np.ascontiguousarray(h.reshape(-1, users, N, M)[:, 0])
         for t in np.flatnonzero(~ok):

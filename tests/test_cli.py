@@ -60,6 +60,17 @@ def test_parse_int_range():
         parse_int_range("x")
 
 
+def test_parse_int_range_refuses_a_huge_range_before_building_it(capsys):
+    assert parse_int_range("0:9999") == list(range(10_000))
+    for text in ("0:10000", "0:4000000000", "-1:99999999999999999999"):
+        with pytest.raises(InputError, match="has more than 10000 values"):
+            parse_int_range(text)
+    assert run(["sweep", "--seeds", "0:4000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "integer range '0:4000000000' has more than 10000 values" in captured.err
+
+
 def test_parse_snr():
     assert parse_snr("60:10:100").points_db == (60, 70, 80, 90, 100)
     with pytest.raises(InputError):

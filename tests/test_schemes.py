@@ -147,19 +147,65 @@ def test_rank_deficient_alignment_plane_raises_degeneracy():
     assert str(exc.value) == "stacked alignment plane at base station 1 lost rank"
 
 
-def test_alignment_planes_report_each_refused_plane():
-    # a null space of the wrong dimension refuses its plane before any
-    # factoring; the other plane is still built
+def test_nsia_refuses_a_stored_null_space_of_the_wrong_dimension():
+    # a hand-built channel set whose stored null space has the wrong
+    # dimension is refused before any plane is factored
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=14)
-    wide = cs.cross_null(1, 2, 1)
-    other = [cs.cross_null(2, 1, k) for k in (1, 2)]
-    planes = alignment_planes({1: [wide, null_space_basis(np.zeros((2, 3)))],
-                               2: other}, 1, TOL)
-    assert list(planes) == [1, 2]
-    assert str(planes[1]) == ("null space of conjugated cross channel "
+    nulls = dict(cs.cross_nulls)
+    nulls[(1, 2, 2)] = null_space_basis(np.zeros((2, 3)))
+    with pytest.raises(DegeneracyError) as exc:
+        build_nsia(ChannelSet(cs.config, cs.channels, nulls))
+    assert str(exc.value) == ("null space of conjugated cross channel "
                               "(m=1, l=2, k=2) has dimension 3, expected 1")
-    assert isinstance(planes[1], DegeneracyError)
-    assert np.array_equal(planes[2], build_nsia(cs).projector(2))
+
+
+def test_stacked_alignment_planes_equal_each_plane_alone():
+    # a (T, K, N, beta) stack gives each plane the bits and strides of
+    # alignment_planes on that plane alone, which are build_nsia's; the
+    # mask marks the one plane whose two users share a null space
+    sets = [channels_for(2, 2, bounds.RX_HEAVY, seed=seed) for seed in (0, 1)]
+    nulls = np.stack([
+        np.stack([cs.cross_null(m, other_cell(m), k).basis for k in (1, 2)])
+        for cs in sets for m in (1, 2)])
+    nulls[3, 1] = nulls[3, 0]
+    planes, full_rank = alignment_planes(nulls, TOL)
+    assert planes.shape == (4, 4, 6)
+    assert full_rank.tolist() == [True, True, True, False]
+    for t in range(4):
+        plane, ok = alignment_planes(nulls[t], TOL)
+        assert ok == full_rank[t]
+        assert plane.strides == planes[t].strides
+        assert np.array_equal(plane, planes[t])
+        if ok:
+            built = build_nsia(sets[t // 2]).projector(t % 2 + 1)
+            assert built.strides == plane.strides
+            assert np.array_equal(built, plane)
+
+
+@pytest.mark.parametrize("factor", [1e150, 1e154])
+def test_nsia_refuses_a_product_scale_that_overflows(factor):
+    # channel_set does not range-check its links as replays do: at 1e154
+    # the Frobenius norm of each link overflows, and an infinite threshold
+    # would rank every projected link 0; the build and the fresh
+    # measurement of transformed planes both name the link instead
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=3)
+    scaled = channel_set(cs.config, {key: h * factor
+                                     for key, h in cs.channels.items()})
+    built = build_nsia(cs)
+    transformed = pi_transform(Scheme("nsia", scaled, built.precoders,
+                                      built.projectors),
+                               {1: np.eye(2), 2: np.eye(2)})
+    if factor == 1e150:
+        assert verify_scheme(build_nsia(scaled)).decodable
+        assert verify_scheme(transformed).decodable
+        return
+    message = ("threshold scale of projected cross channel (m=1, l=2, k=1) "
+               "is inf: channel magnitudes overflow double precision")
+    for refused in (lambda: build_nsia(scaled),
+                    lambda: verify_scheme(transformed)):
+        with pytest.raises(DegeneracyError) as exc:
+            refused()
+        assert str(exc.value) == message
 
 
 def test_nsia_rejects_wrong_profile():
