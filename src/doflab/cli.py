@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import bounds, network, schemes, simulation
 from .errors import DoflabError, InputError
@@ -279,9 +280,9 @@ def _scheme_channel_set(args, variant: str):
     cs = _generate_channels(args, args.K, args.beta, variant,
                             _fallback_seed(args.seed))
     if args.dump_channels:
+        text = json_text(network.channel_set_to_dict(cs)) + "\n"
         with open(args.dump_channels, "w") as fh:
-            json.dump(network.channel_set_to_dict(cs), fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     return cs
 
 
@@ -436,9 +437,73 @@ _RUNNERS = {
 }
 
 
+def json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, built in one pass.
+
+    json's C encoder serves only unindented output, so indent=2 runs its
+    pure-Python one, value by value.  Here a list of finite floats (a row
+    of a channel dump) is formatted by one join.  Types json refuses raise
+    its TypeError; circular references are not detected.
+    """
+    return _json_value(doc, "\n")
+
+
+def _json_value(value, newline: str) -> str:
+    # ``newline`` breaks the line and indents it to ``value``'s own depth.
+    # json's order of checks matters only in taking a bool before an int.
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        body = None
+        if isinstance(value[0], float):
+            try:
+                body = sep.join(map(float.__repr__, value))
+            except TypeError:  # an item that is not a float
+                pass
+        # of the float reprs, only nan and inf have an n
+        if body is None or "n" in body:
+            body = sep.join([_json_value(item, inner) for item in value])
+        return f"[{inner}{body}{newline}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join([
+            f"{_json_key(key)}: {_json_value(item, inner)}"
+            for key, item in value.items()])
+        return f"{{{inner}{body}{newline}}}"
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(
+        f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _json_value(key, "")
+    return _json_string(key)
+
+
 def render_report(command: str, doc: dict, output_format: str) -> str:
     if output_format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return json_text(doc) + "\n"
     _, csv_rows = _RUNNERS[command]
     rows = csv_rows(doc["params"], doc["result"])
     buf = io.StringIO()

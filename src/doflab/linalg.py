@@ -10,10 +10,11 @@ it through network.cross_null_bases).  numeric_rank, null_space_basis,
 range_basis and orthonormalize_rows (unless ``stacked``) take one matrix.
 Every random draw comes from a stream keyed by ``(seed, *subkeys)``:
 random_matrix takes the stream's generator (seeded_rng builds it), and
-random_matrices takes a whole array of keys and seeds their streams in
-bulk, bit for bit as seeded_rng would.  one_blas_thread pins OpenBLAS to
-one thread, which keeps large-matrix results independent of the core
-count.
+random_matrices takes a whole array of keys, hashes their SeedSequence
+states at once (stream_words) and lets each stream's PCG64 seed itself
+from its row, bit for bit as seeded_rng would.  one_blas_thread pins
+OpenBLAS to one thread, which keeps large-matrix results independent of
+the core count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InputError, RankError
+from .errors import ContractError, DimensionError, InputError, RankError
 
 log = logging.getLogger(__name__)
 
@@ -42,16 +43,13 @@ _OPENBLAS_THREAD_SYMBOLS = (
 
 # numpy.random.SeedSequence's pool hash (NEP 19): pool words, hash
 # constants and shift.  Its entropy takes an integer below 2^32 as one word;
-# stream keys at or above it are seeded by numpy itself (seeded_rng).
+# stream keys at or above it are hashed by numpy's SeedSequence itself.
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _XSHIFT = np.uint32(16)
 _WORD = 2 ** 32
-# PCG64's 128-bit LCG multiplier (O'Neill 2014, pcg-random.org).
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = 2 ** 128 - 1
 
 # Orthonormality slack (orthonormal_columns): 10x the default relative
 # rank tolerance.  SVD/QR factors are orthonormal to ~1e-15, so this only
@@ -336,41 +334,43 @@ def stream_words(keys, n_words: int) -> np.ndarray:
     return words
 
 
-def _pcg64_states(words: np.ndarray):
-    """PCG64's (state, inc) as seeded from each row of 8 SeedSequence
-    words: ``srandom(initstate, initseq)`` with the 128-bit initstate from
-    words 0-3 and initseq from words 4-7 (64-bit halves high first, each
-    half little-endian in its two words)."""
-    w = words.astype(np.uint64)
-    halves = (w[:, 0::2] | w[:, 1::2] << np.uint64(32)).tolist()
-    for state_hi, state_lo, seq_hi, seq_lo in halves:
-        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
-        yield ((inc + (state_hi << 64 | state_lo)) * _PCG_MULT + inc) & _MASK128, inc
+@functools.cache
+def _state_words():
+    """The ISeedSequence that seeds PCG64 with one stream's precomputed
+    state.  Made on first use, so that importing doflab does not import
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StateWords(ISeedSequence):
+        # PCG64 asks its seed sequence for 4 uint64 words: SeedSequence's
+        # first 8 uint32 state words, read little-endian in pairs.  Any
+        # other request means numpy seeds PCG64 differently, and the
+        # streams would no longer be numpy's.
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and (dtype is np.uint64 or np.dtype(dtype) == np.uint64):
+                return self.words
+            raise ContractError(
+                f"PCG64 asked for {n_words} words of {np.dtype(dtype)}, "
+                f"not the 4 uint64 words it is seeded with in bulk")
+
+    return StateWords
 
 
 def _streams(keys: np.ndarray):
-    """The generator of each (seed, *subkeys) row of keys, in row order,
-    each at the start of its stream, as seeded_rng would return it.
+    """A new Generator for each (seed, *subkeys) row of keys, in row order,
+    each at the start of its stream: bit for bit what seeded_rng returns.
 
-    Rows below 2^32 share one Generator, whose public PCG64 state is set
-    from the bulk seeding before it is yielded; it must be drawn from
-    before the next one is requested.  Other rows get seeded_rng.
+    Each PCG64 seeds itself, in C, from its row's SeedSequence state
+    (stream_words), so no SeedSequence is built for a row below 2^32.
     """
-    bulk = (keys < _WORD).all(axis=1)
-    if bulk.any():
-        states = _pcg64_states(_seed_words(_words_of(keys[bulk]), 8))
-        gen = np.random.Generator(np.random.PCG64(0))
-        bit_gen = gen.bit_generator
-        pcg = {}
-        state = {"bit_generator": "PCG64", "state": pcg,
-                 "has_uint32": 0, "uinteger": 0}
-    for row, fast in zip(keys.tolist(), bulk.tolist()):
-        if fast:
-            pcg["state"], pcg["inc"] = next(states)
-            bit_gen.state = state
-            yield gen
-        else:
-            yield seeded_rng(*row)
+    words = stream_words(keys, 8).astype("<u4").view("<u8").astype(np.uint64)
+    state_words = _state_words()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    for row in words:
+        yield generator(pcg64(state_words(row)))
 
 
 def _draw_blocks(shapes, dist: str, count: int, rngs) -> list[np.ndarray]:

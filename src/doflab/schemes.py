@@ -271,10 +271,14 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     every per-cell effective rank equals K*beta and the residual is at
     most RESIDUAL_THRESHOLD.  The report is named after the scheme.  The
     projected null dimensions come from the scheme's stored null spaces
-    when it has them, and from a fresh rank otherwise.  A leakage that is
-    not finite (channel norms that overflow or underflow) raises
-    DegeneracyError naming the link instead of being folded into the
-    residual.
+    when it has them, and from a fresh rank otherwise.  Each leak is
+    measured on its link scaled by the power of two that puts the largest
+    entry in [1/2, 1): exact, so a residual keeps its bits, and the norms
+    of a link far from unit magnitude (entries near 1e-150 square to
+    about 1e-300) neither underflow nor overflow.  A leakage that is
+    still not finite (a zero link, or precoders or planes whose products
+    overflow) raises DegeneracyError naming the link instead of being
+    folded into the residual.
     """
     cs = scheme.channels
     cfg = cs.config
@@ -290,21 +294,24 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
             h = cs.channel(m, src, k)
             w = scheme.precoder(src, k)
             _require_precoder_rows(h, w, src, k)
-            cross = h if p is None else p @ h
-            # norms that overflow or underflow give inf or NaN, refused
-            # here: max() would drop a NaN and let the link pass
+            # 2**1023 is the largest power of two, for subnormal entries
+            _, exponent = math.frexp(float(np.abs(h).max()))
+            unit = h * math.ldexp(1.0, min(-exponent, 1023))
+            cross = unit if p is None else p @ unit
+            # norms that still overflow or underflow give inf or NaN,
+            # refused here: max() would drop a NaN and let the link pass
             with np.errstate(over="ignore", invalid="ignore"):
-                leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(h))
+                leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(unit))
             if not math.isfinite(leak):
                 raise DegeneracyError(
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
-                    f"channel magnitudes overflow or underflow double precision")
+                    f"magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
             if scheme.projected_nulls is not None:
                 null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
             elif null_dims is not None:
-                null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
-                    cross, cfg.tol, scale=_product_scale(p, h, m, k))
+                null_dims[(m, k)] = h.shape[1] - linalg.numeric_rank(
+                    p @ h, cfg.tol, scale=_product_scale(p, h, m, k))
         desired.append(desired_matrix(scheme, m))
     if desired[0].shape == desired[1].shape:
         ranks = linalg.numeric_ranks(np.stack(desired), cfg.tol)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from doflab import linalg
-from doflab.errors import DimensionError, InputError, RankError
+from doflab.errors import ContractError, DimensionError, InputError, RankError
 from doflab.linalg import (SubspaceBasis, Tolerance, intersection_dim,
                            null_space_basis, numeric_rank,
                            orthonormalize_rows, random_matrix, range_basis,
@@ -214,7 +214,7 @@ def test_batched_draws_validate_inputs():
 
 
 # Seeds on both sides of numpy's one-word entropy limit: keys below 2^32
-# are seeded in bulk, 2^32 and above by numpy through seeded_rng.
+# are hashed in bulk, 2^32 and above by numpy's SeedSequence.
 BULK_SEEDS = [0, 1, 2**31 - 1, 2**32, 2**70]
 
 
@@ -269,13 +269,52 @@ def test_stream_words_are_the_sub_seeds_of_a_thousand_trials():
         for i in range(1000)]
 
 
-def test_bulk_seeding_calls_seeded_rng_only_for_wide_keys(monkeypatch):
-    calls = []
-    monkeypatch.setattr(linalg, "seeded_rng",
-                        lambda *key: calls.append(key) or seeded_rng(*key))
+def count_seed_sequences(monkeypatch):
+    # the entropy of every numpy SeedSequence built through np.random
+    built = []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda entropy: (
+        built.append(tuple(entropy)) or seed_sequence(entropy)))
+    return built
+
+
+def test_bulk_seeding_builds_seed_sequence_only_for_wide_keys(monkeypatch):
+    built = count_seed_sequences(monkeypatch)
     linalg.random_matrices([(2, 2)], "complex-gaussian",
                            [(3, i) for i in range(300)] + [(3, 2**32)])
-    assert calls == [(3, 2**32)]
+    assert built == [(3, 2**32)]
+
+
+@pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
+def test_one_call_mixing_bulk_and_wide_keys_equals_numpy_seeding(dist):
+    keys = [(5, 0), (2**32, 1), (5, 1), (5, 2**40), (2**32 - 1, 7), (5, 2)]
+    (block,) = linalg.random_matrices([(2, 3)], dist, keys)
+    for got, key in zip(block, keys):
+        rng = np.random.default_rng(np.random.SeedSequence(list(key)))
+        expected = linalg.random_matrix(2, 3, dist, rng)
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_streams_are_distinct_generators_that_keep_their_state():
+    keys = np.array([(9, i) for i in range(4)] + [(2**32, 0)])
+    streams = list(linalg._streams(keys))
+    assert len({id(rng) for rng in streams}) == len(keys)
+    # drawn only after every later generator was made, each still starts
+    # its own stream
+    for rng, key in zip(streams, keys.tolist()):
+        expected = np.random.default_rng(np.random.SeedSequence(key))
+        np.testing.assert_array_equal(rng.standard_normal(5),
+                                      expected.standard_normal(5))
+
+
+@pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (2, np.uint64),
+                                            (4, np.uint32), (4, np.int64)])
+def test_state_words_refuse_any_request_but_pcg64s(n_words, dtype):
+    words = linalg._state_words()(np.zeros(4, np.uint64))
+    assert words.generate_state(4, np.uint64) is words.words
+    assert words.generate_state(4, np.dtype("<u8")) is words.words
+    with pytest.raises(ContractError, match="4 uint64 words"):
+        words.generate_state(n_words, dtype)
 
 
 # ---------------------------------------------------------------------------

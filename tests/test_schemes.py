@@ -51,16 +51,42 @@ def test_zf_single_user_closed_form():
         assert abs(h @ w) <= 1e-12 * np.linalg.norm(h)
 
 
-@pytest.mark.parametrize("factor", [1e200, 1e-200])
+@pytest.mark.parametrize("factor", [1e200, float("nan")])
 def test_verify_refuses_non_finite_leakage(factor):
-    # the Frobenius norms overflow (1e200) or underflow to 0/0 (1e-200);
-    # a NaN leak must not fold into a zero residual and a pass
-    cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
+    # a precoder scaled by 1e200 overflows the leak's norm to inf, and a
+    # NaN precoder makes it NaN; a NaN leak must not fold into a zero
+    # residual and a pass
+    pre = build_zf_precoders(channels_for(2, 1, bounds.TX_HEAVY, seed=3))
+    precoders = {**pre.precoders, (2, 1): pre.precoder(2, 1) * factor}
+    with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
+        verify_scheme(Scheme("zf", pre.channels, precoders))
+
+
+@pytest.mark.parametrize("build, variant", [
+    (build_zf_precoders, bounds.TX_HEAVY), (build_nsia, bounds.RX_HEAVY)])
+@pytest.mark.parametrize("factor", [1e-150, 1e-165, 1e-200])
+def test_verify_residual_survives_tiny_channels(build, variant, factor):
+    # on the unscaled links the leak's Frobenius norms underflow: to a
+    # residual of exactly 0.0 at 1e-150, and to a refused 0/0 from 1e-165
+    cs = channels_for(2, 1, variant, seed=3)
     scaled = channel_set(cs.config, {key: h * factor
                                      for key, h in cs.channels.items()})
-    pre = build_zf_precoders(scaled)
-    with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
-        verify_scheme(pre)
+    reference = verify_scheme(build(cs)).residual_interference
+    report = verify_scheme(build(scaled))
+    assert report.decodable
+    assert reference / 10 <= report.residual_interference <= reference * 10
+
+
+def test_verify_residual_keeps_its_bits_under_a_power_of_two():
+    # verifying the same precoders on channels scaled by 2**-540 (about
+    # 3e-163, whose squares underflow) measures every leak on the same
+    # unit-scaled link
+    pre = build_zf_precoders(channels_for(3, 2, bounds.TX_HEAVY, seed=4))
+    cs = pre.channels
+    scaled = channel_set(cs.config, {key: h * 2.0**-540
+                                     for key, h in cs.channels.items()})
+    assert (verify_scheme(Scheme("zf", scaled, pre.precoders)).residual_interference
+            == verify_scheme(pre).residual_interference)
 
 
 def test_zf_rejects_wrong_profile():

@@ -474,21 +474,16 @@ def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
     assert counts[0]["qr"] == 1
 
 
-def count_seeded_rng(monkeypatch):
-    calls = []
-    seeded = linalg.seeded_rng
-    monkeypatch.setattr(linalg, "seeded_rng",
-                        lambda *key: calls.append(key) or seeded(*key))
-    return calls
-
-
 def test_lemma1_seeds_every_stream_in_bulk_below_2_32(monkeypatch):
-    calls = count_seeded_rng(monkeypatch)
+    built = []
+    seed_sequence = np.random.SeedSequence
+    monkeypatch.setattr(np.random, "SeedSequence", lambda entropy: (
+        built.append(tuple(entropy)) or seed_sequence(entropy)))
     assert monte_carlo_lemma1(2, 4, 3, trials=2500, seed=2**32 - 1).all_passed
-    assert calls == []
-    # a seed numpy splits into two entropy words takes its own path
+    assert built == []
+    # a seed numpy splits into two entropy words is hashed by numpy
     assert monte_carlo_lemma1(2, 4, 3, trials=300, seed=2**32).all_passed
-    assert calls == [(2**32, i) for i in range(300)]
+    assert built == [(2**32, i) for i in range(300)]
 
 
 @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
