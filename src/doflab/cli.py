@@ -27,7 +27,6 @@ from .simulation import SnrGrid
 
 # Most values a 'lo:hi' range (sweep's --K, --beta, --seeds) may list.
 MAX_RANGE_VALUES = 10_000
-SCHEME_VARIANT = {schemes.ZF: bounds.TX_HEAVY, schemes.NSIA: bounds.RX_HEAVY}
 # Scheme name -> builder, looked up in its module at call time so that a
 # patched module attribute (the benchmark's tracer) is the one called.
 _BUILDERS = {
@@ -327,7 +326,7 @@ def _bound_rows(params, result):
 
 
 def _run_scheme(args):
-    variant = SCHEME_VARIANT[args.command]
+    variant = schemes.SCHEME_VARIANT[args.command]
     cs = _scheme_channel_set(args, variant)
     report, _, _, ok = _evaluate(args, cs, args.command, variant)
     doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
@@ -350,7 +349,7 @@ def _run_slope(args):
         if variant is None:
             raise InputError("--profile is required with --scheme random")
     else:
-        variant = SCHEME_VARIANT[args.scheme]
+        variant = schemes.SCHEME_VARIANT[args.scheme]
         if args.profile not in (None, variant):
             raise InputError(f"--scheme {args.scheme} runs at the {variant} "
                              f"profile, not --profile {args.profile}")
@@ -403,7 +402,7 @@ def _run_sweep(args):
     rows = []
     ok = True
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
-        variant = SCHEME_VARIANT[scheme]
+        variant = schemes.SCHEME_VARIANT[scheme]
         cs = _generate_channels(args, k, beta, variant, seed)
         report, estimate, bound, row_ok = _evaluate(args, cs, scheme, variant,
                                                     grid)

@@ -1,18 +1,16 @@
 """Complex dense-matrix subspace algebra.
 
-Numeric rank, null/range bases, subspace intersection and seeded random
-matrix generation.  Everything here is a pure function of its inputs.
-The rank rule (_rank_svd), as_matrix and orthonormal_columns broadcast
-over the leading axes of a stack of matrices, as numpy.linalg.svd does;
-null_space_bases reports each matrix's result as arrays, for the caller
-to refuse a failed matrix from (the schemes and lemma2's nsia source call
-it through network.cross_null_bases).  numeric_rank, null_space_basis,
-range_basis and orthonormalize_rows (unless ``stacked``) take one matrix.
-Every random draw comes from a stream keyed by ``(seed, *subkeys)``:
-random_matrix takes the stream's generator (seeded_rng builds it), and
-random_matrices takes a whole array of keys, hashes their SeedSequence
-states at once (stream_words) and lets each stream's PCG64 seed itself
-from its row, bit for bit as seeded_rng would.  one_blas_thread pins
+Numeric rank, null/range bases, subspace intersection, row
+orthonormalization and seeded random matrices, each a pure function of its
+inputs.  The rank rule (_rank_svd), as_matrix, orthonormal_columns,
+null_space_bases and orthonormalize_rows take a stack of matrices over the
+leading axes, as numpy.linalg.svd does, and report each matrix's result as
+arrays for the caller to refuse a failed one from; numeric_rank,
+null_space_basis and range_basis take one matrix.  Every random draw comes
+from a stream keyed by ``(seed, *subkeys)``: numpy's own generator for the
+key's SeedSequence, which _streams builds for a whole array of keys at once
+(stream_words).  random_matrices draws from an array of keys, and
+random_matrix from seeded_rng, the stream of one key.  one_blas_thread pins
 OpenBLAS to one thread, which keeps large-matrix results independent of
 the core count.
 """
@@ -215,13 +213,12 @@ def require_seed(seed: int):
 
 
 def seeded_rng(seed: int, *subkeys: int) -> np.random.Generator:
-    """Generator for a (seed, subkeys) stream, stable across runs.
-
-    Distinct subkey tuples give statistically independent streams, so one
-    matrix can be regenerated without shifting any other.
+    """Generator at the start of the (seed, *subkeys) stream: _streams of
+    that one key.  Distinct subkey tuples give statistically independent
+    streams, so one matrix can be regenerated without shifting any other.
     """
     require_seed(seed)
-    return np.random.default_rng(np.random.SeedSequence([seed, *subkeys]))
+    return next(_streams([(seed, *subkeys)]))
 
 
 def _stream_keys(keys) -> np.ndarray:
@@ -238,11 +235,6 @@ def _stream_keys(keys) -> np.ndarray:
     if arr.size and (arr < 0).any():
         raise InputError("stream keys must be non-negative integers")
     return arr
-
-
-def _words_of(values):
-    # numpy's entropy words of keys below 2^32, (key length, rows) uint32
-    return np.asarray(values, dtype=np.uint32).T
 
 
 def _lcg32(init: int, mult: int, count: int) -> np.ndarray:
@@ -293,8 +285,8 @@ def _hashmix(value, xor, mult):
 
 
 def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
-    """``SeedSequence(column).generate_state(n_words)`` for every column
-    of a (width, rows) uint32 entropy array, as (rows, n_words) uint32.
+    """The first ``n_words`` SeedSequence state words of every column of a
+    (width, rows) uint32 entropy array, as (rows, n_words) uint32.
 
     numpy's pool hash, run on all rows at once in uint32 arithmetic, which
     wraps mod 2^32 as the C code does.
@@ -319,7 +311,7 @@ def _seed_words(entropy: np.ndarray, n_words: int) -> np.ndarray:
 
 
 def stream_words(keys, n_words: int) -> np.ndarray:
-    """``SeedSequence(row).generate_state(n_words)`` for every
+    """The first ``n_words`` SeedSequence state words of every
     (seed, *subkeys) row of keys, as a (rows, n_words) uint32 array.
 
     Rows with every entry below 2^32 are hashed together; any other row
@@ -328,7 +320,8 @@ def stream_words(keys, n_words: int) -> np.ndarray:
     keys = _stream_keys(keys)
     bulk = (keys < _WORD).all(axis=1)
     words = np.empty((len(keys), n_words), dtype=np.uint32)
-    words[bulk] = _seed_words(_words_of(keys[bulk]), n_words)
+    # numpy's entropy words of keys below 2^32, (key length, rows) uint32
+    words[bulk] = _seed_words(keys[bulk].astype(np.uint32).T, n_words)
     for t in np.flatnonzero(~bulk):
         words[t] = np.random.SeedSequence(keys[t].tolist()).generate_state(n_words)
     return words
@@ -361,7 +354,7 @@ def _state_words():
 
 def _streams(keys: np.ndarray):
     """A new Generator for each (seed, *subkeys) row of keys, in row order,
-    each at the start of its stream: bit for bit what seeded_rng returns.
+    each at the start of its stream: numpy's own, bit for bit.
 
     Each PCG64 seeds itself, in C, from its row's SeedSequence state
     (stream_words), so no SeedSequence is built for a row below 2^32.
@@ -548,24 +541,17 @@ def intersection_dim(u: SubspaceBasis, v: SubspaceBasis,
     return u.dim + v.dim - numeric_rank(stacked, tol)
 
 
-def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL,
-                        stacked: bool = False):
-    """Replace A by Pi @ A with orthonormal rows and the same row space.
+def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL):
+    """``(q, full_rank)`` for a stack of matrices A over the leading axes
+    (one matrix is a stack with none): each slice of ``q`` is Pi @ A with
+    orthonormal rows and the same row space, and ``full_rank`` marks the
+    matrices of full row rank, whose ``q`` slice may be used.
 
     Pi is the inverse of the (conjugated) triangular QR factor, so it is
-    invertible whenever A has full row rank; rank-deficient input is
-    rejected rather than silently truncated.  With ``stacked``, ``a`` is a
-    stack of matrices over the leading axes, ranked and factored by one
-    call each, and the result is ``(q, full_rank)``: ``full_rank`` marks
-    the matrices of the stack whose ``q`` slice may be used, in place of
-    the RankError.
+    invertible whenever A has full row rank.  One SVD ranks the stack and
+    one QR factors it.
     """
-    if not stacked:
-        _require_one_matrix(a)
     arr = as_matrix(a)
     full_rank = _rank_svd(arr, tol) == arr.shape[-2]
-    if not stacked and not full_rank:
-        raise RankError(f"matrix of shape {arr.shape} is not full row rank")
     q, _ = np.linalg.qr(np.swapaxes(arr.conj(), -1, -2))
-    q = np.swapaxes(q.conj(), -1, -2)
-    return (q, full_rank) if stacked else q
+    return np.swapaxes(q.conj(), -1, -2), full_rank

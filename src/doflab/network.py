@@ -21,11 +21,31 @@ from .linalg import SubspaceBasis, Tolerance
 
 log = logging.getLogger(__name__)
 
-# Most redraws of one degenerate draw (draw_channel, and the lemma2 random
-# source's H) before it is refused.  A tolerance just under the limit of
-# Tolerance.require_rankable passes that check yet makes a full-rank draw
-# so rare that an unbounded redraw would never end.
+# Most redraws of one degenerate draw (draw_until) before it is refused: a
+# tolerance just under Tolerance.require_rankable's limit makes a full-rank
+# draw so rare that an unbounded redraw would never end.
 MAX_REDRAWS = 1000
+
+
+def draw_until(key: tuple[int, ...], shape: tuple[int, int], dist: str,
+               rank_of, full: int, tol: Tolerance, warning: str, refusal: str):
+    """``(h, result, rng)``: the first ``shape`` matrix drawn from the start
+    of the ``key`` stream for which ``rank_of(h)`` gives ``(full, result)``,
+    read-only, and the generator, right after it.  A failed draw is drawn
+    again, at most MAX_REDRAWS times, logging ``warning`` at the first
+    redraw; then DegeneracyError says ``refusal``, the count and the
+    tolerance."""
+    rng = linalg.seeded_rng(*key)
+    for redraw in range(MAX_REDRAWS + 1):
+        if redraw == 1:
+            log.warning(warning)
+        h = linalg.random_matrix(*shape, dist, rng)
+        rank, result = rank_of(h)
+        if rank == full:
+            h.setflags(write=False)
+            return h, result, rng
+    raise DegeneracyError(f"{refusal} after {MAX_REDRAWS} redraws at "
+                          f"rel_rank_tol={tol.rel_rank_tol}")
 
 
 @dataclass(frozen=True)
@@ -129,13 +149,10 @@ def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
     and, for a cross link of full rank min(M, N), the null space of its
     wide orientation (cross_null_bases; None for any other link).
 
-    One full SVD covers the cross links' wide orientations and one
-    singular-values-only SVD the direct links, whose factors nothing
-    reads; both run before the first link is yielded.  A basis that
-    failed the stacked Gram check raises its RankError when its link is
-    reached, so a caller that handles the links in order meets every
-    refusal in link order.
-    """
+    One full SVD covers the cross links and one singular-values-only SVD
+    the direct links, before the first link is yielded.  A basis that
+    failed the stacked Gram check raises its RankError at its link, so
+    every refusal comes in link order."""
     cfg = config
     cross = [t for t, (m, l, _) in enumerate(links) if m != l]
     direct = [t for t, (m, l, _) in enumerate(links) if m == l]
@@ -159,60 +176,53 @@ def _links(config: NetworkConfig) -> list[tuple[int, int, int]]:
             for l in range(1, config.L + 1) for k in range(1, config.K + 1)]
 
 
-def generate_channels(config: NetworkConfig) -> ChannelSet:
-    """Draw the full family of nondegenerate channel matrices.
-
-    Each matrix gets its own RNG stream keyed by (seed, m, l, k), so the
-    set is bit-reproducible and individual links can be regenerated in
-    isolation with draw_channel.  The links are drawn and checked in
-    stacks (linalg.stack_chunks): one random_matrices call and one stacked
-    check (_link_checks) per stack.  A rank-deficient link is drawn again
-    by draw_channel from the start of its stream, in link order, so it is
-    redrawn, logged and refused as on its own.  The cross-link null spaces
-    computed by the check are kept on the set.
-    """
+def _checked_set(config: NetworkConfig, stacks, degenerate) -> ChannelSet:
+    """The ChannelSet of ``stacks``, (links, h) pairs in (m, l, k) order with
+    h the links' stack, made read-only and kept with no copy.  One stacked
+    _link_checks per stack; a link of rank below min(M, N) goes to
+    ``degenerate(link, rank)``, which returns (matrix, null) or raises."""
     cfg = config
     channels, nulls = {}, {}
-    for chunk in linalg.stack_chunks(_links(cfg), cfg.N, cfg.M):
-        (h,) = linalg.random_matrices([(cfg.N, cfg.M)], cfg.dist,
-                                      [(cfg.seed, *link) for link in chunk])
+    for chunk, h in stacks:
         h.setflags(write=False)
         for link, h_link, (rank, null) in zip(chunk, h,
                                               _link_checks(cfg, chunk, h)):
             if rank < min(cfg.M, cfg.N):
-                h_link, null = draw_channel(cfg, *link)
+                h_link, null = degenerate(link, rank)
             channels[link] = h_link
             if null is not None:
                 nulls[link] = null
     return ChannelSet(cfg, channels, nulls)
 
 
+def generate_channels(config: NetworkConfig) -> ChannelSet:
+    """Draw the full family of nondegenerate channel matrices.
+
+    Each link (m, l, k) has its own stream (seed, m, l, k), so the set is
+    bit-reproducible.  The links are drawn in stacks (linalg.stack_chunks)
+    and checked by _checked_set; a rank-deficient link is drawn again on
+    its own by draw_channel, so it is redrawn, logged and refused as alone.
+    """
+    cfg = config
+    stacks = ((chunk, linalg.random_matrices(
+                  [(cfg.N, cfg.M)], cfg.dist,
+                  [(cfg.seed, *link) for link in chunk])[0])
+              for chunk in linalg.stack_chunks(_links(cfg), cfg.N, cfg.M))
+    return _checked_set(cfg, stacks, lambda link, _: draw_channel(cfg, *link))
+
+
 def draw_channel(config: NetworkConfig, m: int, l: int,
                  k: int) -> tuple[np.ndarray, SubspaceBasis | None]:
     """Channel from user (l, k) to base station m, read-only, and for a
-    cross link (m != l) the null space of its wide orientation
-    (_link_checks, on a stack of one; None for a direct link).
-
-    Drawn from the (seed, m, l, k) stream.  A draw that fails the
-    nondegeneracy check (numeric rank below min(M, N), probability zero at
-    double precision) is redrawn from the same stream, at most MAX_REDRAWS
-    times, with one warning at the first redraw; then DegeneracyError
-    names the link and the count.
-    """
+    cross link the null space of its wide orientation (else None): by
+    draw_until, from the (seed, m, l, k) stream, checked by _link_checks."""
     cfg = config
-    rng = linalg.seeded_rng(cfg.seed, m, l, k)
-    for redraw in range(MAX_REDRAWS + 1):
-        if redraw == 1:
-            log.warning("degenerate channel draw at (m=%d, l=%d, k=%d); "
-                        "redrawing", m, l, k)
-        h = linalg.random_matrix(cfg.N, cfg.M, cfg.dist, rng)
-        ((rank, null),) = _link_checks(cfg, [(m, l, k)], h[None])
-        if rank == min(cfg.M, cfg.N):
-            h.setflags(write=False)
-            return h, null
-    raise DegeneracyError(
-        f"channel (m={m}, l={l}, k={k}) is still degenerate after "
-        f"{MAX_REDRAWS} redraws at rel_rank_tol={cfg.tol.rel_rank_tol}")
+    return draw_until(
+        (cfg.seed, m, l, k), (cfg.N, cfg.M), cfg.dist,
+        lambda h: next(_link_checks(cfg, [(m, l, k)], h[None])),
+        min(cfg.M, cfg.N), cfg.tol,
+        f"degenerate channel draw at (m={m}, l={l}, k={k}); redrawing",
+        f"channel (m={m}, l={l}, k={k}) is still degenerate")[:2]
 
 
 def channel_set_to_dict(cs: ChannelSet) -> dict:
@@ -281,13 +291,11 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
 
 def channel_set(config: NetworkConfig,
                 channels: dict[tuple[int, int, int], np.ndarray]) -> ChannelSet:
-    """The ChannelSet of ``channels``, keyed (m, l, k) like a draw and made
-    read-only.  Every link must be a finite N x M matrix, refused naming
+    """The ChannelSet of read-only copies of ``channels``, keyed (m, l, k)
+    like a draw.  Every link must be a finite N x M matrix, refused naming
     its (m, l, k) before any link is factored, and must pass a draw's
-    nondegeneracy check, which also gives the cross-link null spaces the
-    set stores.  The check runs in stacks as in generate_channels; the
-    first link in (m, l, k) order that fails it is refused, from the
-    stack's own result."""
+    nondegeneracy check (_checked_set, on stacks of the links); the first
+    link in (m, l, k) order that fails it is refused."""
     cfg = config
     links = _links(cfg)
     if set(channels) != set(links):
@@ -301,17 +309,14 @@ def channel_set(config: NetworkConfig,
                              f"({cfg.N}, {cfg.M})")
         if not np.isfinite(h).all():
             raise InputError(f"{name} has non-finite entries")
-        h.setflags(write=False)
-    nulls = {}
-    for chunk in linalg.stack_chunks(links, cfg.N, cfg.M):
-        h = np.stack([channels[link] for link in chunk])
-        for (m, l, k), (rank, null) in zip(chunk, _link_checks(cfg, chunk, h)):
-            if rank < min(cfg.M, cfg.N):
-                raise InputError(
-                    f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} "
-                    f"at rel_rank_tol={cfg.tol.rel_rank_tol}, below "
-                    f"min(M, N)={min(cfg.M, cfg.N)}: channels must be "
-                    f"nondegenerate")
-            if null is not None:
-                nulls[(m, l, k)] = null
-    return ChannelSet(cfg, channels, nulls)
+
+    def refuse(link, rank):
+        m, l, k = link
+        raise InputError(
+            f"channel (m={m}, l={l}, k={k}) has numeric rank {rank} at "
+            f"rel_rank_tol={cfg.tol.rel_rank_tol}, below min(M, N)="
+            f"{min(cfg.M, cfg.N)}: channels must be nondegenerate")
+
+    stacks = ((chunk, np.stack([channels[link] for link in chunk]))
+              for chunk in linalg.stack_chunks(links, cfg.N, cfg.M))
+    return _checked_set(cfg, stacks, refuse)

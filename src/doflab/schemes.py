@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import linalg
+from . import bounds, linalg
 from .errors import (ConfigurationError, ContractError, DegeneracyError,
                      DimensionError, RankError)
 from .linalg import SubspaceBasis, Tolerance
@@ -29,6 +29,8 @@ from .network import ChannelSet
 ZF = "zf"
 NSIA = "nsia"
 RANDOM = "random"  # the non-aligned baseline, simulation.random_precoders
+# The antenna profile (bounds.antenna_profile) each construction needs.
+SCHEME_VARIANT = {ZF: bounds.TX_HEAVY, NSIA: bounds.RX_HEAVY}
 # Largest residual interference verify_scheme still calls decodable.
 RESIDUAL_THRESHOLD = 1e-10
 
@@ -101,14 +103,14 @@ def require_two_cells(cs: ChannelSet, what: str):
             f"{what} needs L=2 cells, got L={cs.config.L}")
 
 
-def _require_profile(cs: ChannelSet, expect_m: int, expect_n: int,
-                     scheme: str):
+def _require_profile(cs: ChannelSet, scheme: str, label: str):
     cfg = cs.config
-    require_two_cells(cs, f"{scheme} construction")
-    if (cfg.M, cfg.N) != (expect_m, expect_n):
+    require_two_cells(cs, f"{label} construction")
+    expected = bounds.antenna_profile(cfg.K, cfg.beta, SCHEME_VARIANT[scheme])
+    if (cfg.M, cfg.N) != expected:
         raise ConfigurationError(
-            f"{scheme} with K={cfg.K}, beta={cfg.beta} needs (M, N)="
-            f"({expect_m}, {expect_n}), got ({cfg.M}, {cfg.N})")
+            f"{label} with K={cfg.K}, beta={cfg.beta} needs (M, N)="
+            f"{expected}, got ({cfg.M}, {cfg.N})")
 
 
 def build_zf_precoders(cs: ChannelSet) -> Scheme:
@@ -122,7 +124,7 @@ def build_zf_precoders(cs: ChannelSet) -> Scheme:
     """
     cfg = cs.config
     beta = cfg.beta
-    _require_profile(cs, cfg.K * beta + beta, cfg.K * beta, "zero forcing")
+    _require_profile(cs, ZF, "zero forcing")
     precoders = {}
     for l in (1, 2):
         victim = other_cell(l)
@@ -154,8 +156,7 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     """
     cfg = cs.config
     beta = cfg.beta
-    _require_profile(cs, cfg.K * beta, cfg.K * beta + beta,
-                     "null-space alignment")
+    _require_profile(cs, NSIA, "null-space alignment")
     users = range(1, cfg.K + 1)
     for (m, l, k), null in sorted(cs.cross_nulls.items()):
         if null.dim != beta:
@@ -216,7 +217,7 @@ def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
     """
     *stack, users, n, beta = nulls.shape
     rows = np.swapaxes(nulls.conj(), -1, -2).reshape(*stack, users * beta, n)
-    return linalg.orthonormalize_rows(rows, tol, stacked=True)
+    return linalg.orthonormalize_rows(rows, tol)
 
 
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]

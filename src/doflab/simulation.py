@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg, network, schemes
 from .errors import ContractError, DegeneracyError, InputError
 from .linalg import Tolerance
-from .network import MAX_REDRAWS, ChannelSet, NetworkConfig, draw_channel
+from .network import ChannelSet, NetworkConfig, draw_channel
 from .schemes import Scheme, SchemeReport, other_cell
 
 LOG2 = math.log(2.0)
@@ -120,13 +120,27 @@ def _log_det_rate(gram_eigs: np.ndarray, per_stream_power: float) -> float:
     return float(np.sum(np.log1p(per_stream_power * eigs)) / LOG2)
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    # a Gram matrix that overflowed would rate as inf or NaN, and the slope
+    # fitted to it as NaN: refused instead, naming the cell or link
+    if not np.isfinite(values).all():
+        raise DegeneracyError(f"{what} is not finite: channel magnitudes "
+                              f"overflow double precision")
+    return values
+
+
+def _gram(a: np.ndarray, what: str) -> np.ndarray:
+    return _finite(a @ a.conj().T, f"Gram matrix of {what}")
+
+
 def _cell_spectra(scheme: Scheme,
                   report: SchemeReport | None) -> list[np.ndarray]:
     """Gram spectrum of each cell's effective desired channel G G*.
 
     The spectra do not depend on rho, so one call serves a whole SNR grid.
     Raises ContractError for a non-decodable scheme or for a plane P_m
-    without orthonormal rows (the projected noise would not be white).
+    without orthonormal rows (the projected noise would not be white), and
+    DegeneracyError for a Gram matrix or spectrum that is not finite.
     """
     for m, p in (scheme.projectors or {}).items():
         ok, err = linalg.orthonormal_columns(p.conj().T)
@@ -140,9 +154,11 @@ def _cell_spectra(scheme: Scheme,
             f"scheme is not decodable (residual {report.residual_interference:.3e}, "
             f"ranks {report.effective_rank})")
     spectra = []
-    for m in (1, 2):
-        g = schemes.desired_matrix(scheme, m)
-        spectra.append(np.linalg.eigvalsh(g @ g.conj().T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in (1, 2):
+            gram = _gram(schemes.desired_matrix(scheme, m), f"cell {m}")
+            spectra.append(_finite(np.linalg.eigvalsh(gram),
+                                   f"Gram spectrum of cell {m}"))
     return spectra
 
 
@@ -192,20 +208,16 @@ def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, np.ndarray]]]:
     """Per cell m, the Gram matrices (H W)(H W)* of user k's desired link
     and of the other cell's user k's link into m, in user order.
 
-    They do not depend on rho, so one call serves a whole SNR grid.
+    They do not depend on rho, so one call serves a whole SNR grid.  A Gram
+    matrix that is not finite raises DegeneracyError naming its link.
     """
     cs = scheme.channels
     schemes.require_two_cells(cs, "the interference-limited rate")
-    grams = []
-    for m in (1, 2):
-        src = other_cell(m)
-        cell = []
-        for k in range(1, cs.config.K + 1):
-            signal = cs.channel(m, m, k) @ scheme.precoder(m, k)
-            interf = cs.channel(m, src, k) @ scheme.precoder(src, k)
-            cell.append((signal @ signal.conj().T, interf @ interf.conj().T))
-        grams.append(cell)
-    return grams
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [[tuple(_gram(cs.channel(m, l, k) @ scheme.precoder(l, k),
+                             f"link (m={m}, l={l}, k={k})")
+                       for l in (m, other_cell(m)))
+                 for k in range(1, cs.config.K + 1)] for m in (1, 2)]
 
 
 def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
@@ -349,8 +361,8 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     H is N x M with N > M and rank M; P is M x N, either generic or an
     alignment plane constructed by the null-space scheme (which makes both
     sides equal beta = N - M instead of the generic zero).  A random trial
-    i draws H (redrawn while rank-deficient, at most MAX_REDRAWS times)
-    then P from the stream (seed, i); an nsia trial builds P_1 and takes
+    i draws H (redrawn while rank-deficient by network.draw_until) then P
+    from the stream (seed, i); an nsia trial builds P_1 and takes
     H = H_1,21 from the channels of a network seeded from (seed, i).
     """
     if min(M, N) < 1:
@@ -372,23 +384,19 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         config = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta, dist=dist,
                                tol=tol)
 
-    def redraw(i: int) -> tuple[np.ndarray, np.ndarray]:
-        # one trial's draws in stream order, for a chunk whose stacked draw
-        # of H came out rank-deficient, checked by the same rank rule
-        rng = linalg.seeded_rng(seed, i)
-        for _ in range(MAX_REDRAWS + 1):
-            h = linalg.random_matrix(N, M, dist, rng)
-            if linalg._rank_svd(h, tol) == M:
-                return h, linalg.random_matrix(M, N, dist, rng)
-        raise DegeneracyError(
-            f"H of trial {i} is still rank-deficient after {MAX_REDRAWS} "
-            f"redraws at rel_rank_tol={tol.rel_rank_tol}")
-
     def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         h, p = linalg.random_matrices([(N, M), (M, N)], dist,
                                       [(seed, i) for i in chunk])
+        # a trial whose stacked draw of H came out rank-deficient draws
+        # again in stream order, checked by the same rank rule
         for t in np.flatnonzero(linalg._rank_svd(h, tol) < M):
-            h[t], p[t] = redraw(chunk[t])
+            i = chunk[t]
+            h[t], _, rng = network.draw_until(
+                (seed, i), (N, M), dist,
+                lambda h: (linalg._rank_svd(h, tol), None), M, tol,
+                f"degenerate H draw at trial {i}; redrawing",
+                f"H of trial {i} is still rank-deficient")
+            p[t] = linalg.random_matrix(M, N, dist, rng)
         return h, p
 
     def one_nsia_trial(sub_seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -409,7 +417,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # cell 2 into base station 1 are drawn, as one stack from
         # draw_channel's streams (sub-seed, 1, 2, k) for each user k, then
         # checked and stacked into planes by the scheme's own functions.
-        # The sub-seed is SeedSequence([seed, i]).generate_state(1)[0].
+        # The sub-seed is word 0 of the (seed, i) stream's state words.
         sub_seeds = linalg.stream_words([(seed, i) for i in chunk], 1)[:, 0].tolist()
         (h,) = linalg.random_matrices(
             [(N, M)], dist, [(sub_seed, 1, 2, k) for sub_seed in sub_seeds

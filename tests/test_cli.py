@@ -528,6 +528,20 @@ def test_a_link_at_the_redraw_cap_warns_once():
         f"{MAX_REDRAWS} redraws at rel_rank_tol=0.15"]
 
 
+def test_a_lemma2_h_at_the_redraw_cap_warns_once():
+    # lemma2's H is redrawn by the same loop as a channel, with one warning
+    # in the same format before the error
+    done = subprocess.run(
+        [sys.executable, "-m", "doflab.cli", "lemma2", "--M", "2", "--N", "3",
+         "--rel-rank-tol", "0.33", "--trials", "1"],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "degenerate H draw at trial 0; redrawing",
+        "doflab: error: H of trial 0 is still rank-deficient after "
+        f"{MAX_REDRAWS} redraws at rel_rank_tol=0.33"]
+
+
 FIT_COMMANDS = [["slope", "--scheme", "zf", "--K", "1"], ["sweep", "--K", "1"]]
 
 

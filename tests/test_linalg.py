@@ -181,7 +181,7 @@ def test_stacked_rank_validates_like_as_matrix():
     with pytest.raises(DimensionError):
         linalg._rank_svd(np.zeros(3), TOL)
     # the one-matrix functions refuse a stack
-    for one_matrix in (numeric_rank, null_space_basis, orthonormalize_rows):
+    for one_matrix in (numeric_rank, null_space_basis):
         with pytest.raises(DimensionError):
             one_matrix(np.zeros((2, 2, 3)), TOL)
 
@@ -412,15 +412,23 @@ def test_intersection_with_trivial_subspace():
 # orthonormalize_rows
 # ---------------------------------------------------------------------------
 
+def reference_orthonormal_rows(a):
+    """numpy's own QR of A*, conjugate-transposed back: rows spanning A's
+    row space, and whether A has full row rank."""
+    q, _ = np.linalg.qr(a.conj().T)
+    return q.conj().T, np.linalg.matrix_rank(a) == a.shape[0]
+
+
 def test_orthonormalize_rows_gram():
     a = gaussian(2, 3, 19)
-    b = orthonormalize_rows(a, TOL)
+    b, full_rank = orthonormalize_rows(a, TOL)
+    assert full_rank.shape == () and full_rank
     assert np.max(np.abs(b @ b.conj().T - np.eye(2))) <= 1e-10
 
 
 def test_orthonormalize_rows_preserves_row_space():
     a = gaussian(2, 3, 20)
-    b = orthonormalize_rows(a, TOL)
+    b, _ = orthonormalize_rows(a, TOL)
     u = range_basis(a.conj().T, TOL)
     v = range_basis(b.conj().T, TOL)
     assert intersection_dim(u, v, TOL) == 2
@@ -428,26 +436,28 @@ def test_orthonormalize_rows_preserves_row_space():
 
 def test_orthonormalize_rows_already_orthonormal():
     q, _ = np.linalg.qr(gaussian(3, 2, 21))
-    b = orthonormalize_rows(q.conj().T, TOL)
+    b, _ = orthonormalize_rows(q.conj().T, TOL)
     # output differs from input only by a unitary left factor
     pi = b @ q
     np.testing.assert_allclose(pi @ pi.conj().T, np.eye(2), atol=1e-12)
 
 
-def test_orthonormalize_rows_rejects_rank_deficient():
+def test_orthonormalize_rows_marks_rank_deficient():
     row = gaussian(1, 3, 22)
-    with pytest.raises(RankError):
-        orthonormalize_rows(np.vstack([row, row]), TOL)
+    _, full_rank = orthonormalize_rows(np.vstack([row, row]), TOL)
+    assert not full_rank
 
 
 def test_stacked_orthonormalize_rows_matches_each_matrix_and_marks_rank():
     row = gaussian(1, 3, 22)
     stack = np.stack([gaussian(2, 3, 23), np.vstack([row, row]),
                       gaussian(2, 3, 24)])
-    q, full_rank = orthonormalize_rows(stack, TOL, stacked=True)
+    q, full_rank = orthonormalize_rows(stack, TOL)
     assert full_rank.tolist() == [True, False, True]
-    for t in (0, 2):
-        assert np.array_equal(q[t], orthonormalize_rows(stack[t], TOL))
+    for t in range(3):
+        expected, expected_rank = reference_orthonormal_rows(stack[t])
+        assert full_rank[t] == expected_rank
+        assert np.array_equal(q[t], expected)
 
 
 def test_stacked_orthonormal_columns_matches_each_matrix():

@@ -3,11 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from doflab.errors import InputError
-from doflab.linalg import Tolerance, null_space_basis
-from doflab.network import (NetworkConfig, channel_set, channel_set_from_dict,
-                            channel_set_to_dict, draw_channel,
-                            generate_channels)
+from doflab.errors import DegeneracyError, InputError
+from doflab.linalg import (Tolerance, null_space_basis, random_matrix,
+                           seeded_rng)
+from doflab.network import (MAX_REDRAWS, NetworkConfig, channel_set,
+                            channel_set_from_dict, channel_set_to_dict,
+                            draw_channel, draw_until, generate_channels)
 
 
 def make_set(L=2, K=2, M=3, N=2, seed=1, **kw):
@@ -94,6 +95,50 @@ def test_channel_set_refuses_non_finite_entries_naming_the_link():
     with pytest.raises(InputError, match=r"^channel \(m=2, l=1, k=2\) has "
                                          r"non-finite entries$"):
         channel_set(cs.config, channels)
+
+
+def test_channel_set_stores_read_only_copies_in_link_order():
+    # the given matrices are stacked for the check and the set keeps the
+    # stack's slices, so the caller's arrays stay theirs and writable
+    cs = make_set(seed=4)
+    given = {key: h.copy() for key, h in reversed(cs.channels.items())}
+    rebuilt = channel_set(cs.config, given)
+    assert list(rebuilt.channels) == list(cs.channels)
+    for key, h in given.items():
+        assert h.flags.writeable
+        assert not np.shares_memory(rebuilt.channels[key], h)
+        assert np.array_equal(rebuilt.channels[key], h)
+
+
+def test_draw_until_redraws_from_the_start_of_the_stream(caplog):
+    # the third draw has the full rank: the same matrix as the third draw
+    # of seeded_rng(key), and the generator returned continues right after
+    checked = []
+
+    def third(h):
+        checked.append(h)
+        return len(checked), "result"
+
+    h, result, rng = draw_until((9, 4), (3, 2), "uniform-square", third, 3,
+                                Tolerance(), "warning", "refusal")
+    reference = seeded_rng(9, 4)
+    draws = [random_matrix(3, 2, "uniform-square", reference) for _ in range(4)]
+    assert result == "result" and len(checked) == 3
+    assert np.array_equal(h, draws[2])
+    assert np.array_equal(random_matrix(3, 2, "uniform-square", rng), draws[3])
+    assert [r.getMessage() for r in caplog.records] == ["warning"]
+
+
+def test_draw_until_refuses_at_the_cap_naming_the_draw(caplog):
+    checked = []
+    with pytest.raises(DegeneracyError) as exc:
+        draw_until((2,), (2, 2), "complex-gaussian",
+                   lambda h: checked.append(h) or (1, None), 2,
+                   Tolerance(0.3), "warning", "the draw is still bad")
+    assert str(exc.value) == (f"the draw is still bad after {MAX_REDRAWS} "
+                              f"redraws at rel_rank_tol=0.3")
+    assert len(checked) == MAX_REDRAWS + 1
+    assert [r.getMessage() for r in caplog.records] == ["warning"]
 
 
 def test_three_cell_topology_count():

@@ -8,10 +8,14 @@ Pi on the alignment planes.  Sum rates are log-dets of the rotated
 products, so only their last bits may move under a rotation, and so may
 the slope fitted to them.
 
-Scaling is common to all links on purpose.  Scaling the links of two users
-of one cell differently gives the columns of G_m different magnitudes, and
-a rank threshold relative to the largest singular value then rightly drops
-the weaker user's streams, so per-link scaling is not an invariance.
+Each cross link may also be scaled by its own gain: zero forcing precodes
+in its null space and alignment stacks its null space into the planes,
+and neither depends on the link's magnitude.  Direct links are scaled only
+in common.  Scaling the direct links of two users of one cell differently
+gives the columns of G_m different magnitudes, and a rank threshold
+relative to the largest singular value then rightly drops the weaker
+user's streams, so per-link scaling of direct links is not an invariance
+(the README states the gain spread up to which the verdicts still hold).
 """
 
 import numpy as np
@@ -87,6 +91,25 @@ def test_verdicts_invariant_under_common_scale(scheme, K, beta, seed,
     assert baseline[0]
     scaled = transformed(cs, lambda m, l, k, h: h * 10.0 ** exponent)
     assert verdicts(build(scaled)) == baseline
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("scheme", sorted(BUILDS))
+def test_verdicts_invariant_under_per_link_scaling_of_cross_links(
+        scheme, K, beta, seed):
+    # three draws a case: each cross link times its own 10^u, u uniform in
+    # [-8, 8], so two links' gains may differ by up to 16 decades
+    cs, build = draw(scheme, K, beta, seed)
+    baseline = verdicts(build(cs))
+    assert baseline[0]
+    rng = np.random.default_rng([seed, K, beta])
+    for _ in range(3):
+        gain = {key: 10.0 ** rng.uniform(-8, 8)
+                for key in cs.channels if key[0] != key[1]}
+        scaled = transformed(cs, lambda m, l, k, h: h * gain.get((m, l, k), 1.0))
+        assert verdicts(build(scaled)) == baseline
 
 
 @pytest.mark.parametrize("rotate", [rotate_base_stations, rotate_users])

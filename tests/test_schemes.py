@@ -7,9 +7,10 @@ from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
 from doflab.network import (ChannelSet, NetworkConfig, channel_set,
                             generate_channels)
-from doflab.schemes import (Scheme, alignment_planes, build_nsia,
-                            build_zf_precoders, desired_matrix, other_cell,
-                            pi_transform, verify_scheme)
+from doflab.schemes import (NSIA, SCHEME_VARIANT, ZF, Scheme,
+                            alignment_planes, build_nsia, build_zf_precoders,
+                            desired_matrix, other_cell, pi_transform,
+                            verify_scheme)
 from doflab.simulation import random_precoders, sum_rate
 
 TOL = Tolerance()
@@ -93,6 +94,23 @@ def test_zf_rejects_wrong_profile():
     cfg = NetworkConfig(L=2, K=2, M=4, N=2, beta=1, seed=0)
     with pytest.raises(ConfigurationError):
         build_zf_precoders(generate_channels(cfg))
+
+
+@pytest.mark.parametrize("scheme, build, label", [
+    (ZF, build_zf_precoders, "zero forcing"),
+    (NSIA, build_nsia, "null-space alignment")])
+def test_builders_require_their_schemes_antenna_profile(scheme, build, label):
+    # each builder needs bounds.antenna_profile at the profile
+    # SCHEME_VARIANT names, and refuses the other one naming both
+    assert set(SCHEME_VARIANT) == {ZF, NSIA}
+    (other,) = set(bounds.VARIANTS) - {SCHEME_VARIANT[scheme]}
+    M, N = bounds.antenna_profile(3, 2, other)
+    cs = generate_channels(NetworkConfig(L=2, K=3, M=M, N=N, beta=2, seed=0))
+    with pytest.raises(ConfigurationError) as exc:
+        build(cs)
+    expected = bounds.antenna_profile(3, 2, SCHEME_VARIANT[scheme])
+    assert str(exc.value) == (f"{label} with K=3, beta=2 needs (M, N)="
+                              f"{expected}, got ({M}, {N})")
 
 
 def test_zf_rejects_three_cells():

@@ -1,6 +1,7 @@
 import collections
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from doflab import bounds, linalg, simulation
 from doflab.errors import (ConfigurationError, ContractError, DegeneracyError,
                            InputError)
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
-                           numeric_rank, orthonormalize_rows, random_matrix,
-                           range_basis, seeded_rng)
-from doflab.network import NetworkConfig, generate_channels
+                           numeric_rank, random_matrix, range_basis,
+                           seeded_rng)
+from doflab.network import NetworkConfig, channel_set, generate_channels
 from doflab.schemes import (NSIA, Scheme, build_nsia, build_zf_precoders,
                             pi_transform, verify_scheme)
 from doflab.simulation import (DEFAULT_SNR_GRID, MAX_SNR_POINTS,
@@ -407,7 +408,9 @@ def reference_lemma2_nsia(M, N, trials, seed, dist, rel_tol):
             if k == 1:
                 hs.append(h)
             nulls.append(null.basis)
-        ps.append(orthonormalize_rows(np.hstack(nulls).conj().T, tol))
+        # the plane's rows orthonormalized by numpy's QR, not linalg's
+        q, _ = np.linalg.qr(np.hstack(nulls))
+        ps.append(q.conj().T)
     passes = sum(reference_lemma2_holds(h, p, tol) for h, p in zip(hs, ps))
     return np.stack(hs), np.stack(ps), passes
 
@@ -512,6 +515,44 @@ def test_random_precoders_follow_each_users_stream(seed):
         expected, _ = np.linalg.qr(random_matrix(4, 2, "uniform-square",
                                                  seeded_rng(seed, l, k)))
         assert np.array_equal(w, expected)
+
+
+def test_lemma2_random_warns_once_for_each_redrawn_h(caplog):
+    # the loose tolerance makes some first draws of H rank-deficient: each
+    # such trial is redrawn by network.draw_until, with one warning
+    tol = Tolerance(0.2)
+    monte_carlo_lemma2(2, 3, trials=30, seed=5, tol=tol)
+    redrawn = [i for i in range(30) if numeric_rank(
+        random_matrix(3, 2, "complex-gaussian", seeded_rng(5, i)), tol) < 2]
+    assert redrawn
+    assert [r.getMessage() for r in caplog.records] == [
+        f"degenerate H draw at trial {i}; redrawing" for i in redrawn]
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+@pytest.mark.parametrize("build, what", [
+    (build_zf_precoders, "Gram matrix of cell 1"),
+    (random_precoders, "Gram matrix of link (m=1, l=1, k=1)")],
+    ids=["zf", "random"])
+def test_rates_refuse_a_gram_matrix_that_overflows(build, what, scale):
+    # the seed-3 K=2 set scaled past double precision's range: each H W
+    # Gram overflows, and the fit used to return a NaN slope and r² without
+    # raising; numpy's overflow warning must not fire first either
+    cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
+    scaled = channel_set(cs.config, {key: h * scale
+                                     for key, h in cs.channels.items()})
+    with pytest.raises(DegeneracyError, match=rf"^{re.escape(what)} is not "
+                                              r"finite: channel magnitudes"):
+        estimate_dof_slope(build(scaled))
+
+
+def test_rate_refuses_a_spectrum_that_is_not_finite(monkeypatch):
+    _, scheme = zf_setup()
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: np.full(a.shape[0], np.nan))
+    with pytest.raises(DegeneracyError,
+                       match=r"^Gram spectrum of cell 1 is not finite"):
+        sum_rate(scheme, 1e3)
 
 
 def test_lemma2_rejects_wide_h():

@@ -64,9 +64,11 @@ def reference_nsia(cs):
     planes, precoders = {}, {}
     for m in (1, 2):
         src = schemes.other_cell(m)
-        p = linalg.orthonormalize_rows(np.hstack([
-            cs.cross_null(m, src, k).basis
-            for k in range(1, cfg.K + 1)]).conj().T, cfg.tol)
+        rows = np.hstack([cs.cross_null(m, src, k).basis
+                          for k in range(1, cfg.K + 1)]).conj().T
+        assert np.linalg.matrix_rank(rows) == rows.shape[0]
+        q, _ = np.linalg.qr(rows.conj().T)  # numpy's QR, not linalg's
+        p = q.conj().T
         planes[m] = p
         for k in range(1, cfg.K + 1):
             h = cs.channel(m, src, k)
