@@ -19,6 +19,33 @@ import sys
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _json_string
 
+
+def _load_numpy_on_one_blas_thread():
+    """Load numpy with OpenBLAS started on one thread, unless numpy is
+    already loaded or OPENBLAS_NUM_THREADS is set.
+
+    OpenBLAS reads the variable when it loads and otherwise starts a worker
+    per core, which spins for about 0.1 CPU-s before it idles; every
+    command runs on one BLAS thread anyway (linalg.one_blas_thread).  The
+    variable is set only while numpy loads: os.environ is restored as it
+    was found, so child processes see it unchanged.  OpenBLAS reads an
+    empty value as unset, and so does this.
+    """
+    previous = os.environ.get("OPENBLAS_NUM_THREADS")
+    if "numpy" in sys.modules or previous:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if previous is None:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+        else:
+            os.environ["OPENBLAS_NUM_THREADS"] = previous
+
+
+_load_numpy_on_one_blas_thread()
+
 from . import bounds, network, schemes, simulation
 from .errors import DoflabError, InputError
 from .linalg import Tolerance, one_blas_thread

@@ -28,16 +28,17 @@ MAX_REDRAWS = 1000
 
 
 def draw_until(key: tuple[int, ...], shape: tuple[int, int], dist: str,
-               rank_of, full: int, tol: Tolerance, warning: str, refusal: str):
+               rank_of, full: int, tol: Tolerance, warning: str | None,
+               refusal: str):
     """``(h, result, rng)``: the first ``shape`` matrix drawn from the start
     of the ``key`` stream for which ``rank_of(h)`` gives ``(full, result)``,
     read-only, and the generator, right after it.  A failed draw is drawn
-    again, at most MAX_REDRAWS times, logging ``warning`` at the first
-    redraw; then DegeneracyError says ``refusal``, the count and the
-    tolerance."""
+    again, at most MAX_REDRAWS times, logging ``warning`` (unless None) at
+    the first redraw; then DegeneracyError says ``refusal``, the count and
+    the tolerance."""
     rng = linalg.seeded_rng(*key)
     for redraw in range(MAX_REDRAWS + 1):
-        if redraw == 1:
+        if redraw == 1 and warning is not None:
             log.warning(warning)
         h = linalg.random_matrix(*shape, dist, rng)
         rank, result = rank_of(h)

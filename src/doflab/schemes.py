@@ -189,12 +189,28 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     return Scheme(NSIA, cs, precoders, planes, projected_nulls)
 
 
+def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(a * 2**shift, shift)`` for the power of two that puts the largest
+    entry of ``a`` in [1/2, 1): exact, so a norm of the scaled matrix keeps
+    its bits, and it neither underflows nor overflows.  2**1023 is the
+    largest power of two, for subnormal entries."""
+    _, exponent = math.frexp(float(np.abs(a).max()))
+    shift = min(-exponent, 1023)
+    return a * math.ldexp(1.0, shift), shift
+
+
 def _product_scale(p: np.ndarray, h: np.ndarray, m: int, k: int) -> float:
     # Threshold anchor of P_m H, from the factor magnitudes (Frobenius upper
     # bounds the spectral norm): for K=1 the product cancels to zero
-    # entirely and has no scale of its own.  An overflow would rank it 0.
+    # entirely and has no scale of its own.  Both norms are taken on the
+    # unit-scaled factors, so neither overflows nor loses its largest
+    # squares to underflow, and scaled back together; only a product beyond
+    # double precision's range stays infinite, which would rank P_m H 0.
+    (norm_p, shift_p), (norm_h, shift_h) = (
+        (np.linalg.norm(unit), shift)
+        for unit, shift in map(_unit_scaled, (p, h)))
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(p) * np.linalg.norm(h)
+        scale = float(np.ldexp(norm_p * norm_h, -(shift_p + shift_h)))
     if not math.isfinite(scale):
         raise DegeneracyError(
             f"threshold scale of projected cross channel (m={m}, "
@@ -233,8 +249,10 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
         products, scales = [], []
         for m, k in chunk:
             p, h = planes[m], cs.channel(m, other_cell(m), k)
-            products.append(p @ h)
+            # the scale first: it bounds every entry of P H, and refuses
+            # before that product can overflow
             scales.append(_product_scale(p, h, m, k))
+            products.append(p @ h)
         dims, bases, ok = linalg.null_space_bases(
             np.stack(products), cfg.beta, cfg.tol, scale=scales)
         found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
@@ -295,9 +313,7 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
             h = cs.channel(m, src, k)
             w = scheme.precoder(src, k)
             _require_precoder_rows(h, w, src, k)
-            # 2**1023 is the largest power of two, for subnormal entries
-            _, exponent = math.frexp(float(np.abs(h).max()))
-            unit = h * math.ldexp(1.0, min(-exponent, 1023))
+            unit, _ = _unit_scaled(h)
             cross = unit if p is None else p @ unit
             # norms that still overflow or underflow give inf or NaN,
             # refused here: max() would drop a NaN and let the link pass
@@ -311,8 +327,11 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
             if scheme.projected_nulls is not None:
                 null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
             elif null_dims is not None:
+                # the scale first: it bounds every entry of P H, and
+                # refuses before that product can overflow
+                scale = _product_scale(p, h, m, k)
                 null_dims[(m, k)] = h.shape[1] - linalg.numeric_rank(
-                    p @ h, cfg.tol, scale=_product_scale(p, h, m, k))
+                    p @ h, cfg.tol, scale=scale)
         desired.append(desired_matrix(scheme, m))
     if desired[0].shape == desired[1].shape:
         ranks = linalg.numeric_ranks(np.stack(desired), cfg.tol)

@@ -114,10 +114,18 @@ class LemmaTrialReport:
                 "passes": self.passes, "all_passed": self.all_passed}
 
 
-def _log_det_rate(gram_eigs: np.ndarray, per_stream_power: float) -> float:
-    """log2 det(I + p * diag(eigs)) for a Hermitian PSD Gram spectrum."""
-    eigs = np.clip(gram_eigs, 0.0, None)
-    return float(np.sum(np.log1p(per_stream_power * eigs)) / LOG2)
+def _log_det_rate(eigs: np.ndarray, per_stream_power: float) -> float:
+    """log2 det(I + p * diag(eigs)) for a Gram spectrum clipped at 0.
+
+    A term whose p * eig overflows is log(p) + log(eig), which is what
+    log1p gives there to double precision; the other terms keep their bits.
+    """
+    with np.errstate(over="ignore"):
+        snr = per_stream_power * eigs
+    terms = np.log1p(snr)
+    overflowed = np.isinf(snr)
+    terms[overflowed] = np.log(per_stream_power) + np.log(eigs[overflowed])
+    return float(np.sum(terms) / LOG2)
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
@@ -135,7 +143,8 @@ def _gram(a: np.ndarray, what: str) -> np.ndarray:
 
 def _cell_spectra(scheme: Scheme,
                   report: SchemeReport | None) -> list[np.ndarray]:
-    """Gram spectrum of each cell's effective desired channel G G*.
+    """Gram spectrum of each cell's effective desired channel G G*, with
+    the rounding negatives of eigvalsh clipped to 0.
 
     The spectra do not depend on rho, so one call serves a whole SNR grid.
     Raises ContractError for a non-decodable scheme or for a plane P_m
@@ -157,8 +166,9 @@ def _cell_spectra(scheme: Scheme,
     with np.errstate(over="ignore", invalid="ignore"):
         for m in (1, 2):
             gram = _gram(schemes.desired_matrix(scheme, m), f"cell {m}")
-            spectra.append(_finite(np.linalg.eigvalsh(gram),
-                                   f"Gram spectrum of cell {m}"))
+            spectra.append(np.clip(_finite(np.linalg.eigvalsh(gram),
+                                           f"Gram spectrum of cell {m}"),
+                                   0.0, None))
     return spectra
 
 
@@ -222,19 +232,23 @@ def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, np.ndarray]]]:
 
 def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
                 beta: int) -> float:
+    # a covariance or log-det that overflowed would rate as inf or NaN:
+    # refused, naming the cell
     per_stream_power = rho / beta
     total = 0.0
-    for cell in grams:
-        n = cell[0][0].shape[0]
-        q_signal = np.zeros((n, n), dtype=complex)
-        q_interf = np.zeros((n, n), dtype=complex)
-        for signal, interf in cell:
-            q_signal += per_stream_power * signal
-            q_interf += per_stream_power * interf
-        eye = np.eye(n)
-        _, num = np.linalg.slogdet(eye + q_interf + q_signal)
-        _, den = np.linalg.slogdet(eye + q_interf)
-        total += (num - den) / LOG2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, cell in zip((1, 2), grams):
+            n = cell[0][0].shape[0]
+            q_signal = np.zeros((n, n), dtype=complex)
+            q_interf = np.zeros((n, n), dtype=complex)
+            for signal, interf in cell:
+                q_signal += per_stream_power * signal
+                q_interf += per_stream_power * interf
+            eye = np.eye(n)
+            _, num = np.linalg.slogdet(
+                _finite(eye + q_interf + q_signal, f"covariance of cell {m}"))
+            _, den = np.linalg.slogdet(eye + q_interf)
+            total += _finite(num - den, f"log-determinant of cell {m}") / LOG2
     return total
 
 
@@ -362,8 +376,9 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     alignment plane constructed by the null-space scheme (which makes both
     sides equal beta = N - M instead of the generic zero).  A random trial
     i draws H (redrawn while rank-deficient by network.draw_until) then P
-    from the stream (seed, i); an nsia trial builds P_1 and takes
-    H = H_1,21 from the channels of a network seeded from (seed, i).
+    from the stream (seed, i), and one warning counts the redrawn trials;
+    an nsia trial builds P_1 and takes H = H_1,21 from the channels of a
+    network seeded from (seed, i).
     """
     if min(M, N) < 1:
         raise InputError(f"dimensions must be >= 1, got ({M}, {N})")
@@ -384,6 +399,8 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         config = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta, dist=dist,
                                tol=tol)
 
+    redrawn = []
+
     def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
         h, p = linalg.random_matrices([(N, M), (M, N)], dist,
                                       [(seed, i) for i in chunk])
@@ -391,10 +408,10 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # again in stream order, checked by the same rank rule
         for t in np.flatnonzero(linalg._rank_svd(h, tol) < M):
             i = chunk[t]
+            redrawn.append(i)
             h[t], _, rng = network.draw_until(
                 (seed, i), (N, M), dist,
-                lambda h: (linalg._rank_svd(h, tol), None), M, tol,
-                f"degenerate H draw at trial {i}; redrawing",
+                lambda h: (linalg._rank_svd(h, tol), None), M, tol, None,
                 f"H of trial {i} is still rank-deficient")
             p[t] = linalg.random_matrix(M, N, dist, rng)
         return h, p
@@ -437,5 +454,15 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     def chunk_passes(chunk: range) -> int:
         return int(np.count_nonzero(_lemma2_holds(*pairs(chunk), tol)))
 
-    passes = _count_passes(chunk_passes, trials)
+    try:
+        passes = _count_passes(chunk_passes, trials)
+    finally:
+        # one line, also before the error of a trial at the redraw cap
+        if redrawn:
+            first = ", ".join(map(str, redrawn[:10]))
+            more = ", ..." if len(redrawn) > 10 else ""
+            network.log.warning(
+                f"degenerate H draw at {len(redrawn)} "
+                f"{'trial' if len(redrawn) == 1 else 'trials'} "
+                f"({first}{more}); redrawn")
     return LemmaTrialReport(trials=trials, passes=passes, dims=(M, N))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -403,9 +404,7 @@ def test_replay_inside_the_magnitude_range_verifies(tmp_path, capsys, scheme,
 
 
 def test_nsia_replay_beyond_the_magnitude_range_exits_1(tmp_path, capsys):
-    # at 1e154 the projected links' norm overflows: without the range
-    # check, numpy warned of the overflow and the build refused a projected
-    # null dimension of 2
+    # the loader refuses a link beyond 1e150 before the build sees it
     dump = scaled_dump(tmp_path, capsys, 1e154, scheme="nsia")
     assert run(["nsia", "--channels", str(dump), "--assert"]) == 1
     captured = capsys.readouterr()
@@ -413,6 +412,32 @@ def test_nsia_replay_beyond_the_magnitude_range_exits_1(tmp_path, capsys):
     assert captured.err.startswith(
         "doflab: error: channel (m=1, l=1, k=1) has entries of magnitude up to")
     assert "null dimension" not in captured.err
+
+
+def test_rates_at_the_top_of_the_replay_range(tmp_path, capsys):
+    # the seed-3 K=2 zf dump with its largest entry at 0.999e150: from
+    # 90 dB, rho/beta times a Gram eigenvalue overflows.  zf's rates used
+    # to read Infinity (not strict JSON) and the random baseline's NaN
+    def to_peak(doc):
+        parts = [entry[part] for entry in doc["channels"] for part in ("re", "im")]
+        factor = 0.999e150 / max(abs(v) for part in parts for row in part for v in row)
+        for entry in doc["channels"]:
+            for part in ("re", "im"):
+                entry[part] = [[v * factor for v in row] for row in entry[part]]
+
+    dump = scaled_dump(tmp_path, capsys, 1.0, to_peak)
+    code, report = run_json(capsys, ["slope", "--scheme", "zf", "--channels",
+                                     str(dump), "--assert"])
+    assert code == 0
+    assert all(math.isfinite(rate) for rate in report["result"]["sum_rates"])
+    assert report["result"]["slope"] == pytest.approx(4, rel=0.03)
+    assert run(["slope", "--scheme", "random", "--profile", "tx-heavy",
+                "--channels", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("doflab: error: covariance of cell 1 is not "
+                            "finite: channel magnitudes overflow double "
+                            "precision\n")
 
 
 def test_replay_rejects_nan_entries(tmp_path, capsys):
@@ -537,9 +562,21 @@ def test_a_lemma2_h_at_the_redraw_cap_warns_once():
         env=package_env(), capture_output=True, text=True, timeout=30)
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
-        "degenerate H draw at trial 0; redrawing",
+        "degenerate H draw at 1 trial (0); redrawn",
         "doflab: error: H of trial 0 is still rank-deficient after "
         f"{MAX_REDRAWS} redraws at rel_rank_tol=0.33"]
+
+
+def test_lemma2_warns_once_for_all_redrawn_trials():
+    # 231 of these 300 trials redraw H: one line counts them, where one
+    # line per trial used to be written
+    done = subprocess.run(
+        [sys.executable, "-m", "doflab.cli", "lemma2", "--M", "2", "--N", "3",
+         "--trials", "300", "--seed", "5", "--rel-rank-tol", "0.2"],
+        env=package_env(), capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0
+    assert done.stderr == ("degenerate H draw at 231 trials (0, 2, 3, 5, 6, 8, "
+                           "9, 10, 11, 12, ...); redrawn\n")
 
 
 FIT_COMMANDS = [["slope", "--scheme", "zf", "--K", "1"], ["sweep", "--K", "1"]]
@@ -704,6 +741,93 @@ def test_importing_the_cli_builds_no_parser():
                           check=True, capture_output=True, text=True,
                           timeout=60)
     assert done.stdout.split() == ["0", "1"]
+
+
+# Every name doflab exported when its __init__ imported its submodules.
+EXPORTED_NAMES = [
+    "ChannelSet", "ConfigurationError", "ContractError", "DegeneracyError",
+    "DimensionError", "DofBoundReport", "DoflabError", "InputError",
+    "LemmaTrialReport", "NSIA", "NetworkConfig", "RANDOM", "RX_HEAVY",
+    "RankError", "Scheme", "SchemeReport", "SlopeEstimate", "SnrGrid",
+    "SubspaceBasis", "TX_HEAVY", "Tolerance", "ZF", "antenna_profile",
+    "bounds", "build_nsia", "build_zf_precoders", "channel_set",
+    "channel_set_from_dict", "channel_set_to_dict", "converse_two_cell",
+    "dof_outer_bound", "errors", "estimate_dof_slope", "generate_channels",
+    "interference_limited_rate", "intersection_dim", "linalg",
+    "monte_carlo_lemma1", "monte_carlo_lemma2", "network",
+    "null_space_basis", "numeric_rank", "orthonormalize_rows",
+    "per_message_set_bound", "pi_transform", "random_matrix",
+    "random_precoders", "range_basis", "schemes", "seeded_rng",
+    "simulation", "sum_rate", "two_user_ic_dof", "verify_scheme",
+]
+
+
+def probe(code, **env):
+    """stdout of a fresh interpreter running ``code`` with this doflab
+    first on its path; ``env`` sets variables, and None removes one."""
+    full = package_env()
+    for name, value in env.items():
+        full.pop(name, None)
+        if value is not None:
+            full[name] = value
+    return subprocess.run([sys.executable, "-c", code], env=full, check=True,
+                          capture_output=True, text=True, timeout=60).stdout
+
+
+@pytest.fixture
+def openblas():
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+
+
+# OpenBLAS's thread count after the probe's imports, and the variable as
+# the probe's os.environ holds it afterwards
+BLAS_THREADS = ("from doflab import linalg; "
+                "print(linalg._openblas_threads()[1](), "
+                "repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+
+
+@pytest.mark.parametrize("value", [None, ""])
+def test_importing_the_cli_starts_openblas_on_one_thread(openblas, value):
+    # an unset or empty variable is set to 1 only while numpy loads
+    out = probe(f"import os, doflab.cli; {BLAS_THREADS}",
+                OPENBLAS_NUM_THREADS=value)
+    assert out.split() == ["1", repr(value)]
+
+
+def test_importing_the_cli_keeps_an_explicit_thread_count(openblas):
+    out = probe(f"import os, doflab.cli; {BLAS_THREADS}",
+                OPENBLAS_NUM_THREADS="2")
+    assert out.split() == ["2", "'2'"]
+
+
+def test_the_library_leaves_openblas_threading_as_numpy_starts_it(openblas):
+    # not 2 hard-coded: OpenBLAS starts one thread per core, so a 1-CPU
+    # machine gives 1 either way
+    library = probe("import os, doflab; doflab.numeric_rank([[1.0, 2.0]]); "
+                    + BLAS_THREADS, OPENBLAS_NUM_THREADS=None)
+    numpy_alone = probe(f"import os, numpy; {BLAS_THREADS}",
+                        OPENBLAS_NUM_THREADS=None)
+    assert library == numpy_alone
+
+
+def test_importing_the_package_loads_no_numpy():
+    # a submodule still resolves as an attribute after a bare import
+    out = probe("import sys, doflab; print('numpy' in sys.modules); "
+                "print(doflab.linalg.one_blas_thread.__name__)")
+    assert out.split() == ["False", "one_blas_thread"]
+
+
+def test_the_package_resolves_every_exported_name():
+    namespace = {}
+    exec(f"from doflab import {', '.join(EXPORTED_NAMES)}", namespace)
+    for name in EXPORTED_NAMES:
+        assert getattr(doflab, name) is namespace[name]
+    assert set(EXPORTED_NAMES) <= set(dir(doflab))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        doflab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from doflab import no_such_name", {})
 
 
 def write_config(tmp_path, doc):

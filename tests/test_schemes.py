@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from doflab import bounds, linalg
+from doflab import bounds, linalg, schemes
 from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
                            RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
@@ -226,12 +226,13 @@ def test_stacked_alignment_planes_equal_each_plane_alone():
             assert np.array_equal(built, plane)
 
 
-@pytest.mark.parametrize("factor", [1e150, 1e154])
-def test_nsia_refuses_a_product_scale_that_overflows(factor):
-    # channel_set does not range-check its links as replays do: at 1e154
-    # the Frobenius norm of each link overflows, and an infinite threshold
-    # would rank every projected link 0; the build and the fresh
-    # measurement of transformed planes both name the link instead
+@pytest.mark.parametrize("factor", [1e-300, 1e150, 1e154, 1e200, 1e300, 4e307])
+def test_nsia_builds_far_from_unit_magnitude(factor):
+    # channel_set does not range-check its links as replays do.  The
+    # Frobenius norm of a link overflows from about 1e154 and underflows
+    # near 1e-300; the threshold scale of each projected link is taken on
+    # its unit-scaled factors, so both the build and the fresh measurement
+    # of transformed planes rank it as at unit magnitude
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=3)
     scaled = channel_set(cs.config, {key: h * factor
                                      for key, h in cs.channels.items()})
@@ -239,17 +240,42 @@ def test_nsia_refuses_a_product_scale_that_overflows(factor):
     transformed = pi_transform(Scheme("nsia", scaled, built.precoders,
                                       built.projectors),
                                {1: np.eye(2), 2: np.eye(2)})
-    if factor == 1e150:
-        assert verify_scheme(build_nsia(scaled)).decodable
-        assert verify_scheme(transformed).decodable
-        return
+    assert verify_scheme(build_nsia(scaled)).decodable
+    assert verify_scheme(transformed).decodable
+
+
+def test_nsia_refuses_a_product_scale_that_overflows():
+    # an infinite threshold would rank the projected link 0.  At 5e307
+    # each link and its Frobenius norm are finite, but the norm of H_1,21
+    # times that of P_1 (sqrt(2)) is past double precision's range, and so
+    # is the norm of a 1e300 link times that of 1e10 P_1; the fresh
+    # measurement of such transformed planes names the link before
+    # P_1 H_1,21 overflows
+    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=3)
+
+    def scaled(factor):
+        return channel_set(cs.config, {key: h * factor
+                                       for key, h in cs.channels.items()})
+
+    built = build_nsia(cs)
+    transformed = pi_transform(Scheme("nsia", scaled(1e300), built.precoders,
+                                      built.projectors),
+                               {1: 1e10 * np.eye(2), 2: 1e10 * np.eye(2)})
     message = ("threshold scale of projected cross channel (m=1, l=2, k=1) "
                "is inf: channel magnitudes overflow double precision")
-    for refused in (lambda: build_nsia(scaled),
+    for refused in (lambda: build_nsia(scaled(5e307)),
                     lambda: verify_scheme(transformed)):
         with pytest.raises(DegeneracyError) as exc:
             refused()
         assert str(exc.value) == message
+
+
+def test_product_scale_keeps_its_bits_under_a_power_of_two():
+    built = build_nsia(channels_for(2, 1, bounds.RX_HEAVY, seed=3))
+    p, h = built.projector(1), built.channels.channel(1, 2, 1)
+    scale = np.linalg.norm(p) * np.linalg.norm(h)
+    assert schemes._product_scale(p, h, 1, 1) == scale
+    assert schemes._product_scale(p, h * 2.0**-540, 1, 1) == scale * 2.0**-540
 
 
 def test_nsia_rejects_wrong_profile():

@@ -517,16 +517,34 @@ def test_random_precoders_follow_each_users_stream(seed):
         assert np.array_equal(w, expected)
 
 
-def test_lemma2_random_warns_once_for_each_redrawn_h(caplog):
+@pytest.mark.parametrize("trials", [30, 1])
+def test_lemma2_random_warns_once_for_all_redrawn_h(caplog, trials):
     # the loose tolerance makes some first draws of H rank-deficient: each
-    # such trial is redrawn by network.draw_until, with one warning
+    # such trial is redrawn by network.draw_until, and one warning counts
+    # them and lists the first 10
     tol = Tolerance(0.2)
-    monte_carlo_lemma2(2, 3, trials=30, seed=5, tol=tol)
-    redrawn = [i for i in range(30) if numeric_rank(
+    monte_carlo_lemma2(2, 3, trials=trials, seed=5, tol=tol)
+    redrawn = [i for i in range(trials) if numeric_rank(
         random_matrix(3, 2, "complex-gaussian", seeded_rng(5, i)), tol) < 2]
-    assert redrawn
-    assert [r.getMessage() for r in caplog.records] == [
-        f"degenerate H draw at trial {i}; redrawing" for i in redrawn]
+    assert redrawn[0] == 0
+    first = ", ".join(map(str, redrawn[:10]))
+    if trials == 1:
+        expected = "degenerate H draw at 1 trial (0); redrawn"
+    else:
+        assert len(redrawn) > 10
+        expected = f"degenerate H draw at {len(redrawn)} trials ({first}, ...); redrawn"
+    assert [r.getMessage() for r in caplog.records] == [expected]
+
+
+def test_log_det_rate_sums_the_logs_of_an_overflowing_term():
+    # p * 1e300 overflows: that term is log(p) + log(eig), and the term
+    # that does not overflow keeps the bits of log1p(p * eig)
+    eigs = np.array([1e300, 2.0])
+    rate = simulation._log_det_rate(eigs, 1e10)
+    assert rate == ((np.log(1e10) + np.log(1e300)) + np.log1p(2e10)) / math.log(2.0)
+    finite = np.array([3e290, 2.0])
+    assert (simulation._log_det_rate(finite, 1e10)
+            == float(np.sum(np.log1p(1e10 * finite)) / math.log(2.0)))
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
