@@ -6,7 +6,9 @@ inputs.  The rank rule (_rank_svd), as_matrix, orthonormal_columns,
 null_space_bases and orthonormalize_rows take a stack of matrices over the
 leading axes, as numpy.linalg.svd does, and report each matrix's result as
 arrays for the caller to refuse a failed one from; numeric_rank,
-null_space_basis and range_basis take one matrix.  Every random draw comes
+null_space_basis and range_basis take one matrix.  product_scales is the
+threshold anchor of every rank of a product P H, taken on factors scaled
+by powers of two (unit_scaled).  Every random draw comes
 from a stream keyed by ``(seed, *subkeys)``: numpy's own generator for the
 key's SeedSequence, which _streams builds for a whole array of keys at once
 (stream_words).  random_matrices draws from an array of keys, and
@@ -393,10 +395,19 @@ def _draw_blocks(shapes, dist: str, count: int, rngs) -> list[np.ndarray]:
         re = raw[:, start:start + size].reshape(-1, rows, cols)
         im = raw[:, start + size:start + 2 * size].reshape(-1, rows, cols)
         start += 2 * size
-        if dist == "complex-gaussian":
-            blocks.append((re + 1j * im) / np.sqrt(2.0))
-        else:
+        if dist != "complex-gaussian":
             blocks.append(re + 1j * im)
+        elif re.all() and im.all():
+            # numpy divides by (sqrt(2), 0) as a multiplication by
+            # 1/sqrt(2), so each part is scaled on its own with the same bits.
+            # The cast allocates as the complex expression did; filling an
+            # np.empty array instead raised a K=32 slope's peak RSS
+            block = (re * (1.0 / np.sqrt(2.0))).astype(np.complex128)
+            np.multiply(im, 1.0 / np.sqrt(2.0), out=block.imag)
+            blocks.append(block)
+        else:
+            # the complex arithmetic sets the sign of an exactly zero part
+            blocks.append((re + 1j * im) / np.sqrt(2.0))
     return blocks
 
 
@@ -450,6 +461,42 @@ def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False):
         ref = np.maximum(ref, np.asarray(scale)[..., None])
     rank = (s > tol.absolute(rows, cols, ref)).sum(axis=-1)
     return (rank, u, vh) if vectors else rank
+
+
+def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a * 2**shift, shift)`` for one matrix or a stack over the leading
+    axes, with each matrix's power of two the one that puts its largest
+    entry in [1/2, 1): exact, so a norm of the scaled matrix keeps its
+    bits, and it neither underflows nor overflows.  2**1023 is the largest
+    power of two, for subnormal entries.  ``shift`` has one entry per
+    matrix (0-d for one matrix)."""
+    _, exponent = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    shift = np.minimum(-exponent, 1023)
+    return a * np.ldexp(1.0, shift)[..., None, None], shift
+
+
+def product_scales(p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The threshold anchor ||P||_F ||H||_F of each product P H of a stack
+    (``p`` may be one plane, broadcast over a stack ``h``), for the
+    ``scale`` of a product rank.
+
+    A product can cancel to zero entirely (a K=1 projected cross channel)
+    and then has no scale of its own; Frobenius norms upper bound the
+    spectral norms, so the anchor bounds every entry of P H.  Both norms
+    are taken on the unit-scaled factors (unit_scaled), so neither
+    overflows nor loses its largest squares to underflow, and are scaled
+    back together.  An anchor beyond double precision's range is ``inf``,
+    which would rank the product 0: the caller refuses it.
+    """
+    (norm_p, shift_p), (norm_h, shift_h) = _unit_norms(p), _unit_norms(h)
+    with np.errstate(over="ignore"):
+        return np.ldexp(norm_p * norm_h, -(shift_p + shift_h))
+
+
+def _unit_norms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one factor at a time, so only one unit-scaled copy is alive
+    unit, shift = unit_scaled(a)
+    return np.linalg.norm(unit, axis=(-2, -1)), shift
 
 
 def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) -> int:

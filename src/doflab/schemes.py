@@ -15,6 +15,7 @@ Two closed-form constructions deliver 2*K*beta interference-free streams:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -53,7 +54,8 @@ class Scheme:
     build_nsia also keeps the null space of each projected cross channel
     P_m H_m,lk, keyed (m, k), in ``projected_nulls``; verify_scheme reads
     their dimensions instead of factoring the products again.  Planes from
-    anywhere else (pi_transform) carry none and are measured afresh.
+    anywhere else (pi_transform, or a Scheme built by hand) carry none,
+    and verify_scheme measures them as build_nsia does (_projected_nulls).
     ``==`` is identity.
     """
 
@@ -189,36 +191,6 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     return Scheme(NSIA, cs, precoders, planes, projected_nulls)
 
 
-def _unit_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(a * 2**shift, shift)`` for the power of two that puts the largest
-    entry of ``a`` in [1/2, 1): exact, so a norm of the scaled matrix keeps
-    its bits, and it neither underflows nor overflows.  2**1023 is the
-    largest power of two, for subnormal entries."""
-    _, exponent = math.frexp(float(np.abs(a).max()))
-    shift = min(-exponent, 1023)
-    return a * math.ldexp(1.0, shift), shift
-
-
-def _product_scale(p: np.ndarray, h: np.ndarray, m: int, k: int) -> float:
-    # Threshold anchor of P_m H, from the factor magnitudes (Frobenius upper
-    # bounds the spectral norm): for K=1 the product cancels to zero
-    # entirely and has no scale of its own.  Both norms are taken on the
-    # unit-scaled factors, so neither overflows nor loses its largest
-    # squares to underflow, and scaled back together; only a product beyond
-    # double precision's range stays infinite, which would rank P_m H 0.
-    (norm_p, shift_p), (norm_h, shift_h) = (
-        (np.linalg.norm(unit), shift)
-        for unit, shift in map(_unit_scaled, (p, h)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.ldexp(norm_p * norm_h, -(shift_p + shift_h)))
-    if not math.isfinite(scale):
-        raise DegeneracyError(
-            f"threshold scale of projected cross channel (m={m}, "
-            f"l={other_cell(m)}, k={k}) is {scale}: channel magnitudes "
-            f"overflow double precision")
-    return scale
-
-
 def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
     """``(planes, full_rank)``: the row-orthonormal alignment planes P_m of
     a stack of base stations, and which of them have full rank.
@@ -246,17 +218,44 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
     pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
     found = {}
     for chunk in linalg.stack_chunks(pairs, cfg.K * cfg.beta, cfg.M):
-        products, scales = [], []
-        for m, k in chunk:
-            p, h = planes[m], cs.channel(m, other_cell(m), k)
-            # the scale first: it bounds every entry of P H, and refuses
-            # before that product can overflow
-            scales.append(_product_scale(p, h, m, k))
-            products.append(p @ h)
+        products, scales = _projected_products(cs, planes, chunk)
         dims, bases, ok = linalg.null_space_bases(
-            np.stack(products), cfg.beta, cfg.tol, scale=scales)
+            products, cfg.beta, cfg.tol, scale=scales)
+        del products  # released before the next chunk's links are stacked
         found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
     return found
+
+
+def _projected_products(cs: ChannelSet, planes: dict[int, np.ndarray],
+                        chunk: list[tuple[int, int]]
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """``(products, scales)``: P_m H_m,lk for the (m, k) pairs of
+    ``chunk``, as one stack, and their threshold anchors.
+
+    The chunk's links are stacked once.  Each base station's plane
+    multiplies its slice of that stack, and linalg.product_scales takes
+    the anchors from the same slice.  The anchors come first: they bound
+    every entry of P H, so the first one that is not finite is refused, in
+    (m, k) order, before its product can overflow.  The link stack is
+    released on return, before the products are factored.
+    """
+    h = np.stack([cs.channel(m, other_cell(m), k) for m, k in chunk])
+    rows = planes[chunk[0][0]].shape[0]
+    products = np.empty((len(chunk), rows, cs.config.M), dtype=np.complex128)
+    scales = np.empty(len(chunk))
+    stop = 0
+    for m, run in itertools.groupby(chunk, key=lambda pair: pair[0]):
+        at = slice(stop, stop + len(list(run)))
+        stop = at.stop
+        scales[at] = linalg.product_scales(planes[m], h[at])
+        for (_, k), scale in zip(chunk[at], scales[at].tolist()):
+            if not math.isfinite(scale):
+                raise DegeneracyError(
+                    f"threshold scale of projected cross channel (m={m}, "
+                    f"l={other_cell(m)}, k={k}) is {scale}: channel "
+                    f"magnitudes overflow double precision")
+        np.matmul(planes[m], h[at], out=products[at])
+    return products, scales
 
 
 def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
@@ -290,22 +289,22 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     every per-cell effective rank equals K*beta and the residual is at
     most RESIDUAL_THRESHOLD.  The report is named after the scheme.  The
     projected null dimensions come from the scheme's stored null spaces
-    when it has them, and from a fresh rank otherwise.  Each leak is
-    measured on its link scaled by the power of two that puts the largest
-    entry in [1/2, 1): exact, so a residual keeps its bits, and the norms
-    of a link far from unit magnitude (entries near 1e-150 square to
-    about 1e-300) neither underflow nor overflow.  A leakage that is
-    still not finite (a zero link, or precoders or planes whose products
-    overflow) raises DegeneracyError naming the link instead of being
-    folded into the residual.
+    when it has them; planes without them (pi_transform, or a Scheme built
+    by hand) are measured by build_nsia's own stacked _projected_nulls,
+    which refuses a threshold scale that overflows.  Each leak is measured
+    on its link scaled by the power of two that puts the largest entry in
+    [1/2, 1) (linalg.unit_scaled): exact, so a residual keeps its bits,
+    and the norms of a link far from unit magnitude (entries near 1e-150
+    square to about 1e-300) neither underflow nor overflow.  A leakage
+    that is still not finite (a zero link, or precoders or planes whose
+    products overflow) raises DegeneracyError naming the link instead of
+    being folded into the residual.
     """
     cs = scheme.channels
     cfg = cs.config
     require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
     residual = 0.0
-    desired = []
-    null_dims = {} if scheme.projectors is not None else None
     for m in (1, 2):
         src = other_cell(m)
         p = scheme.projector(m)
@@ -313,7 +312,7 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
             h = cs.channel(m, src, k)
             w = scheme.precoder(src, k)
             _require_precoder_rows(h, w, src, k)
-            unit, _ = _unit_scaled(h)
+            unit, _ = linalg.unit_scaled(h)
             cross = unit if p is None else p @ unit
             # norms that still overflow or underflow give inf or NaN,
             # refused here: max() would drop a NaN and let the link pass
@@ -324,15 +323,15 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
                     f"magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
-            if scheme.projected_nulls is not None:
-                null_dims[(m, k)] = scheme.projected_nulls[(m, k)].dim
-            elif null_dims is not None:
-                # the scale first: it bounds every entry of P H, and
-                # refuses before that product can overflow
-                scale = _product_scale(p, h, m, k)
-                null_dims[(m, k)] = h.shape[1] - linalg.numeric_rank(
-                    p @ h, cfg.tol, scale=scale)
-        desired.append(desired_matrix(scheme, m))
+    if scheme.projected_nulls is not None:
+        null_dims = {key: null.dim
+                     for key, null in scheme.projected_nulls.items()}
+    elif scheme.projectors is not None:
+        null_dims = {key: dim for key, (dim, _, _)
+                     in _projected_nulls(cs, scheme.projectors).items()}
+    else:
+        null_dims = None
+    desired = [desired_matrix(scheme, m) for m in (1, 2)]
     if desired[0].shape == desired[1].shape:
         ranks = linalg.numeric_ranks(np.stack(desired), cfg.tol)
     else:  # precoders of unequal widths, only in a hand-built scheme

@@ -206,6 +206,9 @@ def interference_limited_rate(scheme: Scheme, rho: float) -> float:
     a difference of log-dets of two Hermitian positive definite matrices.
     Reduces to sum_rate when the interference terms vanish.  Baseline for
     the slope experiment; saturates at high SNR for generic precoders.
+    Where rho/beta times a Gram entry overflows, the same rate is taken
+    from the unscaled Gram sums (_grams_rate), so channels up to the top
+    of the replay range rate.
     Receive planes, if the scheme has any, are ignored.  A channel set
     that is not two-cell raises ConfigurationError.
     """
@@ -232,8 +235,12 @@ def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, np.ndarray]]]:
 
 def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
                 beta: int) -> float:
-    # a covariance or log-det that overflowed would rate as inf or NaN:
-    # refused, naming the cell
+    # log det(I + Qi + Qs) - log det(I + Qi), each Q rho' times a sum of
+    # Grams.  Where rho' times a Gram entry overflows (a replay near the
+    # top of the magnitude range at high SNR), the same rate is taken from
+    # the unscaled Gram sums, log det(I/rho' + Gi + Gs) - log det(I/rho' +
+    # Gi): the n log rho' terms cancel.  A covariance or log-det that is
+    # still not finite would rate as inf or NaN: refused, naming the cell
     per_stream_power = rho / beta
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,8 +252,14 @@ def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
                 q_signal += per_stream_power * signal
                 q_interf += per_stream_power * interf
             eye = np.eye(n)
+            covariance = eye + q_interf + q_signal
+            if not np.isfinite(covariance).all():
+                eye = eye / per_stream_power
+                q_signal = sum(signal for signal, _ in cell)
+                q_interf = sum(interf for _, interf in cell)
+                covariance = eye + q_interf + q_signal
             _, num = np.linalg.slogdet(
-                _finite(eye + q_interf + q_signal, f"covariance of cell {m}"))
+                _finite(covariance, f"covariance of cell {m}"))
             _, den = np.linalg.slogdet(eye + q_interf)
             total += _finite(num - den, f"log-determinant of cell {m}") / LOG2
     return total
@@ -345,12 +358,13 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
 def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
     """dim null(P H) == dim(ran(H) ∩ null(P)) for each stacked pair.
 
-    The left side thresholds P H against the factor magnitudes; the right
-    side is dim U + dim V - rank([U V]) over orthonormal bases U of ran(H)
-    and V of null(P), evaluated per group of trials with equal dims.
+    The left side thresholds P H against the factor magnitudes
+    (linalg.product_scales, the anchor of build_nsia's projected ranks;
+    finite for the unit-magnitude draws here); the right side is
+    dim U + dim V - rank([U V]) over orthonormal bases U of ran(H) and V
+    of null(P), evaluated per group of trials with equal dims.
     """
-    scale = np.linalg.norm(p, axis=(1, 2)) * np.linalg.norm(h, axis=(1, 2))
-    lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, scale)
+    lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, linalg.product_scales(p, h))
     rank_h, u, _ = linalg._rank_svd(h, tol, vectors=True)
     rank_p, _, vh = linalg._rank_svd(p, tol, vectors=True)
     null_p = p.shape[2] - rank_p

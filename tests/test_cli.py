@@ -416,8 +416,10 @@ def test_nsia_replay_beyond_the_magnitude_range_exits_1(tmp_path, capsys):
 
 def test_rates_at_the_top_of_the_replay_range(tmp_path, capsys):
     # the seed-3 K=2 zf dump with its largest entry at 0.999e150: from
-    # 90 dB, rho/beta times a Gram eigenvalue overflows.  zf's rates used
-    # to read Infinity (not strict JSON) and the random baseline's NaN
+    # 90 dB, rho/beta times a Gram eigenvalue overflows, and at every SNR
+    # of the grid rho/beta times a Gram entry.  zf's rates used to read
+    # Infinity (not strict JSON), and the random baseline's NaN, then a
+    # refusal of its covariance; both now rate, in strict JSON
     def to_peak(doc):
         parts = [entry[part] for entry in doc["channels"] for part in ("re", "im")]
         factor = 0.999e150 / max(abs(v) for part in parts for row in part for v in row)
@@ -432,12 +434,14 @@ def test_rates_at_the_top_of_the_replay_range(tmp_path, capsys):
     assert all(math.isfinite(rate) for rate in report["result"]["sum_rates"])
     assert report["result"]["slope"] == pytest.approx(4, rel=0.03)
     assert run(["slope", "--scheme", "random", "--profile", "tx-heavy",
-                "--channels", str(dump)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("doflab: error: covariance of cell 1 is not "
-                            "finite: channel magnitudes overflow double "
-                            "precision\n")
+                "--channels", str(dump)]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    result = json.loads(capsys.readouterr().out, parse_constant=refuse)["result"]
+    assert all(math.isfinite(rate) for rate in result["sum_rates"])
+    assert result["slope"] <= 0.5
 
 
 def test_replay_rejects_nan_entries(tmp_path, capsys):

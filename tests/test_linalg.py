@@ -91,6 +91,47 @@ def test_rank_scale_anchor_classifies_cancelled_product_as_zero():
     assert numeric_rank(tiny, TOL, scale=1.0) == 0
 
 
+def test_product_scales_are_the_factor_norms_bit_for_bit():
+    p, h = linalg.random_matrices([(3, 5), (5, 4)], "complex-gaussian",
+                                  [(31, i) for i in range(64)])
+    norms = (np.linalg.norm(p, axis=(-2, -1))
+             * np.linalg.norm(h, axis=(-2, -1)))
+    np.testing.assert_array_equal(linalg.product_scales(p, h), norms)
+    # exact under a power of two, far past where the squares underflow
+    np.testing.assert_array_equal(linalg.product_scales(p, h * 2.0**-540),
+                                  norms * 2.0**-540)
+    # one plane broadcast over a stack is each pair's own anchor
+    broadcast = linalg.product_scales(p[0], h)
+    assert broadcast.shape == (64,)
+    for t in range(64):
+        assert broadcast[t] == linalg.product_scales(p[0], h[t])
+
+
+def test_product_scales_are_inf_past_the_double_range():
+    # ||1e300 P|| ||H|| is finite, ||1e300 P|| ||1e10 H|| is not; no
+    # overflow warning fires (tier-1 makes one an error)
+    p, h = gaussian(3, 5, 32), gaussian(5, 4, 33)
+    scales = linalg.product_scales(1e300 * p, np.stack([h, 1e10 * h, 1e-300 * h]))
+    assert np.isfinite(scales[0]) and np.isfinite(scales[2])
+    assert scales[1] == np.inf
+
+
+def test_unit_scaled_puts_each_peak_in_half_to_one():
+    h = np.stack([gaussian(4, 3, 34) * factor
+                  for factor in (1e-300, 1.0, 1e300)])
+    unit, shift = linalg.unit_scaled(h)
+    peaks = np.abs(unit).max(axis=(-2, -1))
+    assert ((0.5 <= peaks) & (peaks < 1.0)).all()
+    for t in range(3):
+        one, one_shift = linalg.unit_scaled(h[t])
+        assert one_shift == shift[t]
+        np.testing.assert_array_equal(one, unit[t])
+        np.testing.assert_array_equal(np.ldexp(unit[t].real, -shift[t]), h[t].real)
+    # a subnormal peak is scaled by 2**1023, the largest power of two
+    _, subnormal = linalg.unit_scaled(np.full((2, 2), 5e-324 + 0j))
+    assert subnormal == 1023
+
+
 def test_tolerance_validation():
     with pytest.raises(InputError):
         Tolerance(0.0)
@@ -184,6 +225,38 @@ def test_stacked_rank_validates_like_as_matrix():
     for one_matrix in (numeric_rank, null_space_basis):
         with pytest.raises(DimensionError):
             one_matrix(np.zeros((2, 2, 3)), TOL)
+
+
+class _FixedNormals:
+    """A generator stub whose standard_normal writes the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, out):
+        out[:] = self.values
+
+
+def test_complex_gaussian_draws_keep_the_bits_of_complex_division():
+    # each block is (re + 1j*im) / sqrt(2) bit for bit, the sign of a zero
+    # part included: a block holding an exactly zero normal keeps the
+    # arithmetic of the complex division, which sets that sign
+    values = np.array([0.3, -1.2, 0.0, -0.0, 2.5, -0.7,   # 1x3 block: zeros
+                       -0.5, 1.5, 0.25, -2.0])            # 1x1 blocks
+    rows = [values, -values]
+    blocks = linalg._draw_blocks([(1, 3), (1, 1), (1, 1)], "complex-gaussian",
+                                 2, map(_FixedNormals, rows))
+    start = 0
+    for block, size in zip(blocks, (3, 1, 1)):
+        for t, row in enumerate(rows):
+            re, im = row[start:start + size], row[start + size:start + 2 * size]
+            expected = ((re + 1j * im) / np.sqrt(2.0)).reshape(1, size)
+            assert block[t].tobytes() == expected.tobytes()
+        start += 2 * size
+    # there the parts written in place would differ: -0.0 / sqrt(2) keeps
+    # its sign, and the complex division gives the imaginary part +0.0
+    assert values[3] == 0.0 and np.signbit(values[3] / np.sqrt(2.0))
+    assert not np.signbit(blocks[0][0, 0, 0].imag)
 
 
 @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])

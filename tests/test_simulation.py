@@ -301,6 +301,19 @@ def test_interference_limited_saturates():
         assert high - low < 1.0
 
 
+def test_interference_limited_rate_where_rho_times_a_gram_overflows():
+    # links scaled by 2**498 have Gram entries near 1e300, which rho = 1e10
+    # overflows: the rate comes from the unscaled Gram sums instead, and
+    # is the saturated rate the unit-magnitude set approaches at high SNR
+    for seed in (0, 3):
+        cs = channels_for(2, 1, bounds.TX_HEAVY, seed)
+        scaled = channel_set(cs.config, {key: h * 2.0**498
+                                         for key, h in cs.channels.items()})
+        rate = interference_limited_rate(random_precoders(scaled), 1e10)
+        saturated = interference_limited_rate(random_precoders(cs), 1e12)
+        assert rate == pytest.approx(saturated, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # lemma harnesses
 # ---------------------------------------------------------------------------
