@@ -395,19 +395,10 @@ def _draw_blocks(shapes, dist: str, count: int, rngs) -> list[np.ndarray]:
         re = raw[:, start:start + size].reshape(-1, rows, cols)
         im = raw[:, start + size:start + 2 * size].reshape(-1, rows, cols)
         start += 2 * size
-        if dist != "complex-gaussian":
-            blocks.append(re + 1j * im)
-        elif re.all() and im.all():
-            # numpy divides by (sqrt(2), 0) as a multiplication by
-            # 1/sqrt(2), so each part is scaled on its own with the same bits.
-            # The cast allocates as the complex expression did; filling an
-            # np.empty array instead raised a K=32 slope's peak RSS
-            block = (re * (1.0 / np.sqrt(2.0))).astype(np.complex128)
-            np.multiply(im, 1.0 / np.sqrt(2.0), out=block.imag)
-            blocks.append(block)
-        else:
-            # the complex arithmetic sets the sign of an exactly zero part
+        if dist == "complex-gaussian":
             blocks.append((re + 1j * im) / np.sqrt(2.0))
+        else:
+            blocks.append(re + 1j * im)
     return blocks
 
 

@@ -265,6 +265,13 @@ def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
             f"expects {h.shape[1]}")
 
 
+def _require_plane_shape(p: np.ndarray, m: int, cfg):
+    if p.shape != (cfg.K * cfg.beta, cfg.N):
+        raise DimensionError(
+            f"plane at base station {m} has shape {p.shape}, expected "
+            f"({cfg.K * cfg.beta}, {cfg.N})")
+
+
 def desired_matrix(scheme: Scheme, m: int) -> np.ndarray:
     """Effective desired channel of cell m, P_m G_m, where
     G_m = [H_m,m1 W_m1 ... H_m,mK W_mK]; plain G_m for a scheme without
@@ -287,9 +294,10 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     ||H_cross W||_F / ||H_cross||_F, with H_cross replaced by the projected
     cross channel when the scheme has receive planes.  Decodable means
     every per-cell effective rank equals K*beta and the residual is at
-    most RESIDUAL_THRESHOLD.  The report is named after the scheme.  The
-    projected null dimensions come from the scheme's stored null spaces
-    when it has them; planes without them (pi_transform, or a Scheme built
+    most RESIDUAL_THRESHOLD.  The report is named after the scheme.  A
+    plane that is not K*beta x N raises DimensionError naming its base
+    station.  The projected null dimensions come from the scheme's stored
+    null spaces when it has them; planes without them (pi_transform, or a Scheme built
     by hand) are measured by build_nsia's own stacked _projected_nulls,
     which refuses a threshold scale that overflows.  Each leak is measured
     on its link scaled by the power of two that puts the largest entry in
@@ -304,6 +312,9 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     cfg = cs.config
     require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
+    if scheme.projectors is not None:
+        for m in (1, 2):
+            _require_plane_shape(scheme.projector(m), m, cfg)
     residual = 0.0
     for m in (1, 2):
         src = other_cell(m)

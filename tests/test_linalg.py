@@ -227,38 +227,6 @@ def test_stacked_rank_validates_like_as_matrix():
             one_matrix(np.zeros((2, 2, 3)), TOL)
 
 
-class _FixedNormals:
-    """A generator stub whose standard_normal writes the given values."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def standard_normal(self, out):
-        out[:] = self.values
-
-
-def test_complex_gaussian_draws_keep_the_bits_of_complex_division():
-    # each block is (re + 1j*im) / sqrt(2) bit for bit, the sign of a zero
-    # part included: a block holding an exactly zero normal keeps the
-    # arithmetic of the complex division, which sets that sign
-    values = np.array([0.3, -1.2, 0.0, -0.0, 2.5, -0.7,   # 1x3 block: zeros
-                       -0.5, 1.5, 0.25, -2.0])            # 1x1 blocks
-    rows = [values, -values]
-    blocks = linalg._draw_blocks([(1, 3), (1, 1), (1, 1)], "complex-gaussian",
-                                 2, map(_FixedNormals, rows))
-    start = 0
-    for block, size in zip(blocks, (3, 1, 1)):
-        for t, row in enumerate(rows):
-            re, im = row[start:start + size], row[start + size:start + 2 * size]
-            expected = ((re + 1j * im) / np.sqrt(2.0)).reshape(1, size)
-            assert block[t].tobytes() == expected.tobytes()
-        start += 2 * size
-    # there the parts written in place would differ: -0.0 / sqrt(2) keeps
-    # its sign, and the complex division gives the imaginary part +0.0
-    assert values[3] == 0.0 and np.signbit(values[3] / np.sqrt(2.0))
-    assert not np.signbit(blocks[0][0, 0, 0].imag)
-
-
 @pytest.mark.parametrize("dist", ["complex-gaussian", "uniform-square"])
 def test_batched_draws_equal_per_trial_draws(dist):
     shapes = [(2, 4), (4, 3), (1, 1)]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from doflab import bounds, linalg
-from doflab.errors import (ConfigurationError, DegeneracyError, DoflabError,
-                           RankError)
+from doflab.errors import (ConfigurationError, DegeneracyError,
+                           DimensionError, DoflabError, RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
 from doflab.network import (ChannelSet, NetworkConfig, channel_set,
                             generate_channels)
@@ -61,6 +61,20 @@ def test_verify_refuses_non_finite_leakage(factor):
     precoders = {**pre.precoders, (2, 1): pre.precoder(2, 1) * factor}
     with pytest.raises(DegeneracyError, match=r"cross link \(m=1, l=2, k=1\)"):
         verify_scheme(Scheme("zf", pre.channels, precoders))
+
+
+def test_verify_refuses_a_plane_of_the_wrong_shape():
+    # a hand-built plane of another shape is named, not left to fail
+    # inside the stacked products of the other base station's plane
+    built = build_nsia(channels_for(2, 1, bounds.RX_HEAVY, seed=3))
+    for plane in (built.projector(2)[:1], built.projector(2)[:, :-1]):
+        scheme = Scheme("nsia", built.channels, built.precoders,
+                        {1: built.projector(1), 2: plane})
+        with pytest.raises(DimensionError,
+                           match=rf"plane at base station 2 has shape "
+                                 rf"\({plane.shape[0]}, {plane.shape[1]}\), "
+                                 rf"expected \(2, 3\)"):
+            verify_scheme(scheme)
 
 
 @pytest.mark.parametrize("build, variant", [
@@ -334,27 +348,22 @@ def test_pi_transform_identity():
     assert sum_rate(same, 1e4) == sum_rate(scheme, 1e4)
 
 
-def test_verify_measures_identity_transformed_planes_as_the_build_stored():
-    # the fresh measurement of planes without stored null spaces is the
-    # build's own, so the identity transform reports the stored null_dims
-    for K, beta, seed in [(1, 1, 9), (3, 2, 4), (4, 1, 7)]:
-        scheme = build_nsia(channels_for(K, beta, bounds.RX_HEAVY, seed=seed))
-        identity = {m: np.eye(K * beta) for m in (1, 2)}
-        stored = {key: null.dim for key, null in scheme.projected_nulls.items()}
-        report = verify_scheme(pi_transform(scheme, identity))
-        assert report.null_dims == stored == verify_scheme(scheme).null_dims
-
-
 def test_pi_transform_preserves_null_dims_and_ranks():
-    cs = channels_for(2, 1, bounds.RX_HEAVY, seed=10)
-    scheme = build_nsia(cs)
-    baseline = verify_scheme(scheme)
-    rng = linalg.seeded_rng(10, 99)
-    for _ in range(10):
-        pi = {m: linalg.random_matrix(2, 2, rng=rng) for m in (1, 2)}
-        report = verify_scheme(pi_transform(scheme, pi))
-        assert report.null_dims == baseline.null_dims
-        assert report.effective_rank == baseline.effective_rank
+    # the transformed planes carry no stored null spaces and are measured
+    # afresh, by the build's own function: they report the stored null_dims,
+    # also where K=1's projected cross channel cancels to zero
+    for K, beta, seed in [(2, 1, 10), (1, 1, 9), (3, 2, 4)]:
+        scheme = build_nsia(channels_for(K, beta, bounds.RX_HEAVY, seed=seed))
+        baseline = verify_scheme(scheme)
+        assert baseline.null_dims == {
+            key: null.dim for key, null in scheme.projected_nulls.items()}
+        rng = linalg.seeded_rng(seed, 99)
+        for pi in [{m: np.eye(K * beta) for m in (1, 2)}] + [
+                {m: linalg.random_matrix(K * beta, K * beta, rng=rng)
+                 for m in (1, 2)} for _ in range(10)]:
+            report = verify_scheme(pi_transform(scheme, pi))
+            assert report.null_dims == baseline.null_dims
+            assert report.effective_rank == baseline.effective_rank
 
 
 def test_unitary_pi_keeps_the_sum_rate():
