@@ -2,10 +2,10 @@
 their ``timestamp`` line.
 
 The files under ``tests/golden/`` hold the JSON reports with that line
-removed (``<case>.json``) and, for the cases in CSV_CASES, the CSV reports,
-which have no timestamp (``<case>.csv``).  After a deliberate change of
-output, rewrite them with ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff.
+removed (``<case>.json``), for the cases in CSV_CASES the CSV reports,
+which have no timestamp (``<case>.csv``), and one ``--dump-channels`` file
+(``dump-nsia.json``).  After a deliberate change of output, rewrite them
+with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import json
@@ -63,6 +63,9 @@ CSV_CASES = ("bound", "zf", "nsia", "slope-zf", "slope-random", "lemma1",
              "lemma2-random", "sweep")
 GOLDENS = ([(name, "json") for name in sorted(CASES)]
            + [(name, "csv") for name in CSV_CASES])
+# The channel dump of the nsia case, pinned byte for byte.
+DUMP_GOLDEN = GOLDEN_DIR / "dump-nsia.json"
+DUMP_ARGV = ["nsia", "--K", "2", "--seed", "3"]
 
 
 def report_without_timestamp(argv, path: Path, output_format: str = "json") -> str:
@@ -84,6 +87,16 @@ def test_csv_report_matches_golden(name, tmp_path):
     expected = (GOLDEN_DIR / f"{name}.csv").read_text()
     assert report_without_timestamp(CASES[name], tmp_path / "report.csv",
                                     "csv") == expected
+
+
+def channel_dump(path: Path) -> str:
+    assert run([*DUMP_ARGV, "--dump-channels", str(path),
+                "--output", str(path.with_suffix(".report"))]) == 0
+    return path.read_text()
+
+
+def test_channel_dump_matches_golden(tmp_path):
+    assert channel_dump(tmp_path / "dump.json") == DUMP_GOLDEN.read_text()
 
 
 def test_one_parser_serves_every_call_unchanged(tmp_path, capsys):
@@ -138,6 +151,8 @@ def main():
             text = report_without_timestamp(CASES[name], path, output_format)
             (GOLDEN_DIR / f"{name}.{output_format}").write_text(text)
             print(f"wrote {name}.{output_format}", file=sys.stderr)
+        DUMP_GOLDEN.write_text(channel_dump(Path(tmp) / "dump.json"))
+        print(f"wrote {DUMP_GOLDEN.name}", file=sys.stderr)
 
 
 if __name__ == "__main__":
