@@ -7,15 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import doflab
 from doflab import bounds, linalg
-from doflab.cli import (build_parser, config_to_argv, json_text,
-                        parse_int_range, parse_snr, run)
+from doflab.cli import (build_parser, config_to_argv, parse_int_range,
+                        parse_snr, run)
 from doflab.errors import InputError
 from doflab.network import MAX_REDRAWS
 
@@ -315,41 +312,6 @@ def test_channel_dump_is_json_dumps_indent_2(tmp_path, capsys):
     for path in (dump, tmp_path / "report.json"):
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
-
-
-JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
-                | st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
-                                   -float("inf")])
-                | st.text())
-JSON_DOCS = st.recursive(
-    JSON_SCALARS,
-    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
-                   | st.lists(st.floats())
-                   | st.dictionaries(st.text() | st.integers(), inner)),
-    max_leaves=25)
-
-
-@settings(max_examples=100, deadline=None)
-@given(JSON_DOCS)
-def test_json_text_is_json_dumps_indent_2(doc):
-    assert json_text(doc) == json.dumps(doc, indent=2)
-
-
-def test_json_text_covers_every_json_type_in_one_document():
-    doc = {"é☃\n\"": [1.5, -0.0, float("nan"), float("inf"), -float("inf")],
-           1: [], 2.5: {}, True: (1, "x", None), None: [[0.1, 2.0], [3, 4.0]],
-           "mixed": [1.0, True, 2], "float64": [np.float64(0.25)]}
-    assert json_text(doc) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("doc", [np.bool_(True), np.int64(3), [1.0, np.int64(2)],
-                                 {"a": {(1, 2): 3}}])
-def test_json_text_refuses_what_json_refuses(doc):
-    with pytest.raises(TypeError) as exc:
-        json_text(doc)
-    with pytest.raises(TypeError) as expected:
-        json.dumps(doc, indent=2)
-    assert str(exc.value) == str(expected.value)
 
 
 def test_replay_at_another_profile_exits_1(tmp_path, capsys):
