@@ -137,7 +137,8 @@ def _add_scheme_flags(p: argparse.ArgumentParser):
     _add_draw_flags(p)
     p.add_argument("--channels", metavar="PATH",
                    help="replay channels from a JSON dump instead of "
-                        "generating (overrides --K/--beta/--seed)")
+                        "generating (its config replaces --K, --beta, "
+                        "--seed, --dist and --rel-rank-tol)")
     p.add_argument("--dump-channels", metavar="PATH",
                    help="write the generated channels to this JSON file")
 

@@ -28,6 +28,10 @@ TRIAL_CHUNK = 256
 # Most points SnrGrid.from_range builds (the default grid has 5): the step
 # comes from the command line, and every point costs a rate evaluation.
 MAX_SNR_POINTS = 1000
+# The dB range whose linear SNR is a finite, normal double (about -3076.5
+# to 3082.5 dB); used only to word SnrGrid's refusal.
+_SNR_DB_RANGE = tuple(10 * math.log10(v) for v in (np.finfo(float).tiny,
+                                                    np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,15 @@ class SnrGrid:
             raise InputError("SNR grid points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise InputError(f"SNR grid must be strictly increasing, got {pts}")
+        # a linear SNR that overflows rates as inf, and one that underflows
+        # fits log2(0): both are refused here, computed without a warning
+        with np.errstate(over="ignore", under="ignore"):
+            linear = 10.0 ** (np.asarray(pts) / 10.0)
+        held = np.isfinite(linear) & (linear >= np.finfo(float).tiny)
+        if not held.all():
+            lo, hi = _SNR_DB_RANGE
+            raise InputError(f"SNR point {pts[np.argmin(held)]} dB is outside "
+                             f"the range a double holds, {lo:.1f} to {hi:.1f} dB")
 
     @classmethod
     def from_range(cls, start_db: float, step_db: float, stop_db: float) -> "SnrGrid":
@@ -270,16 +283,21 @@ def _fit_line(x: np.ndarray, y: list[float]) -> tuple[float, float, float]:
 
     The same arithmetic as scipy.stats.linregress, so the numbers match it
     bit for bit.  A constant y is fitted exactly by a flat line; its r² is
-    reported as 1.0 (linregress gives NaN there).
+    reported as 1.0 (linregress gives NaN there).  y is fitted scaled by a
+    power of two to a peak in [0.5, 1), which is exact, so rates near the
+    bottom of the double range (1e-300) do not underflow ssxm * ssym.
     """
     y = np.asarray(y)
     if np.all(y == y[0]):
         return 0.0, float(y[0]), 1.0
+    _, e = np.frexp(np.max(np.abs(y)))
+    y = np.ldexp(y, -e)
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
     slope = ssxym / ssxm
     intercept = np.mean(y, None) - slope * np.mean(x, None)
-    return float(slope), float(intercept), float(r ** 2)
+    return (float(np.ldexp(slope, e)), float(np.ldexp(intercept, e)),
+            float(r ** 2))
 
 
 def estimate_dof_slope(scheme: Scheme, grid: SnrGrid = DEFAULT_SNR_GRID,

@@ -459,6 +459,30 @@ def test_snr_grid_beyond_the_point_cap_exits_1(capsys, command, snr):
     assert captured.err.startswith("doflab: error: SNR range")
 
 
+@pytest.mark.parametrize("snr, bad", [("3073:10:3083", "3083.0"),
+                                      ("-3077:10:-3067", "-3077.0")])
+def test_snr_point_beyond_the_double_range_exits_1(capsys, snr, bad):
+    message = (f"SNR point {bad} dB is outside the range a double holds, "
+               f"-3076.5 to 3082.5 dB")
+    with pytest.raises(InputError) as exc:
+        parse_snr(snr)
+    assert str(exc.value) == message
+    assert run(["slope", "--scheme", "zf", "--K", "1", f"--snr={snr}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"doflab: error: {message}\n"
+
+
+@pytest.mark.parametrize("snr", ["3072:10:3082", "-3076:10:-3066"])
+def test_snr_grid_at_the_edges_of_the_double_range_rates(capsys, snr):
+    code, doc = run_json(capsys, ["slope", "--scheme", "zf", "--K", "1",
+                                  "--seed", "3", f"--snr={snr}"])
+    assert code == 0
+    result = doc["result"]
+    assert all(math.isfinite(v) for v in result["sum_rates"])
+    assert 0 <= result["r_squared"] <= 1
+
+
 @pytest.mark.parametrize("text", ["5", "null", '{"config": 5, "channels": []}'])
 def test_replay_of_the_wrong_json_type_exits_1(tmp_path, capsys, text):
     dump = tmp_path / "channels.json"

@@ -73,6 +73,25 @@ def test_grid_from_range_caps_the_point_count():
             SnrGrid.from_range(*bad)
 
 
+@pytest.mark.parametrize("points", [(3072.0, 3082.0), (-3076.0, -3066.0)])
+def test_grid_takes_points_whose_linear_snr_is_a_normal_double(points):
+    linear = SnrGrid(points).linear
+    assert np.isfinite(linear).all() and (linear >= np.finfo(float).tiny).all()
+
+
+@pytest.mark.parametrize("points, bad", [((3073.0, 3083.0), 3083.0),
+                                         ((-3077.0, -3067.0), -3077.0)])
+def test_grid_refuses_points_beyond_the_double_range(points, bad):
+    # 10**(p/10) overflows to inf above about 3082.5 dB and falls below the
+    # smallest normal double under about -3076.5 dB
+    message = (f"SNR point {bad} dB is outside the range a double holds, "
+               f"-3076.5 to 3082.5 dB")
+    with pytest.raises(InputError, match=re.escape(message)):
+        SnrGrid(points)
+    with pytest.raises(InputError, match=re.escape(message)):
+        SnrGrid.from_range(points[0], 10, points[1])
+
+
 # ---------------------------------------------------------------------------
 # sum_rate
 # ---------------------------------------------------------------------------
@@ -240,12 +259,22 @@ def test_slope_with_report_matches_slope_without():
 def test_line_fit_matches_scipy_linregress():
     linregress = pytest.importorskip("scipy.stats").linregress
     rng = np.random.default_rng(3)
+    cases = []
     for _ in range(20):
         x = np.sort(rng.uniform(0, 40, 5)) + np.arange(5)
-        y = list(rng.standard_normal(5) * 10 + 3 * x)
-        fit = linregress(x, y)
-        assert simulation._fit_line(x, y) == (
-            float(fit.slope), float(fit.intercept), float(fit.rvalue ** 2))
+        cases.append((x, rng.standard_normal(5) * 10 + 3 * x, 0))
+    # The zf rates of 'slope --K 1 --seed 3 --snr=-3000:10:-2980'.  Fitted
+    # unscaled, ssxm * ssym underflows to 0 and r² reads 1.0, so linregress
+    # takes them scaled by 2^1000, which is exact, and the fit is scaled back.
+    tiny = (np.log2(SnrGrid.from_range(-3000, 10, -2980).linear),
+            np.array([3.4983839075851554e-300, 3.498383907585155e-299,
+                      3.498383907585155e-298]), -1000)
+    for x, y, shift in [*cases, tiny]:
+        fit = linregress(x, np.ldexp(y, -shift))
+        assert simulation._fit_line(x, list(y)) == (
+            float(np.ldexp(fit.slope, shift)),
+            float(np.ldexp(fit.intercept, shift)), float(fit.rvalue ** 2))
+    assert simulation._fit_line(*tiny[:2])[2] < 1
 
 
 def test_constant_rate_fit_is_flat_with_unit_r_squared():
