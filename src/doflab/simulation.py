@@ -28,10 +28,6 @@ TRIAL_CHUNK = 256
 # Most points SnrGrid.from_range builds (the default grid has 5): the step
 # comes from the command line, and every point costs a rate evaluation.
 MAX_SNR_POINTS = 1000
-# The dB range whose linear SNR is a finite, normal double (about -3076.5
-# to 3082.5 dB); used only to word SnrGrid's refusal.
-_SNR_DB_RANGE = tuple(10 * math.log10(v) for v in (np.finfo(float).tiny,
-                                                    np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -48,13 +44,15 @@ class SnrGrid:
             raise InputError("SNR grid points must be finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise InputError(f"SNR grid must be strictly increasing, got {pts}")
-        # a linear SNR that overflows rates as inf, and one that underflows
-        # fits log2(0): both are refused here, computed without a warning
+        # A linear SNR that overflows rates as inf, and one below the
+        # smallest normal double loses its bits or is 0, whose log2 the fit
+        # takes.  Both are refused, tested without a warning.
+        finfo = np.finfo(float)
         with np.errstate(over="ignore", under="ignore"):
             linear = 10.0 ** (np.asarray(pts) / 10.0)
-        held = np.isfinite(linear) & (linear >= np.finfo(float).tiny)
+        held = np.isfinite(linear) & (linear >= finfo.tiny)
         if not held.all():
-            lo, hi = _SNR_DB_RANGE
+            lo, hi = (10 * math.log10(v) for v in (finfo.tiny, finfo.max))
             raise InputError(f"SNR point {pts[np.argmin(held)]} dB is outside "
                              f"the range a double holds, {lo:.1f} to {hi:.1f} dB")
 
