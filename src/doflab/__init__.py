@@ -4,8 +4,10 @@ MIMO multiple access channel, with Monte Carlo verification harnesses.
 The package is lazy: ``import doflab`` loads none of its submodules, and so
 neither numpy nor its BLAS.  A public name (``doflab.dof_outer_bound``) or a
 submodule (``doflab.linalg``) loads its submodule on first use, by attribute
-or by ``from doflab import``.  Importing doflab.cli loads numpy with
-OpenBLAS on one thread (see doflab.cli).
+or by ``from doflab import``.  doflab.cli loads numpy, with OpenBLAS on
+one thread, at its first numeric command (every command but ``bound``):
+importing it, building its parser, ``bound``, ``--help`` and a usage
+error load no numpy (see doflab.cli).
 """
 
 from importlib import import_module as _import_module
@@ -14,9 +16,9 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
-    "bounds": ("DofBoundReport", "RX_HEAVY", "TX_HEAVY", "converse_two_cell",
-               "dof_outer_bound", "per_message_set_bound", "antenna_profile",
-               "two_user_ic_dof"),
+    "bounds": ("DofBoundReport", "NSIA", "RANDOM", "RX_HEAVY", "TX_HEAVY", "ZF",
+               "converse_two_cell", "dof_outer_bound", "per_message_set_bound",
+               "antenna_profile", "two_user_ic_dof"),
     "errors": ("ConfigurationError", "ContractError", "DegeneracyError",
                "DimensionError", "DoflabError", "InputError", "RankError"),
     "linalg": ("SubspaceBasis", "Tolerance", "intersection_dim",
@@ -25,8 +27,8 @@ _EXPORTS = {name: module for module, names in {
     "network": ("ChannelSet", "NetworkConfig", "channel_set",
                 "channel_set_from_dict", "channel_set_to_dict",
                 "generate_channels"),
-    "schemes": ("NSIA", "RANDOM", "Scheme", "SchemeReport", "ZF", "build_nsia",
-                "build_zf_precoders", "pi_transform", "verify_scheme"),
+    "schemes": ("Scheme", "SchemeReport", "build_nsia", "build_zf_precoders",
+                "pi_transform", "verify_scheme"),
     "simulation": ("LemmaTrialReport", "SlopeEstimate", "SnrGrid",
                    "estimate_dof_slope", "interference_limited_rate",
                    "monte_carlo_lemma1", "monte_carlo_lemma2",

@@ -19,6 +19,15 @@ TX_HEAVY = "tx-heavy"
 RX_HEAVY = "rx-heavy"
 VARIANTS = (TX_HEAVY, RX_HEAVY)
 
+# Scheme names: the two optimal constructions and the non-aligned baseline
+# (simulation.random_precoders), and the antenna profile each construction
+# needs.  They live here, with the profiles, so that naming a scheme loads
+# no numpy.
+ZF = "zf"
+NSIA = "nsia"
+RANDOM = "random"
+SCHEME_VARIANT = {ZF: TX_HEAVY, NSIA: RX_HEAVY}
+
 
 @dataclass(frozen=True)
 class DofBoundReport:

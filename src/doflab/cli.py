@@ -3,6 +3,12 @@
 Every number in a report comes from a library operation; the CLI only
 parses flags, wires modules together and serializes reports.  Exit codes:
 0 success, 1 invalid input, 2 verification failure under --assert.
+
+Importing this module and building its parser load only the standard
+library, bounds and errors.  numpy and the numeric modules load at the
+first numeric command, which is every command but ``bound`` (run), so
+``bound``, ``--help``, a usage error and a config file refused before its
+command runs never load numpy.
 """
 
 from __future__ import annotations
@@ -18,17 +24,25 @@ import os
 import sys
 from datetime import datetime, timezone
 
+from . import bounds
+from .bounds import NSIA, RANDOM, SCHEME_VARIANT, ZF
+from .errors import DoflabError, InputError
+
+# Most values a 'lo:hi' range (sweep's --K, --beta, --seeds) may list.
+MAX_RANGE_VALUES = 10_000
+
 
 def _load_numpy_on_one_blas_thread():
     """Load numpy with OpenBLAS started on one thread, unless numpy is
     already loaded or OPENBLAS_NUM_THREADS is set.
 
-    OpenBLAS reads the variable when it loads and otherwise starts a worker
-    per core, which spins for about 0.1 CPU-s before it idles; every
-    command runs on one BLAS thread anyway (linalg.one_blas_thread).  The
-    variable is set only while numpy loads: os.environ is restored as it
-    was found, so child processes see it unchanged.  OpenBLAS reads an
-    empty value as unset, and so does this.
+    run calls this before the first numeric command; nothing else in this
+    module loads numpy.  OpenBLAS reads the variable when it loads and
+    otherwise starts a worker per core, which spins for about 0.1 CPU-s
+    before it idles; every command runs on one BLAS thread anyway
+    (linalg.one_blas_thread).  The variable is set only while numpy loads:
+    os.environ is restored as it was found, so child processes see it
+    unchanged.  OpenBLAS reads an empty value as unset, and so does this.
     """
     previous = os.environ.get("OPENBLAS_NUM_THREADS")
     if "numpy" in sys.modules or previous:
@@ -41,25 +55,6 @@ def _load_numpy_on_one_blas_thread():
             del os.environ["OPENBLAS_NUM_THREADS"]
         else:
             os.environ["OPENBLAS_NUM_THREADS"] = previous
-
-
-_load_numpy_on_one_blas_thread()
-
-from . import bounds, network, schemes, simulation
-from .errors import DoflabError, InputError
-from .linalg import Tolerance, one_blas_thread
-from .network import NetworkConfig
-from .simulation import SnrGrid
-
-# Most values a 'lo:hi' range (sweep's --K, --beta, --seeds) may list.
-MAX_RANGE_VALUES = 10_000
-# Scheme name -> builder, looked up in its module at call time so that a
-# patched module attribute (the benchmark's tracer) is the one called.
-_BUILDERS = {
-    schemes.ZF: lambda cs: schemes.build_zf_precoders(cs),
-    schemes.NSIA: lambda cs: schemes.build_nsia(cs),
-    schemes.RANDOM: lambda cs: simulation.random_precoders(cs),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +91,7 @@ def parse_int_range(text: str) -> list[int]:
 
 def parse_snr(text: str) -> SnrGrid:
     """'start:step:stop' in dB."""
+    from .simulation import SnrGrid
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"SNR range must be start:step:stop, got {text!r}")
@@ -183,12 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=int, required=True)
 
     _add_scheme_flags(sub.add_parser(
-        schemes.ZF, help="build and verify transmit zero forcing"))
+        ZF, help="build and verify transmit zero forcing"))
     _add_scheme_flags(sub.add_parser(
-        schemes.NSIA, help="build and verify null-space alignment"))
+        NSIA, help="build and verify null-space alignment"))
 
     p = sub.add_parser("slope", help="fit the empirical DoF slope")
-    p.add_argument("--scheme", choices=tuple(_BUILDERS), required=True)
+    p.add_argument("--scheme", choices=(ZF, NSIA, RANDOM), required=True)
     p.add_argument("--profile", choices=bounds.VARIANTS, default=None,
                    help="antenna profile: required for --scheme random; "
                         "zf and nsia take only their own")
@@ -210,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default="1:3", help="range, e.g. 1:3 or 1,2,4")
     p.add_argument("--beta", default="1", help="range")
     p.add_argument("--seeds", default=None, help="range of channel seeds")
-    p.add_argument("--schemes", choices=(schemes.ZF, schemes.NSIA, "both"),
+    p.add_argument("--schemes", choices=(ZF, NSIA, "both"),
                    default="both")
     _add_draw_flags(p)
     _add_fit_flags(p)
@@ -282,8 +278,10 @@ def _fallback_seed(seed: int | None) -> int:
 
 
 def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
+    from . import network
+    from .linalg import Tolerance
     M, N = bounds.antenna_profile(K, beta, variant)
-    return network.generate_channels(NetworkConfig(
+    return network.generate_channels(network.NetworkConfig(
         L=2, K=K, M=M, N=N, beta=beta, seed=seed, dist=args.dist,
         tol=Tolerance(args.rel_rank_tol)))
 
@@ -291,6 +289,10 @@ def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
 def _scheme_channel_set(args, variant: str):
     """Channels for a scheme command: replayed from a dump (which must be
     at ``variant``'s antenna profile) or generated."""
+    if args.channels and args.dump_channels:
+        raise InputError("--channels and --dump-channels are mutually "
+                         "exclusive: a replay writes no channel dump")
+    from . import network
     if args.channels:
         with open(args.channels) as fh:
             cs = network.channel_set_from_dict(json.load(fh))
@@ -322,13 +324,18 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     built scheme must also fit within --tol-slope of ``expected`` with
     r² >= --min-r2, and the random baseline must saturate (slope <= 0.5).
     """
-    built = _BUILDERS[scheme](cs)
+    from . import schemes, simulation
+    # looked up at call time, so that a patched module attribute (the
+    # benchmark's tracer) is the one called
+    builder = {ZF: schemes.build_zf_precoders, NSIA: schemes.build_nsia,
+               RANDOM: simulation.random_precoders}[scheme]
+    built = builder(cs)
     report = schemes.verify_scheme(built)
     if grid is None:
         return report, None, None, report.decodable
     expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
     estimate = simulation.estimate_dof_slope(built, grid, report=report)
-    if scheme == schemes.RANDOM:
+    if scheme == RANDOM:
         return report, estimate, expected, estimate.slope <= 0.5
     ok = (report.decodable
           and abs(estimate.slope - expected) <= args.tol_slope * expected
@@ -353,7 +360,7 @@ def _bound_rows(params, result):
 
 
 def _run_scheme(args):
-    variant = schemes.SCHEME_VARIANT[args.command]
+    variant = SCHEME_VARIANT[args.command]
     cs = _scheme_channel_set(args, variant)
     report, _, _, ok = _evaluate(args, cs, args.command, variant)
     doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
@@ -371,12 +378,12 @@ def _scheme_rows(params, result):
 
 
 def _run_slope(args):
-    if args.scheme == schemes.RANDOM:
+    if args.scheme == RANDOM:
         variant = args.profile
         if variant is None:
             raise InputError("--profile is required with --scheme random")
     else:
-        variant = schemes.SCHEME_VARIANT[args.scheme]
+        variant = SCHEME_VARIANT[args.scheme]
         if args.profile not in (None, variant):
             raise InputError(f"--scheme {args.scheme} runs at the {variant} "
                              f"profile, not --profile {args.profile}")
@@ -398,6 +405,8 @@ def _slope_rows(params, result):
 
 
 def _run_lemma(args):
+    from . import simulation
+    from .linalg import Tolerance
     seed = _fallback_seed(args.seed)
     if args.command == "lemma1":
         params = {"m": args.m, "n": args.n, "l": args.l, "trials": args.trials}
@@ -423,13 +432,13 @@ def _run_sweep(args):
     betas = parse_int_range(args.beta)
     seeds = (parse_int_range(args.seeds) if args.seeds is not None
              else [_fallback_seed(None)])
-    scheme_list = [schemes.ZF, schemes.NSIA] if args.schemes == "both" \
+    scheme_list = [ZF, NSIA] if args.schemes == "both" \
         else [args.schemes]
     grid = _fit_grid(args)
     rows = []
     ok = True
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
-        variant = schemes.SCHEME_VARIANT[scheme]
+        variant = SCHEME_VARIANT[scheme]
         cs = _generate_channels(args, k, beta, variant, seed)
         report, estimate, bound, row_ok = _evaluate(args, cs, scheme, variant,
                                                     grid)
@@ -454,8 +463,8 @@ def _sweep_rows(params, result):
 
 _RUNNERS = {
     "bound": (_run_bound, _bound_rows),
-    schemes.ZF: (_run_scheme, _scheme_rows),
-    schemes.NSIA: (_run_scheme, _scheme_rows),
+    ZF: (_run_scheme, _scheme_rows),
+    NSIA: (_run_scheme, _scheme_rows),
     "slope": (_run_slope, _slope_rows),
     "lemma1": (_run_lemma, _lemma_rows),
     "lemma2": (_run_lemma, _lemma_rows),
@@ -489,9 +498,14 @@ def run(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        with one_blas_thread():
-            runner, _ = _RUNNERS[args.command]
+        runner, _ = _RUNNERS[args.command]
+        if args.command == "bound":  # exact arithmetic: no numpy
             doc, ok = runner(args)
+        else:
+            _load_numpy_on_one_blas_thread()
+            from .linalg import one_blas_thread
+            with one_blas_thread():
+                doc, ok = runner(args)
     except SystemExit as exc:
         # raised by argparse for usage errors (remapped to 1) and --help (0)
         return int(exc.code or 0)

@@ -22,16 +22,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds, linalg
+from .bounds import NSIA, RANDOM, SCHEME_VARIANT, ZF  # re-exported
 from .errors import (ConfigurationError, ContractError, DegeneracyError,
                      DimensionError, RankError)
 from .linalg import SubspaceBasis, Tolerance
 from .network import ChannelSet
 
-ZF = "zf"
-NSIA = "nsia"
-RANDOM = "random"  # the non-aligned baseline, simulation.random_precoders
-# The antenna profile (bounds.antenna_profile) each construction needs.
-SCHEME_VARIANT = {ZF: bounds.TX_HEAVY, NSIA: bounds.RX_HEAVY}
 # Largest residual interference verify_scheme still calls decodable.
 RESIDUAL_THRESHOLD = 1e-10
 

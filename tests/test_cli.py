@@ -314,6 +314,21 @@ def test_channel_dump_is_json_dumps_indent_2(tmp_path, capsys):
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+def test_dump_and_replay_together_exit_1(tmp_path, capsys):
+    # a replay generates no channels to dump; the replayed file does not
+    # exist, so the refusal must come before it is read
+    dump, replay = tmp_path / "dump.json", tmp_path / "missing.json"
+    flags = ["nsia", "--channels", str(replay), "--dump-channels", str(dump)]
+    config = write_config(tmp_path, {"command": "nsia", "channels": str(replay),
+                                     "dump_channels": str(dump)})
+    for argv in (flags, ["--config", str(config)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--channels and --dump-channels" in captured.err
+    assert not dump.exists()
+
+
 def test_replay_at_another_profile_exits_1(tmp_path, capsys):
     # a zf dump is tx-heavy (K=2: M=3, N=2); the rx-heavy random baseline
     # needs (2, 3), so the replay is refused instead of rated at a profile
@@ -499,6 +514,21 @@ def test_impossible_rank_tolerance_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no singular value can pass" in captured.err
+
+
+def test_rank_tolerance_below_rounding_level_exits_1(tmp_path, capsys):
+    # below 1e-15 the threshold sits at the SVD's rounding level, where
+    # nsia --K 1 reported a null dimension of 0 and lemma2 failed a trial
+    dump = scaled_dump(tmp_path, capsys, 1.0,
+                       lambda doc: doc["config"].update(rel_rank_tol=1e-16))
+    for argv in (["nsia", "--K", "1", "--rel-rank-tol", "1e-16"],
+                 ["lemma2", "--M", "2", "--N", "3", "--p-source", "nsia",
+                  "--trials", "50", "--rel-rank-tol", "1e-16"],
+                 ["zf", "--channels", str(dump)]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rel_rank_tol must be in [1e-15, 1), got 1e-16" in captured.err
 
 
 def test_lemma1_impossible_rank_tolerance_exits_1(capsys):
@@ -775,20 +805,37 @@ def openblas():
 BLAS_THREADS = ("from doflab import linalg; "
                 "print(linalg._openblas_threads()[1](), "
                 "repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+# The first numeric command, which loads numpy
+FIRST_NUMERIC_RUN = ("import os, doflab.cli; "
+                     "doflab.cli.run(['lemma1', '--m', '2', '--n', '2', "
+                     "'--l', '2', '--trials', '1', '--output', os.devnull]); ")
 
 
 @pytest.mark.parametrize("value", [None, ""])
-def test_importing_the_cli_starts_openblas_on_one_thread(openblas, value):
+def test_the_first_numeric_command_starts_openblas_on_one_thread(openblas,
+                                                                 value):
     # an unset or empty variable is set to 1 only while numpy loads
-    out = probe(f"import os, doflab.cli; {BLAS_THREADS}",
-                OPENBLAS_NUM_THREADS=value)
+    out = probe(FIRST_NUMERIC_RUN + BLAS_THREADS, OPENBLAS_NUM_THREADS=value)
     assert out.split() == ["1", repr(value)]
 
 
-def test_importing_the_cli_keeps_an_explicit_thread_count(openblas):
-    out = probe(f"import os, doflab.cli; {BLAS_THREADS}",
-                OPENBLAS_NUM_THREADS="2")
+def test_the_first_numeric_command_keeps_an_explicit_thread_count(openblas):
+    out = probe(FIRST_NUMERIC_RUN + BLAS_THREADS, OPENBLAS_NUM_THREADS="2")
     assert out.split() == ["2", "'2'"]
+
+
+def test_bound_help_and_refused_inputs_load_no_numpy(tmp_path):
+    # the outer bound is exact arithmetic, and a refusal before any
+    # numeric step has nothing to compute
+    config = write_config(tmp_path, {"command": "zf", "K": 2, "frobs": 1})
+    out = probe(
+        "import sys, doflab.cli as cli; cli.build_parser(); "
+        "codes = [cli.run(argv) for argv in ("
+        "['bound', '--K', '2', '--L', '2', '--M', '3', '--N', '2'], "
+        "['--help'], ['zf', '--K', 'two'], "
+        f"['--config', {str(config)!r}])]; "
+        "print(codes, 'numpy' in sys.modules)")
+    assert out.splitlines()[-1] == "[0, 0, 1, 1] False"
 
 
 def test_the_library_leaves_openblas_threading_as_numpy_starts_it(openblas):

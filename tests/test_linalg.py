@@ -133,10 +133,10 @@ def test_unit_scaled_puts_each_peak_in_half_to_one():
 
 
 def test_tolerance_validation():
-    with pytest.raises(InputError):
-        Tolerance(0.0)
-    with pytest.raises(InputError):
-        Tolerance(1.5)
+    for value in (0.0, 1.5, float("nan"), 1e-16, 9.9e-16):
+        with pytest.raises(InputError, match=r"must be in \[1e-15, 1\)"):
+            Tolerance(value)
+    Tolerance(1e-15)  # the floor, above the SVD's rounding level (2.2e-16)
     for value in ("x", None, True, [1e-10]):
         with pytest.raises(InputError, match="must be a number"):
             Tolerance(value)
