@@ -73,14 +73,13 @@ def per_message_set_bound(K: int, L: int, M: int, N: int) -> int:
     """Outer bound for one message subset of the split network.
 
     Cooperation turns the subset network into a two-user interference
-    channel with antenna pairs (KM, N) and ((L-1)M, (L-1)N), so this
-    equals two_user_ic_dof(KM, N, (L-1)M, (L-1)N).
+    channel with antenna pairs (KM, N) and ((L-1)M, (L-1)N), whose DoF
+    two_user_ic_dof gives.
     """
     _require_positive(K=K, L=L, M=M, N=N)
     if L < 2:
         raise InputError(f"L must be >= 2 (the subset network needs another cell), got {L}")
-    return min((K + L - 1) * M, L * N,
-               max(K * M, (L - 1) * N), max((L - 1) * M, N))
+    return two_user_ic_dof(K * M, N, (L - 1) * M, (L - 1) * N)
 
 
 def dof_outer_bound(K: int, L: int, M: int, N: int) -> DofBoundReport:

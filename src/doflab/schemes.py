@@ -15,7 +15,6 @@ Two closed-form constructions deliver 2*K*beta interference-free streams:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -44,15 +43,19 @@ class Scheme:
     """A two-cell linear scheme on the channel set ``channels``, named after
     what made it (zf, nsia or random; the name verify_scheme reports).
 
-    ``precoders`` maps (l, k) to M x beta with orthonormal columns, and
-    ``projectors`` maps m to the K*beta x N full-row-rank plane P_m, or is
-    None when the base stations receive unprojected (zf and random).
-    build_nsia also keeps the null space of each projected cross channel
-    P_m H_m,lk, keyed (m, k), in ``projected_nulls``; verify_scheme reads
-    their dimensions instead of factoring the products again.  Planes from
-    anywhere else (pi_transform, or a Scheme built by hand) carry none,
-    and verify_scheme measures them as build_nsia does (_projected_nulls).
-    ``==`` is identity.
+    ``precoders`` maps each user (l, k) to an M x beta precoder with
+    orthonormal columns, and ``projectors`` maps each base station m to the
+    K*beta x N full-row-rank plane P_m, or is None when the base stations
+    receive unprojected (zf and random).  These shapes are checked when the
+    scheme is made: a missing, extra or misshapen precoder or plane raises
+    DimensionError naming its user or base station, so every scheme
+    carries beta streams per user, the rank K*beta that verify_scheme asks
+    of each cell.  build_nsia also keeps the null space of each projected cross
+    channel P_m H_m,lk, keyed (m, k), in ``projected_nulls``; verify_scheme
+    reads their dimensions instead of factoring the products again.  Planes
+    from anywhere else (pi_transform, or a Scheme built by hand) carry
+    none, and verify_scheme measures them as build_nsia does
+    (_projected_nulls).  ``==`` is identity.
     """
 
     name: str
@@ -62,12 +65,37 @@ class Scheme:
     projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
         default=None, repr=False)
 
+    def __post_init__(self):
+        cfg = self.channels.config
+        cells = range(1, cfg.L + 1)
+        _require_shapes("precoder", self.precoders, (cfg.M, cfg.beta), {
+            (l, k): f"precoder of user (l={l}, k={k})"
+            for l in cells for k in range(1, cfg.K + 1)})
+        if self.projectors is not None:
+            _require_shapes("plane", self.projectors, (cfg.K * cfg.beta, cfg.N),
+                            {m: f"plane at base station {m}" for m in cells})
+
     def precoder(self, l: int, k: int) -> np.ndarray:
         return self.precoders[(l, k)]
 
     def projector(self, m: int) -> np.ndarray | None:
         """P_m, or None for a scheme without receive planes."""
         return None if self.projectors is None else self.projectors[m]
+
+
+def _require_shapes(what: str, arrays: dict, shape: tuple, names: dict):
+    """Refuse ``arrays`` unless it maps exactly the keys of ``names`` to
+    arrays of ``shape``, naming the first one missing or misshapen, or a
+    key the network does not have."""
+    for key, name in names.items():
+        if key not in arrays:
+            raise DimensionError(f"{name} is missing")
+        if arrays[key].shape != shape:
+            raise DimensionError(f"{name} has shape {arrays[key].shape}, "
+                                 f"expected {shape}")
+    if len(arrays) > len(names):
+        extra = next(key for key in arrays if key not in names)
+        raise DimensionError(f"{what} keyed {extra!r} is not in the network")
 
 
 @dataclass(frozen=True)
@@ -207,78 +235,41 @@ def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
                      ) -> dict[tuple[int, int], tuple[int, np.ndarray, bool]]:
     """linalg.null_space_bases of each projected cross channel P_m H_m,lk,
-    keyed (m, k), for every plane given, from one stacked SVD per stack:
-    its null dimension, its beta-column basis and whether that is its null
-    space and passed the Gram check."""
+    keyed (m, k), for every plane given: its null dimension, its
+    beta-column basis and whether that is its null space and passed the
+    Gram check.
+
+    Each stack_chunks run stacks one plane and one link per (m, k) pair
+    and takes their threshold anchors (linalg.product_scales) first: they
+    bound every entry of P H, so the first one that is not finite is
+    refused, in (m, k) order, before its product can overflow.  Then one
+    SVD factors the run's products P H.
+    """
     cfg = cs.config
     pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
     found = {}
     for chunk in linalg.stack_chunks(pairs, cfg.K * cfg.beta, cfg.M):
-        products, scales = _projected_products(cs, planes, chunk)
-        dims, bases, ok = linalg.null_space_bases(
-            products, cfg.beta, cfg.tol, scale=scales)
-        del products  # released before the next chunk's links are stacked
-        found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
-    return found
-
-
-def _projected_products(cs: ChannelSet, planes: dict[int, np.ndarray],
-                        chunk: list[tuple[int, int]]
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """``(products, scales)``: P_m H_m,lk for the (m, k) pairs of
-    ``chunk``, as one stack, and their threshold anchors.
-
-    The chunk's links are stacked once.  Each base station's plane
-    multiplies its slice of that stack, and linalg.product_scales takes
-    the anchors from the same slice.  The anchors come first: they bound
-    every entry of P H, so the first one that is not finite is refused, in
-    (m, k) order, before its product can overflow.  The link stack is
-    released on return, before the products are factored.
-    """
-    h = np.stack([cs.channel(m, other_cell(m), k) for m, k in chunk])
-    rows = planes[chunk[0][0]].shape[0]
-    products = np.empty((len(chunk), rows, cs.config.M), dtype=np.complex128)
-    scales = np.empty(len(chunk))
-    stop = 0
-    for m, run in itertools.groupby(chunk, key=lambda pair: pair[0]):
-        at = slice(stop, stop + len(list(run)))
-        stop = at.stop
-        scales[at] = linalg.product_scales(planes[m], h[at])
-        for (_, k), scale in zip(chunk[at], scales[at].tolist()):
+        p = np.stack([planes[m] for m, _ in chunk])
+        h = np.stack([cs.channel(m, other_cell(m), k) for m, k in chunk])
+        scales = linalg.product_scales(p, h)
+        for (m, k), scale in zip(chunk, scales.tolist()):
             if not math.isfinite(scale):
                 raise DegeneracyError(
                     f"threshold scale of projected cross channel (m={m}, "
                     f"l={other_cell(m)}, k={k}) is {scale}: channel "
                     f"magnitudes overflow double precision")
-        np.matmul(planes[m], h[at], out=products[at])
-    return products, scales
-
-
-def _require_precoder_rows(h: np.ndarray, w: np.ndarray, l: int, k: int):
-    if h.shape[1] != w.shape[0]:
-        raise DimensionError(
-            f"precoder (l={l}, k={k}) has {w.shape[0]} rows, channel "
-            f"expects {h.shape[1]}")
-
-
-def _require_plane_shape(p: np.ndarray, m: int, cfg):
-    if p.shape != (cfg.K * cfg.beta, cfg.N):
-        raise DimensionError(
-            f"plane at base station {m} has shape {p.shape}, expected "
-            f"({cfg.K * cfg.beta}, {cfg.N})")
+        dims, bases, ok = linalg.null_space_bases(
+            p @ h, cfg.beta, cfg.tol, scale=scales)
+        found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
+    return found
 
 
 def desired_matrix(scheme: Scheme, m: int) -> np.ndarray:
     """Effective desired channel of cell m, P_m G_m, where
     G_m = [H_m,m1 W_m1 ... H_m,mK W_mK]; plain G_m for a scheme without
     receive planes."""
-    cols = []
-    for k in range(1, scheme.channels.config.K + 1):
-        h = scheme.channels.channel(m, m, k)
-        w = scheme.precoder(m, k)
-        _require_precoder_rows(h, w, m, k)
-        cols.append(h @ w)
-    g = np.hstack(cols)
+    g = np.hstack([scheme.channels.channel(m, m, k) @ scheme.precoder(m, k)
+                   for k in range(1, scheme.channels.config.K + 1)])
     p = scheme.projector(m)
     return g if p is None else p @ g
 
@@ -290,27 +281,26 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     ||H_cross W||_F / ||H_cross||_F, with H_cross replaced by the projected
     cross channel when the scheme has receive planes.  Decodable means
     every per-cell effective rank equals K*beta and the residual is at
-    most RESIDUAL_THRESHOLD.  The report is named after the scheme.  A
-    plane that is not K*beta x N raises DimensionError naming its base
-    station.  The projected null dimensions come from the scheme's stored
-    null spaces when it has them; planes without them (pi_transform, or a Scheme built
-    by hand) are measured by build_nsia's own stacked _projected_nulls,
-    which refuses a threshold scale that overflows.  Each leak is measured
-    on its link scaled by the power of two that puts the largest entry in
-    [1/2, 1) (linalg.unit_scaled): exact, so a residual keeps its bits,
-    and the norms of a link far from unit magnitude (entries near 1e-150
-    square to about 1e-300) neither underflow nor overflow.  A leakage
-    that is still not finite (a zero link, or precoders or planes whose
-    products overflow) raises DegeneracyError naming the link instead of
-    being folded into the residual.
+    most RESIDUAL_THRESHOLD.  K*beta is the right target because the
+    Scheme checked its shapes when it was made (beta streams per user, a
+    K*beta-row plane per base station), so one stacked SVD ranks both
+    cells.  The report is named after the scheme.  The projected null
+    dimensions come from the scheme's stored null spaces when it has them;
+    planes without them (pi_transform, or a Scheme built by hand) are
+    measured by build_nsia's own stacked _projected_nulls, which refuses a
+    threshold scale that overflows.  Each leak is measured on its link
+    scaled by the power of two that puts the largest entry in [1/2, 1)
+    (linalg.unit_scaled): exact, so a residual keeps its bits, and the
+    norms of a link far from unit magnitude (entries near 1e-150 square to
+    about 1e-300) neither underflow nor overflow.  A leakage that is still
+    not finite (a zero link, or precoders or planes whose products
+    overflow) raises DegeneracyError naming the link instead of being
+    folded into the residual.
     """
     cs = scheme.channels
     cfg = cs.config
     require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
-    if scheme.projectors is not None:
-        for m in (1, 2):
-            _require_plane_shape(scheme.projector(m), m, cfg)
     residual = 0.0
     for m in (1, 2):
         src = other_cell(m)
@@ -318,7 +308,6 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
         for k in range(1, cfg.K + 1):
             h = cs.channel(m, src, k)
             w = scheme.precoder(src, k)
-            _require_precoder_rows(h, w, src, k)
             unit, _ = linalg.unit_scaled(h)
             cross = unit if p is None else p @ unit
             # norms that still overflow or underflow give inf or NaN,
@@ -338,11 +327,8 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
                      in _projected_nulls(cs, scheme.projectors).items()}
     else:
         null_dims = None
-    desired = [desired_matrix(scheme, m) for m in (1, 2)]
-    if desired[0].shape == desired[1].shape:
-        ranks = linalg.numeric_ranks(np.stack(desired), cfg.tol)
-    else:  # precoders of unequal widths, only in a hand-built scheme
-        ranks = [linalg.numeric_rank(g, cfg.tol) for g in desired]
+    ranks = linalg.numeric_ranks(
+        np.stack([desired_matrix(scheme, m) for m in (1, 2)]), cfg.tol)
     effective_rank = dict(zip((1, 2), ranks))
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)

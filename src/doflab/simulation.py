@@ -32,7 +32,8 @@ MAX_SNR_POINTS = 1000
 
 @dataclass(frozen=True)
 class SnrGrid:
-    """Strictly increasing SNR grid in dB, at least two points."""
+    """Strictly increasing SNR grid in dB, at least two points, whose
+    linear SNRs stay distinct at double precision."""
 
     points_db: tuple[float, ...]
 
@@ -55,6 +56,13 @@ class SnrGrid:
             lo, hi = (10 * math.log10(v) for v in (finfo.tiny, finfo.max))
             raise InputError(f"SNR point {pts[np.argmin(held)]} dB is outside "
                              f"the range a double holds, {lo:.1f} to {hi:.1f} dB")
+        # the fit regresses on log2 of the linear SNRs, so points that
+        # differ only below double precision there would span no SNR at all
+        spread = np.diff(np.log2(linear)) > 0
+        if not spread.all():
+            i = int(np.argmin(spread))
+            raise InputError(f"SNR grid points {pts[i]} and {pts[i + 1]} dB are "
+                             f"not distinct at double precision")
 
     @classmethod
     def from_range(cls, start_db: float, step_db: float, stop_db: float) -> "SnrGrid":

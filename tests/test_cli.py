@@ -488,6 +488,22 @@ def test_snr_point_beyond_the_double_range_exits_1(capsys, snr, bad):
     assert captured.err == f"doflab: error: {message}\n"
 
 
+def test_snr_grid_not_distinct_at_double_precision_exits_1(capsys):
+    # all 101 points have linear SNR 1.0: the fit used to pass with slope
+    # 0.0 and r² 1.0
+    message = ("SNR grid points 0.0 and 1e-300 dB are not distinct at "
+               "double precision")
+    with pytest.raises(InputError) as exc:
+        parse_snr("0:1e-300:1e-298")
+    assert str(exc.value) == message
+    assert run(["slope", "--scheme", "random", "--profile", "tx-heavy",
+                "--K", "1", "--seed", "3", "--snr=0:1e-300:1e-298",
+                "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"doflab: error: {message}\n"
+
+
 @pytest.mark.parametrize("snr", ["3072:10:3082", "-3076:10:-3066"])
 def test_snr_grid_at_the_edges_of_the_double_range_rates(capsys, snr):
     code, doc = run_json(capsys, ["slope", "--scheme", "zf", "--K", "1",

@@ -64,17 +64,61 @@ def test_verify_refuses_non_finite_leakage(factor):
 
 
 def test_verify_refuses_a_plane_of_the_wrong_shape():
-    # a hand-built plane of another shape is named, not left to fail
-    # inside the stacked products of the other base station's plane
+    # a hand-built plane of another shape is named when the scheme is
+    # made, not left to fail inside the stacked products of the other
+    # base station's plane
     built = build_nsia(channels_for(2, 1, bounds.RX_HEAVY, seed=3))
     for plane in (built.projector(2)[:1], built.projector(2)[:, :-1]):
-        scheme = Scheme("nsia", built.channels, built.precoders,
-                        {1: built.projector(1), 2: plane})
         with pytest.raises(DimensionError,
                            match=rf"plane at base station 2 has shape "
                                  rf"\({plane.shape[0]}, {plane.shape[1]}\), "
                                  rf"expected \(2, 3\)"):
-            verify_scheme(scheme)
+            Scheme("nsia", built.channels, built.precoders,
+                   {1: built.projector(1), 2: plane})
+
+
+def test_a_scheme_refuses_misshapen_precoders_and_planes_when_made():
+    # every scheme carries an M x beta precoder for each user and, with
+    # receive planes, a K*beta x N plane for each base station, which is
+    # what makes verify_scheme's rank target K*beta sound; a hand-built
+    # user sending two streams, like any other misfit, is refused by name
+    zf = build_zf_precoders(channels_for(2, 1, bounds.TX_HEAVY, seed=8))
+    nsia = build_nsia(channels_for(2, 1, bounds.RX_HEAVY, seed=3))
+    two_streams = np.linalg.qr(linalg.random_matrix(
+        3, 2, rng=linalg.seeded_rng(8, 1)))[0]
+    pre, planes = nsia.precoders, nsia.projectors
+    cases = [
+        (zf, {**zf.precoders, (1, 1): two_streams}, None,
+         "precoder of user (l=1, k=1) has shape (3, 2), expected (3, 1)"),
+        (nsia, {key: w for key, w in pre.items() if key != (2, 1)}, planes,
+         "precoder of user (l=2, k=1) is missing"),
+        (nsia, {**pre, (3, 1): pre[(1, 1)]}, planes,
+         "precoder keyed (3, 1) is not in the network"),
+        (nsia, pre, {1: planes[1].T, 2: planes[2]},
+         "plane at base station 1 has shape (3, 2), expected (2, 3)"),
+        (nsia, pre, {2: planes[2]}, "plane at base station 1 is missing"),
+        (nsia, pre, {**planes, 3: planes[1]},
+         "plane keyed 3 is not in the network"),
+    ]
+    for built, precoders, projectors, message in cases:
+        with pytest.raises(DimensionError) as exc:
+            Scheme(built.name, built.channels, precoders, projectors)
+        assert str(exc.value) == message
+
+
+def test_builders_and_transforms_make_schemes_of_the_checked_shapes():
+    zf = build_zf_precoders(channels_for(2, 2, bounds.TX_HEAVY, seed=1))
+    nsia = build_nsia(channels_for(2, 2, bounds.RX_HEAVY, seed=1))
+    made = [zf, nsia, random_precoders(zf.channels),
+            pi_transform(nsia, {m: 2 * np.eye(4) for m in (1, 2)})]
+    for scheme in made:
+        cfg = scheme.channels.config
+        assert sorted(scheme.precoders) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert {w.shape for w in scheme.precoders.values()} == {(cfg.M, 2)}
+        if scheme.projectors is not None:
+            assert {m: p.shape for m, p in scheme.projectors.items()} == {
+                1: (4, cfg.N), 2: (4, cfg.N)}
+        assert verify_scheme(scheme).decodable is (scheme.name != "random")
 
 
 @pytest.mark.parametrize("build, variant", [

@@ -86,6 +86,18 @@ def test_grid_refuses_points_beyond_the_double_range(points, bad):
         SnrGrid.from_range(points[0], 10, points[1])
 
 
+def test_grid_refuses_points_not_distinct_at_double_precision():
+    # 10**(p/10) is 1.0 for every p below about 1e-16 dB in magnitude, so
+    # such points rate alike and a fit over them spans no SNR at all
+    collapsed = "SNR grid points {} and {} dB are not distinct at double precision"
+    with pytest.raises(InputError, match=re.escape(collapsed.format(0.0, 1e-300))):
+        SnrGrid((0.0, 1e-300))
+    with pytest.raises(InputError, match=re.escape(collapsed.format(-1e-20, 0.0))):
+        SnrGrid((-10.0, -1e-20, 0.0, 10.0))
+    with pytest.raises(InputError, match=re.escape(collapsed.format(0.0, 1e-300))):
+        SnrGrid.from_range(0, 1e-300, 1e-298)
+
+
 # ---------------------------------------------------------------------------
 # sum_rate
 # ---------------------------------------------------------------------------

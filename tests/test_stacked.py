@@ -343,21 +343,3 @@ def test_chunked_stacks_equal_one_stack(monkeypatch):
         assert same(split_scheme.precoder(*user), w)
     assert (schemes.verify_scheme(split_scheme).to_dict()
             == schemes.verify_scheme(scheme).to_dict())
-
-
-def test_verify_ranks_desired_matrices_of_unequal_shapes_apart():
-    # a hand-built scheme whose user (1, 1) sends two streams: cell 1's
-    # desired matrix is 2 x 3 and cell 2's 2 x 2, so they cannot share a
-    # stack, and each is ranked as numeric_rank ranks it alone
-    cs = network.generate_channels(NetworkConfig(L=2, K=2, M=3, N=2, beta=1,
-                                                 seed=8))
-    zf = schemes.build_zf_precoders(cs)
-    precoders = dict(zf.precoders)
-    precoders[(1, 1)] = np.linalg.qr(linalg.random_matrix(
-        3, 2, rng=linalg.seeded_rng(8, 1)))[0]
-    wide = schemes.Scheme(schemes.ZF, cs, precoders)
-    report = schemes.verify_scheme(wide)
-    assert report.effective_rank == {
-        m: linalg.numeric_rank(schemes.desired_matrix(wide, m))
-        for m in (1, 2)}
-    assert report.to_dict() == reference_report(wide)
