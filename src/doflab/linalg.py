@@ -58,10 +58,10 @@ _ORTHO_TOL = 1e-9
 
 # Most bytes one stacked factorization covers, its matrices and their full
 # SVD factors together (stack_chunks).  Every stack of a two-cell scheme at
-# K <= 4 fits in one call; at K=32, beta=4 (about 0.8 MB a link) a call
-# covers two links, so the peak memory stays near that of factoring one
-# link at a time.
-STACK_BYTES = 2 * 2 ** 20
+# K <= 4 fits in one call.  At K=32, beta=4 (about 0.8 MB a link) a call
+# covers one link: at two links a call, build_nsia held twice the
+# temporaries, 2.0 against 1.0 MiB beyond the channel set and the scheme.
+STACK_BYTES = 2 ** 20
 
 # Smallest rel_rank_tol a Tolerance accepts.  An SVD computes singular
 # values to about machine epsilon (2.2e-16) times sigma_max, so below this
@@ -512,10 +512,13 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     return int(_rank_svd(a, tol, scale))
 
 
-def numeric_ranks(stack: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """numeric_rank of each matrix of a stack of equal shape, from one
-    stacked SVD call per stack_chunks run."""
-    return [rank for run in stack_chunks(stack, *stack.shape[-2:])
+def numeric_ranks(matrices, tol: Tolerance = DEFAULT_TOL) -> list[int]:
+    """numeric_rank of each matrix of a stack, or a list, of equal shape,
+    from one stacked SVD call per stack_chunks run.  A list is stacked one
+    run at a time, so no copy of the whole list is made."""
+    if not len(matrices):
+        return []
+    return [rank for run in stack_chunks(matrices, *matrices[0].shape)
             for rank in _rank_svd(run, tol).tolist()]
 
 

@@ -26,6 +26,9 @@ log = logging.getLogger(__name__)
 # draw so rare that an unbounded redraw would never end.
 MAX_REDRAWS = 1000
 
+# The Python types json.loads gives a JSON number.
+_JSON_NUMBERS = frozenset({int, float})
+
 
 def draw_until(key: tuple[int, ...], shape: tuple[int, int], dist: str,
                rank_of, full: int, tol: Tolerance, warning: str | None,
@@ -243,7 +246,8 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
     """Rebuild a ChannelSet from the document format above (channel_set
     checks the links).
 
-    Each (m, l, k) may appear once.  A link whose largest real or
+    Each (m, l, k) may appear once, and every entry of ``re`` and ``im``
+    must be a JSON number (an int or a float).  A link whose largest real or
     imaginary part is above 1e150 in magnitude, or nonzero and below
     1e-150, is refused: the products and norms the schemes form of two
     links must stay within double precision.  An all-zero link is left to
@@ -279,6 +283,12 @@ def channel_set_from_dict(doc: dict) -> ChannelSet:
             if values.shape != (cfg.N, cfg.M):
                 raise InputError(f"{name} {part!r} has shape {values.shape}, "
                                  f"expected ({cfg.N}, {cfg.M})")
+            # numpy reads true as 1.0 and "1.5" as 1.5: only a JSON int or
+            # float (never a bool, which is an int subclass) is a number
+            if not all(_JSON_NUMBERS.issuperset(map(type, row))
+                       for row in entry[part]):
+                raise InputError(f"{name} {part!r} has an entry that is not "
+                                 f"a JSON number")
             if not np.isfinite(values).all():
                 raise InputError(f"{name} has non-finite entries")
         peak = max(np.abs(real).max(), np.abs(imag).max())

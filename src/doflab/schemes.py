@@ -243,7 +243,10 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
     and takes their threshold anchors (linalg.product_scales) first: they
     bound every entry of P H, so the first one that is not finite is
     refused, in (m, k) order, before its product can overflow.  Then one
-    SVD factors the run's products P H.
+    SVD factors the run's products P H.  The stacks are freed once the
+    products are formed, and the products once they are factored: at
+    K=32, beta=4 a run is one pair, and the pass holds at most four
+    link-sized numpy arrays beyond the null spaces it keeps.
     """
     cfg = cs.config
     pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
@@ -258,8 +261,11 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
                     f"threshold scale of projected cross channel (m={m}, "
                     f"l={other_cell(m)}, k={k}) is {scale}: channel "
                     f"magnitudes overflow double precision")
+        products = p @ h
+        del p, h  # the SVD needs only the products
         dims, bases, ok = linalg.null_space_bases(
-            p @ h, cfg.beta, cfg.tol, scale=scales)
+            products, cfg.beta, cfg.tol, scale=scales)
+        del products  # before the next run's stacks are made
         found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
     return found
 
@@ -301,11 +307,39 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     cfg = cs.config
     require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
+    residual = _residual(scheme)
+    if scheme.projected_nulls is not None:
+        null_dims = {key: null.dim
+                     for key, null in scheme.projected_nulls.items()}
+    elif scheme.projectors is not None:
+        null_dims = {key: dim for key, (dim, _, _)
+                     in _projected_nulls(cs, scheme.projectors).items()}
+    else:
+        null_dims = None
+    ranks = linalg.numeric_ranks(
+        [desired_matrix(scheme, m) for m in (1, 2)], cfg.tol)
+    effective_rank = dict(zip((1, 2), ranks))
+    decodable = (all(r == kb for r in effective_rank.values())
+                 and residual <= RESIDUAL_THRESHOLD)
+    return SchemeReport(
+        scheme=scheme.name,
+        residual_interference=residual,
+        effective_rank=effective_rank,
+        decodable=decodable,
+        null_dims=null_dims,
+    )
+
+
+def _residual(scheme: Scheme) -> float:
+    """verify_scheme's residual, the worst leakage over the cross links.
+    A function of its own, so that the last link's unit-scaled copies are
+    freed before verify_scheme forms the desired matrices."""
+    cs = scheme.channels
     residual = 0.0
     for m in (1, 2):
         src = other_cell(m)
         p = scheme.projector(m)
-        for k in range(1, cfg.K + 1):
+        for k in range(1, cs.config.K + 1):
             h = cs.channel(m, src, k)
             w = scheme.precoder(src, k)
             unit, _ = linalg.unit_scaled(h)
@@ -319,26 +353,7 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
                     f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
                     f"magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
-    if scheme.projected_nulls is not None:
-        null_dims = {key: null.dim
-                     for key, null in scheme.projected_nulls.items()}
-    elif scheme.projectors is not None:
-        null_dims = {key: dim for key, (dim, _, _)
-                     in _projected_nulls(cs, scheme.projectors).items()}
-    else:
-        null_dims = None
-    ranks = linalg.numeric_ranks(
-        np.stack([desired_matrix(scheme, m) for m in (1, 2)]), cfg.tol)
-    effective_rank = dict(zip((1, 2), ranks))
-    decodable = (all(r == kb for r in effective_rank.values())
-                 and residual <= RESIDUAL_THRESHOLD)
-    return SchemeReport(
-        scheme=scheme.name,
-        residual_interference=residual,
-        effective_rank=effective_rank,
-        decodable=decodable,
-        null_dims=null_dims,
-    )
+    return residual
 
 
 def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],

@@ -98,6 +98,27 @@ def test_outer_bound_report_fields():
     assert doc["final_bound_decimal"] == 4.0
 
 
+def test_outer_bound_meets_the_two_cell_siso_uplink_dof():
+    # L=2, M=N=1 is the two-cell uplink with K single-antenna users a cell,
+    # whose DoF is 2K/(K+1) (Suh and Tse, "Interference alignment for
+    # cellular networks", Allerton 2008): the bound is tight there
+    for K in range(1, 30):
+        assert dof_outer_bound(K, 2, 1, 1).final_bound == Fraction(2 * K, K + 1)
+
+
+def test_outer_bound_stays_above_the_mimo_interference_channel_dof():
+    # K=1, L >= 3, M=N is the L-user MxM interference channel, whose DoF
+    # is LM/2 (Cadambe and Jafar, IEEE Trans. IT 2008; for constant MIMO
+    # coefficients, Ghasemi, Motahari and Khandani, ISIT 2010).  A valid
+    # bound never falls below it; this one gives (L-1)M, loose by a
+    # factor 2(L-1)/L
+    for L in range(3, 12):
+        for M in range(1, 8):
+            bound = dof_outer_bound(1, L, M, M).final_bound
+            assert bound >= Fraction(L * M, 2)
+            assert bound == (L - 1) * M
+
+
 def test_outer_bound_never_exceeds_cooperative_cap():
     for K in range(1, 6):
         for L in range(2, 5):

@@ -430,6 +430,21 @@ def test_replay_rejects_nan_entries(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part, value", [("re", True), ("im", "0.5")])
+def test_replay_rejects_entries_that_are_not_json_numbers(tmp_path, capsys,
+                                                          part, value):
+    # numpy reads true as 1.0 and "0.5" as 0.5, and both dumps used to
+    # replay to a decodable report with exit code 0
+    def retype(doc):
+        doc["channels"][1][part][1][0] = value
+    dump = scaled_dump(tmp_path, capsys, 1.0, retype, scheme="nsia")
+    assert run(["nsia", "--channels", str(dump), "--assert"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"channel (m=1, l=1, k=2) {part!r} has an entry that is not a "
+            f"JSON number") in captured.err
+
+
 def test_replay_rejects_bool_indices(tmp_path, capsys):
     def boolean(doc):
         doc["channels"][0]["m"] = True

@@ -7,7 +7,9 @@ as the pipeline did before it was stacked; every array, report and rate
 must come out the same to the last bit, in the same memory layout.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -319,12 +321,35 @@ def test_lemma2_nsia_raises_a_lost_plane_from_the_stack(monkeypatch, caplog):
 
 def test_stacks_split_by_byte_budget(monkeypatch):
     # at K=32, beta=4 one link and its SVD factors take about 0.8 MB, so
-    # a stack covers two links; every link of K <= 4 fits in one stack
+    # a stack covers one link; every link of K <= 4 fits in one stack
     assert len(linalg.stack_chunks(list(range(16)), 10, 8)) == 1
     runs = linalg.stack_chunks(list(range(5)), 132, 128)
-    assert runs == [[0, 1], [2, 3], [4]]
+    assert runs == [[0], [1], [2], [3], [4]]
     monkeypatch.setattr(linalg, "STACK_BYTES", 1)
     assert linalg.stack_chunks([1, 2], 2, 3) == [[1], [2]]
+
+
+def test_large_k_nsia_temporaries_stay_within_a_few_links():
+    # at K=32, beta=4 a link is 132x128 complex (0.26 MiB).  With numpy
+    # 2.4, build_nsia's traced peak above the channel set, less the 1.07
+    # MiB the scheme keeps, is 1.01 MiB: one link a stacked call, each
+    # stack freed once it is used.  It was 2.53 MiB with two links a call
+    # and the plane and link stacks alive through the SVD, and 2.03 MiB
+    # with two links a call alone.  The bound fails both and leaves two
+    # links of slack
+    peak_bound = 1.5 * 2 ** 20
+    M, N = bounds.antenna_profile(32, 4, bounds.RX_HEAVY)
+    cs = network.generate_channels(
+        NetworkConfig(L=2, K=32, M=M, N=N, beta=4, seed=1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scheme = schemes.build_nsia(cs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scheme.precoders) == 64
+    assert peak - kept < peak_bound
 
 
 def test_chunked_stacks_equal_one_stack(monkeypatch):
