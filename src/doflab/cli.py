@@ -288,7 +288,7 @@ def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
 
 def _scheme_channel_set(args, variant: str):
     """Channels for a scheme command: replayed from a dump (which must be
-    at ``variant``'s antenna profile) or generated."""
+    two-cell and at ``variant``'s antenna profile) or generated."""
     if args.channels and args.dump_channels:
         raise InputError("--channels and --dump-channels are mutually "
                          "exclusive: a replay writes no channel dump")
@@ -297,6 +297,9 @@ def _scheme_channel_set(args, variant: str):
         with open(args.channels) as fh:
             cs = network.channel_set_from_dict(json.load(fh))
         cfg = cs.config
+        if cfg.L != 2:
+            raise InputError(f"replayed L={cfg.L} is not the two-cell network "
+                             f"the scheme commands run")
         expected = bounds.antenna_profile(cfg.K, cfg.beta, variant)
         if (cfg.M, cfg.N) != expected:
             raise InputError(f"replayed (M, N)=({cfg.M}, {cfg.N}) is not the "

@@ -1,4 +1,4 @@
-"""Optimal two-cell linear schemes and their verification.
+"""Optimal two-cell linear schemes, and their verification at any L.
 
 Two closed-form constructions deliver 2*K*beta interference-free streams:
 
@@ -40,7 +40,7 @@ def other_cell(m: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Scheme:
-    """A two-cell linear scheme on the channel set ``channels``, named after
+    """A linear scheme on the L-cell channel set ``channels``, named after
     what made it (zf, nsia or random; the name verify_scheme reports).
 
     ``precoders`` maps each user (l, k) to an M x beta precoder with
@@ -55,7 +55,7 @@ class Scheme:
     reads their dimensions instead of factoring the products again.  Planes
     from anywhere else (pi_transform, or a Scheme built by hand) carry
     none, and verify_scheme measures them as build_nsia does
-    (_projected_nulls).  ``==`` is identity.
+    (_projected_nulls), at L=2 only.  ``==`` is identity.
     """
 
     name: str
@@ -283,42 +283,43 @@ def desired_matrix(scheme: Scheme, m: int) -> np.ndarray:
 def verify_scheme(scheme: Scheme) -> SchemeReport:
     """Measure alignment residuals and effective ranks, judge decodability.
 
-    The residual is the worst relative leakage over all cross links:
-    ||H_cross W||_F / ||H_cross||_F, with H_cross replaced by the projected
-    cross channel when the scheme has receive planes.  Decodable means
-    every per-cell effective rank equals K*beta and the residual is at
-    most RESIDUAL_THRESHOLD.  K*beta is the right target because the
-    Scheme checked its shapes when it was made (beta streams per user, a
-    K*beta-row plane per base station), so one stacked SVD ranks both
-    cells.  The report is named after the scheme.  The projected null
-    dimensions come from the scheme's stored null spaces when it has them;
-    planes without them (pi_transform, or a Scheme built by hand) are
-    measured by build_nsia's own stacked _projected_nulls, which refuses a
-    threshold scale that overflows.  Each leak is measured on its link
-    scaled by the power of two that puts the largest entry in [1/2, 1)
-    (linalg.unit_scaled): exact, so a residual keeps its bits, and the
-    norms of a link far from unit magnitude (entries near 1e-150 square to
-    about 1e-300) neither underflow nor overflow.  A leakage that is still
-    not finite (a zero link, or precoders or planes whose products
-    overflow) raises DegeneracyError naming the link instead of being
-    folded into the residual.
+    The residual is the worst relative leakage over the cross links
+    (m, l != m, k) of all L cells: ||H_cross W||_F / ||H_cross||_F, with
+    H_cross replaced by the projected cross channel when the scheme has
+    receive planes.  Decodable means every per-cell effective rank equals
+    K*beta and the residual is at most RESIDUAL_THRESHOLD.  K*beta is the
+    right target because the Scheme checked its shapes when it was made,
+    so one stacked SVD ranks every cell.  The report is named after the
+    scheme.  The projected null dimensions come from the scheme's stored
+    null spaces when it has them; planes without them (pi_transform, or a
+    Scheme built by hand) are measured by build_nsia's _projected_nulls,
+    which refuses a threshold scale that overflows, and refused at L != 2
+    (ConfigurationError), where the report's (m, k) key names no cell.
+    Each leak is measured on its link scaled by the power of two that puts
+    the largest entry in [1/2, 1) (linalg.unit_scaled): exact, so a
+    residual keeps its bits, and the norms of a link far from unit
+    magnitude (entries near 1e-150 square to about 1e-300) neither
+    underflow nor overflow.  A leakage that is still not finite (a zero
+    link, or precoders or planes whose products overflow) raises
+    DegeneracyError naming the link instead of being folded into the
+    residual.
     """
     cs = scheme.channels
     cfg = cs.config
-    require_two_cells(cs, "scheme verification")
     kb = cfg.K * cfg.beta
     residual = _residual(scheme)
     if scheme.projected_nulls is not None:
         null_dims = {key: null.dim
                      for key, null in scheme.projected_nulls.items()}
     elif scheme.projectors is not None:
+        require_two_cells(cs, "measuring planes without stored null spaces")
         null_dims = {key: dim for key, (dim, _, _)
                      in _projected_nulls(cs, scheme.projectors).items()}
     else:
         null_dims = None
     ranks = linalg.numeric_ranks(
-        [desired_matrix(scheme, m) for m in (1, 2)], cfg.tol)
-    effective_rank = dict(zip((1, 2), ranks))
+        [desired_matrix(scheme, m) for m in range(1, cfg.L + 1)], cfg.tol)
+    effective_rank = dict(enumerate(ranks, start=1))
     decodable = (all(r == kb for r in effective_rank.values())
                  and residual <= RESIDUAL_THRESHOLD)
     return SchemeReport(
@@ -335,13 +336,13 @@ def _residual(scheme: Scheme) -> float:
     A function of its own, so that the last link's unit-scaled copies are
     freed before verify_scheme forms the desired matrices."""
     cs = scheme.channels
+    cells, users = range(1, cs.config.L + 1), range(1, cs.config.K + 1)
     residual = 0.0
-    for m in (1, 2):
-        src = other_cell(m)
+    for m in cells:
         p = scheme.projector(m)
-        for k in range(1, cs.config.K + 1):
-            h = cs.channel(m, src, k)
-            w = scheme.precoder(src, k)
+        for l, k in ((l, k) for l in cells if l != m for k in users):
+            h = cs.channel(m, l, k)
+            w = scheme.precoder(l, k)
             unit, _ = linalg.unit_scaled(h)
             cross = unit if p is None else p @ unit
             # norms that still overflow or underflow give inf or NaN,
@@ -350,7 +351,7 @@ def _residual(scheme: Scheme) -> float:
                 leak = float(np.linalg.norm(cross @ w) / np.linalg.norm(unit))
             if not math.isfinite(leak):
                 raise DegeneracyError(
-                    f"leakage on cross link (m={m}, l={src}, k={k}) is {leak}: "
+                    f"leakage on cross link (m={m}, l={l}, k={k}) is {leak}: "
                     f"magnitudes overflow or underflow double precision")
             residual = max(residual, leak)
     return residual
@@ -362,19 +363,18 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
 
     The projector's null space, hence the alignment dimension condition,
     is unchanged, but row orthonormality is lost unless every Pi_m is
-    unitary, and the result keeps no stored null spaces.  A scheme without
-    receive planes (zf, random) raises ContractError.
+    unitary; the result keeps no stored null spaces.  A missing, extra or
+    misshapen Pi_m raises DimensionError, a zf or random scheme ContractError.
     """
     if scheme.projectors is None:
         raise ContractError(f"{scheme.name} scheme has no receive planes")
+    pi = {m: linalg.as_matrix(pi_m, name=f"Pi[{m}]") for m, pi_m in pi.items()}
+    rows = scheme.projector(1).shape[0]  # K*beta
+    _require_shapes("Pi", pi, (rows, rows),
+                    {m: f"Pi[{m}]" for m in scheme.projectors})
     transformed = {}
     for m, p in scheme.projectors.items():
-        pi_m = linalg.as_matrix(pi[m], name=f"Pi[{m}]")
-        rows = p.shape[0]
-        if pi_m.shape != (rows, rows):
-            raise DimensionError(
-                f"Pi[{m}] must be {rows}x{rows}, got {pi_m.shape}")
-        if linalg.numeric_rank(pi_m, tol) < rows:
+        if linalg.numeric_rank(pi[m], tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
-        transformed[m] = pi_m @ p
+        transformed[m] = pi[m] @ p
     return replace(scheme, projectors=transformed, projected_nulls=None)

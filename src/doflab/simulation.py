@@ -19,7 +19,7 @@ from . import linalg, network, schemes
 from .errors import ContractError, DegeneracyError, InputError
 from .linalg import Tolerance
 from .network import ChannelSet, NetworkConfig, draw_channel
-from .schemes import Scheme, SchemeReport, other_cell
+from .schemes import Scheme, SchemeReport
 
 LOG2 = math.log(2.0)
 # Monte Carlo trials whose linear algebra runs as one stack.  Memory per
@@ -171,7 +171,7 @@ def _cell_spectra(scheme: Scheme,
     DegeneracyError for a Gram matrix or spectrum that is not finite.
     """
     for m, p in (scheme.projectors or {}).items():
-        ok, err = linalg.orthonormal_columns(p.conj().T)
+        ok, err = linalg.orthonormal_columns(p.T)  # Gram conj(P P*): same error
         if not ok:
             raise ContractError(f"rows of P_{m} are not orthonormal (max Gram "
                                 f"error {err:.3e}): the rate needs white noise")
@@ -183,7 +183,7 @@ def _cell_spectra(scheme: Scheme,
             f"ranks {report.effective_rank})")
     spectra = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in (1, 2):
+        for m in range(1, scheme.channels.config.L + 1):
             gram = _gram(schemes.desired_matrix(scheme, m), f"cell {m}")
             spectra.append(np.clip(_finite(np.linalg.eigvalsh(gram),
                                            f"Gram spectrum of cell {m}"),
@@ -228,31 +228,31 @@ def interference_limited_rate(scheme: Scheme, rho: float) -> float:
     Where rho/beta times a Gram entry overflows, the same rate is taken
     from the unscaled Gram sums (_grams_rate), so channels up to the top
     of the replay range rate.
-    Receive planes, if the scheme has any, are ignored.  A channel set
-    that is not two-cell raises ConfigurationError.
+    The interference at cell m sums over the links of every user in the
+    other L-1 cells.  Receive planes, if the scheme has any, are ignored.
     """
     if not rho > 0:
         raise InputError(f"rho must be positive, got {rho}")
     return _grams_rate(_link_grams(scheme), rho, scheme.channels.config.beta)
 
 
-def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Per cell m, the Gram matrices (H W)(H W)* of user k's desired link
-    and of the other cell's user k's link into m, in user order.
+def _link_grams(scheme: Scheme) -> list[list[tuple[np.ndarray, ...]]]:
+    """Per cell m, in user order, the Gram matrices (H W)(H W)* of user k's
+    desired link, then of user k's links into m from the other cells.
 
     They do not depend on rho, so one call serves a whole SNR grid.  A Gram
     matrix that is not finite raises DegeneracyError naming its link.
     """
     cs = scheme.channels
-    schemes.require_two_cells(cs, "the interference-limited rate")
+    cells = range(1, cs.config.L + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         return [[tuple(_gram(cs.channel(m, l, k) @ scheme.precoder(l, k),
                              f"link (m={m}, l={l}, k={k})")
-                       for l in (m, other_cell(m)))
-                 for k in range(1, cs.config.K + 1)] for m in (1, 2)]
+                       for l in (m, *cells[:m - 1], *cells[m:]))
+                 for k in range(1, cs.config.K + 1)] for m in cells]
 
 
-def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
+def _grams_rate(grams: list[list[tuple[np.ndarray, ...]]], rho: float,
                 beta: int) -> float:
     # log det(I + Qi + Qs) - log det(I + Qi), each Q rho' times a sum of
     # Grams.  Where rho' times a Gram entry overflows (a replay near the
@@ -263,19 +263,19 @@ def _grams_rate(grams: list[list[tuple[np.ndarray, np.ndarray]]], rho: float,
     per_stream_power = rho / beta
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, cell in zip((1, 2), grams):
+        for m, cell in enumerate(grams, start=1):
             n = cell[0][0].shape[0]
             q_signal = np.zeros((n, n), dtype=complex)
             q_interf = np.zeros((n, n), dtype=complex)
-            for signal, interf in cell:
+            for signal, *interfs in cell:
                 q_signal += per_stream_power * signal
-                q_interf += per_stream_power * interf
+                q_interf += per_stream_power * sum(interfs)
             eye = np.eye(n)
             covariance = eye + q_interf + q_signal
             if not np.isfinite(covariance).all():
                 eye = eye / per_stream_power
-                q_signal = sum(signal for signal, _ in cell)
-                q_interf = sum(interf for _, interf in cell)
+                q_signal = sum(signal for signal, *_ in cell)
+                q_interf = sum(g for _, *interfs in cell for g in interfs)
                 covariance = eye + q_interf + q_signal
             _, num = np.linalg.slogdet(
                 _finite(covariance, f"covariance of cell {m}"))
@@ -310,7 +310,7 @@ def estimate_dof_slope(scheme: Scheme, grid: SnrGrid = DEFAULT_SNR_GRID,
                        report: SchemeReport | None = None) -> SlopeEstimate:
     """Fit sum rate against log2(rho) over the grid.
 
-    For a verified optimal scheme the slope approaches 2*K*beta.  The
+    For a verified optimal scheme the slope approaches L*K*beta.  The
     random baseline (schemes.RANDOM) is rated by the saturating
     interference_limited_rate instead (no decodability requirement).
     ``report``, when given, is the scheme's verify_scheme result and saves

@@ -14,7 +14,8 @@ from doflab import bounds, linalg
 from doflab.cli import (build_parser, config_to_argv, parse_int_range,
                         parse_snr, run)
 from doflab.errors import InputError
-from doflab.network import MAX_REDRAWS
+from doflab.network import (MAX_REDRAWS, NetworkConfig, channel_set_to_dict,
+                            generate_channels)
 
 
 def package_env():
@@ -343,6 +344,24 @@ def test_replay_at_another_profile_exits_1(tmp_path, capsys):
     assert "(M, N)=(3, 2)" in captured.err and "(M, N)=(2, 3)" in captured.err
     assert run([*slope, "--profile", "tx-heavy"]) == 0
     assert run(["nsia", "--channels", str(dump)]) == 1
+
+
+@pytest.mark.parametrize("argv, variant", [
+    (["zf"], bounds.TX_HEAVY), (["nsia"], bounds.RX_HEAVY),
+    (["slope", "--scheme", "random", "--profile", "tx-heavy"], bounds.TX_HEAVY)],
+    ids=["zf", "nsia", "slope-random"])
+def test_replay_of_three_cells_exits_1(tmp_path, capsys, argv, variant):
+    # verification and rates take any L, but the closed forms and the
+    # two-cell converse a slope reports are for L=2: an L=3 dump at the
+    # command's own profile is refused where it is loaded
+    M, N = bounds.antenna_profile(1, 1, variant)
+    dump = tmp_path / "channels.json"
+    dump.write_text(json.dumps(channel_set_to_dict(generate_channels(
+        NetworkConfig(L=3, K=1, M=M, N=N, seed=2)))))
+    assert run([*argv, "--channels", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "replayed L=3 is not the two-cell network" in captured.err
 
 
 def scaled_dump(tmp_path, capsys, factor, mutate=None, scheme="zf"):

@@ -428,6 +428,16 @@ def test_pi_transform_rejects_singular():
     scheme = build_nsia(cs)
     with pytest.raises(RankError):
         pi_transform(scheme, {1: np.zeros((2, 2)), 2: np.zeros((2, 2))})
+    # Pi is checked as the Scheme checks its planes: one missing or extra
+    # is named, not a bare KeyError or silently ignored
+    for pi, message in [({1: np.eye(2)}, "Pi[2] is missing"),
+                        ({1: np.eye(2), 2: np.eye(2), 3: np.eye(2)},
+                         "Pi keyed 3 is not in the network"),
+                        ({1: np.eye(3), 2: np.eye(2)},
+                         "Pi[1] has shape (3, 3), expected (2, 2)")]:
+        with pytest.raises(DimensionError) as exc:
+            pi_transform(scheme, pi)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("variant,build", [
@@ -497,6 +507,19 @@ def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
         report = verify_scheme(candidate)
         assert len(calls) == svds
         assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
+
+
+def test_verify_refuses_planes_without_null_spaces_at_three_cells():
+    # the projected null dimensions are keyed (m, k) by the one other
+    # cell, so planes that carry no stored null spaces are measured at
+    # L=2 only; the residual and ranks alone would judge them at any L
+    cs = generate_channels(NetworkConfig(L=3, K=1, M=2, N=3, seed=0))
+    rng = linalg.seeded_rng(0, 99)
+    planes = {m: linalg.random_matrix(1, 3, rng=rng) for m in (1, 2, 3)}
+    scheme = Scheme(NSIA, cs, random_precoders(cs).precoders, planes)
+    with pytest.raises(ConfigurationError, match=r"^measuring planes without "
+                       r"stored null spaces needs L=2 cells, got L=3$"):
+        verify_scheme(scheme)
 
 
 def test_scheme_report_serialization():

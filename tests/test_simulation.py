@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from doflab import bounds, linalg, simulation
-from doflab.errors import (ConfigurationError, ContractError, DegeneracyError,
-                           InputError)
+from doflab.errors import ContractError, DegeneracyError, InputError
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
                            numeric_rank, random_matrix, range_basis,
                            seeded_rng)
@@ -315,16 +314,41 @@ def test_interference_limited_vanishes_at_zero_power():
     assert interference_limited_rate(pre, 1e-12) < 1e-9
 
 
-def test_random_baseline_refuses_three_cells():
-    # random_precoders draws for every cell, but both rates pair cell m
-    # with the one other cell: an L=3 set must be refused, not rated as
-    # if cell 3 did not exist
-    cs = generate_channels(NetworkConfig(L=3, K=2, M=3, N=2, seed=0))
+def test_random_baseline_saturates_at_three_cells():
+    # each base station hears its one user and the two users of the other
+    # cells in N=2 dimensions: the interference fills the receiver, so
+    # generic precoders are not decodable and their rate saturates
+    cs = generate_channels(NetworkConfig(L=3, K=1, M=2, N=2, seed=0))
     pre = random_precoders(cs)
-    with pytest.raises(ConfigurationError, match="needs L=2 cells, got L=3"):
-        interference_limited_rate(pre, 1e3)
-    with pytest.raises(ConfigurationError, match="needs L=2 cells, got L=3"):
-        estimate_dof_slope(pre)
+    assert not verify_scheme(pre).decodable
+    assert estimate_dof_slope(pre).slope <= 0.5
+
+
+@pytest.mark.parametrize("L, K, M, N", [(3, 1, 3, 1), (3, 2, 5, 2),
+                                        (4, 1, 4, 1)])
+def test_multicell_transmit_zero_forcing_meets_the_bound(L, K, M, N):
+    # at M = (L-1)K + 1, N = K each user's L-1 stacked cross links leave a
+    # one-dimensional null space: precoding inside it cancels every leak,
+    # so each cell decodes its K streams and the slope is L*K = L*N
+    cs = generate_channels(NetworkConfig(L=L, K=K, M=M, N=N, seed=5))
+    cells = range(1, L + 1)
+    users = [(l, k) for l in cells for k in range(1, K + 1)]
+    precoders = {(l, k): null_space_basis(np.vstack(
+        [cs.channel(m, l, k) for m in cells if m != l])).basis
+        for l, k in users}
+    for (l, k), w in precoders.items():
+        assert w.shape == (M, 1)
+        for m in cells:
+            if m != l:
+                assert np.abs(cs.channel(m, l, k) @ w).max() < 1e-12
+    scheme = Scheme("tzf", cs, precoders)
+    report = verify_scheme(scheme)
+    assert report.decodable
+    assert report.effective_rank == {m: K for m in cells}
+    est = estimate_dof_slope(scheme, report=report)
+    assert bounds.dof_outer_bound(K, L, M, N).final_bound == L * K
+    assert abs(est.slope - L * K) <= 0.03 * L * K
+    assert est.r_squared >= 0.999
 
 
 def test_interference_limited_saturates():
@@ -596,17 +620,24 @@ def test_log_det_rate_sums_the_logs_of_an_overflowing_term():
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e200])
-@pytest.mark.parametrize("build, what", [
-    (build_zf_precoders, "Gram matrix of cell 1"),
-    (random_precoders, "Gram matrix of link (m=1, l=1, k=1)")],
-    ids=["zf", "random"])
-def test_rates_refuse_a_gram_matrix_that_overflows(build, what, scale):
-    # the seed-3 K=2 set scaled past double precision's range: each H W
-    # Gram overflows, and the fit used to return a NaN slope and r² without
-    # raising; numpy's overflow warning must not fire first either
-    cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
-    scaled = channel_set(cs.config, {key: h * scale
-                                     for key, h in cs.channels.items()})
+@pytest.mark.parametrize("build, config, scaled_cells, what", [
+    (build_zf_precoders, NetworkConfig(L=2, K=2, M=3, N=2, seed=3), (1, 2),
+     "Gram matrix of cell 1"),
+    (random_precoders, NetworkConfig(L=2, K=2, M=3, N=2, seed=3), (1, 2),
+     "Gram matrix of link (m=1, l=1, k=1)"),
+    (random_precoders, NetworkConfig(L=3, K=1, M=2, N=2, seed=3), (3,),
+     "Gram matrix of link (m=1, l=3, k=1)")],
+    ids=["zf", "random", "random-L3"])
+def test_rates_refuse_a_gram_matrix_that_overflows(build, config,
+                                                   scaled_cells, what, scale):
+    # the links of the users in scaled_cells scaled past double precision's
+    # range: each of their H W Grams overflows, and the fit used to return
+    # a NaN slope and r² without raising; numpy's overflow warning must not
+    # fire first either.  At L=3 the first refused link is the one from
+    # cell 3 into base station 1, which no two-cell pairing visits.
+    cs = generate_channels(config)
+    scaled = channel_set(config, {(m, l, k): h * scale if l in scaled_cells
+                                  else h for (m, l, k), h in cs.channels.items()})
     with pytest.raises(DegeneracyError, match=rf"^{re.escape(what)} is not "
                                               r"finite: channel magnitudes"):
         estimate_dof_slope(build(scaled))
