@@ -2,7 +2,7 @@
 
 All arithmetic is exact: integers and fractions.Fraction.  Floating point
 would mask off-by-one errors at ties, and the two-cell converse below is
-asserted with zero tolerance.
+checked with zero tolerance.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, is_int
+from .errors import ContractError, InputError, is_int
 
 # Antenna profiles of the two-cell optimum: more transmit antennas than
 # receive (tx-heavy, M = K*beta + beta, N = K*beta) or the reverse
@@ -130,12 +130,12 @@ def converse_two_cell(K: int, beta: int, variant: str) -> int:
     """Two-cell converse: the outer bound evaluates to exactly 2*K*beta.
 
     Internally re-evaluates dof_outer_bound at the chosen profile; a
-    mismatch would be a formula regression and raises AssertionError.
+    mismatch would be a formula regression and raises ContractError.
     """
     M, N = antenna_profile(K, beta, variant)
     report = dof_outer_bound(K, 2, M, N)
     expected = 2 * K * beta
-    assert report.final_bound == Fraction(expected), (
-        f"outer bound {report.final_bound} != {expected} at "
-        f"K={K}, beta={beta}, variant={variant}")
+    if report.final_bound != Fraction(expected):
+        raise ContractError(f"outer bound {report.final_bound} != {expected} at "
+                            f"K={K}, beta={beta}, variant={variant}")
     return expected

@@ -308,10 +308,10 @@ def channel_set(config: NetworkConfig,
     nondegeneracy check (_checked_set, on stacks of the links); the first
     link in (m, l, k) order that fails it is refused."""
     cfg = config
-    links = _links(cfg)
-    if set(channels) != set(links):
+    count = cfg.L * cfg.L * cfg.K  # compared before the triples are listed
+    if len(channels) != count or set(channels) != set(links := _links(cfg)):
         raise InputError("channels do not cover exactly the "
-                         f"{len(links)} (m, l, k) triples of the config")
+                         f"{count} (m, l, k) triples of the config")
     for link in links:
         h = channels[link]
         name = "channel (m={}, l={}, k={})".format(*link)

@@ -55,7 +55,7 @@ class Scheme:
     reads their dimensions instead of factoring the products again.  Planes
     from anywhere else (pi_transform, or a Scheme built by hand) carry
     none, and verify_scheme measures them as build_nsia does
-    (_projected_nulls), at L=2 only.  ``==`` is identity.
+    (_projected_nulls), at any L.  ``==`` is identity.
     """
 
     name: str
@@ -117,21 +117,16 @@ class SchemeReport:
             "decodable": self.decodable,
         }
         if self.null_dims is not None:
-            doc["null_dims"] = [{"bs": m, "user": k, "dim": d}
-                                for (m, k), d in sorted(self.null_dims.items())]
+            doc["null_dims"] = [{"bs": m, "user": j, "dim": d}
+                                for (m, j), d in sorted(self.null_dims.items())]
         return doc
-
-
-def require_two_cells(cs: ChannelSet, what: str):
-    """Refuse a channel set that is not two-cell, naming ``what`` needs it."""
-    if cs.config.L != 2:
-        raise ConfigurationError(
-            f"{what} needs L=2 cells, got L={cs.config.L}")
 
 
 def _require_profile(cs: ChannelSet, scheme: str, label: str):
     cfg = cs.config
-    require_two_cells(cs, f"{label} construction")
+    if cfg.L != 2:
+        raise ConfigurationError(
+            f"{label} construction needs L=2 cells, got L={cfg.L}")
     expected = bounds.antenna_profile(cfg.K, cfg.beta, SCHEME_VARIANT[scheme])
     if (cfg.M, cfg.N) != expected:
         raise ConfigurationError(
@@ -235,38 +230,42 @@ def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
                      ) -> dict[tuple[int, int], tuple[int, np.ndarray, bool]]:
     """linalg.null_space_bases of each projected cross channel P_m H_m,lk,
-    keyed (m, k), for every plane given: its null dimension, its
-    beta-column basis and whether that is its null space and passed the
-    Gram check.
+    keyed (m, j) for every plane given, j = 1, 2, ... numbering base
+    station m's interfering users (l != m, k), cells before users (at L=2,
+    the other cell's user k): its null dimension, its beta-column basis
+    and whether that is its null space and passed the Gram check.
 
-    Each stack_chunks run stacks one plane and one link per (m, k) pair
-    and takes their threshold anchors (linalg.product_scales) first: they
-    bound every entry of P H, so the first one that is not finite is
-    refused, in (m, k) order, before its product can overflow.  Then one
-    SVD factors the run's products P H.  The stacks are freed once the
-    products are formed, and the products once they are factored: at
-    K=32, beta=4 a run is one pair, and the pass holds at most four
-    link-sized numpy arrays beyond the null spaces it keeps.
+    Each stack_chunks run stacks one plane and one link per pair and takes
+    their threshold anchors (linalg.product_scales) first: they bound
+    every entry of P H, so the first one that is not finite is refused,
+    in pair order, before its product can overflow.  Then one SVD factors
+    the run's products P H.  The stacks are freed once the products are
+    formed, and the products once they are factored: at K=32, beta=4 a
+    run is one pair, and the pass holds at most four link-sized numpy
+    arrays beyond the null spaces it keeps.
     """
     cfg = cs.config
-    pairs = [(m, k) for m in planes for k in range(1, cfg.K + 1)]
+    cells, users = range(1, cfg.L + 1), range(1, cfg.K + 1)
+    pairs = [((m, j), (m, l, k)) for m in planes for j, (l, k) in enumerate(
+        [(l, k) for l in cells if l != m for k in users], start=1)]
     found = {}
     for chunk in linalg.stack_chunks(pairs, cfg.K * cfg.beta, cfg.M):
-        p = np.stack([planes[m] for m, _ in chunk])
-        h = np.stack([cs.channel(m, other_cell(m), k) for m, k in chunk])
+        p = np.stack([planes[m] for (m, _), _ in chunk])
+        h = np.stack([cs.channel(*link) for _, link in chunk])
         scales = linalg.product_scales(p, h)
-        for (m, k), scale in zip(chunk, scales.tolist()):
+        for (_, (m, l, k)), scale in zip(chunk, scales.tolist()):
             if not math.isfinite(scale):
                 raise DegeneracyError(
                     f"threshold scale of projected cross channel (m={m}, "
-                    f"l={other_cell(m)}, k={k}) is {scale}: channel "
+                    f"l={l}, k={k}) is {scale}: channel "
                     f"magnitudes overflow double precision")
         products = p @ h
         del p, h  # the SVD needs only the products
         dims, bases, ok = linalg.null_space_bases(
             products, cfg.beta, cfg.tol, scale=scales)
         del products  # before the next run's stacks are made
-        found.update(zip(chunk, zip(dims.tolist(), bases, ok.tolist())))
+        found.update(zip((key for key, _ in chunk),
+                         zip(dims.tolist(), bases, ok.tolist())))
     return found
 
 
@@ -292,9 +291,10 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     so one stacked SVD ranks every cell.  The report is named after the
     scheme.  The projected null dimensions come from the scheme's stored
     null spaces when it has them; planes without them (pi_transform, or a
-    Scheme built by hand) are measured by build_nsia's _projected_nulls,
-    which refuses a threshold scale that overflows, and refused at L != 2
-    (ConfigurationError), where the report's (m, k) key names no cell.
+    Scheme built by hand) are measured at any L by build_nsia's
+    _projected_nulls, which refuses a threshold scale that overflows.  Both
+    are keyed (m, j), j numbering base station m's interfering users
+    (l != m, k), cells before users: at L=2, the other cell's user k.
     Each leak is measured on its link scaled by the power of two that puts
     the largest entry in [1/2, 1) (linalg.unit_scaled): exact, so a
     residual keeps its bits, and the norms of a link far from unit
@@ -312,7 +312,6 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
         null_dims = {key: null.dim
                      for key, null in scheme.projected_nulls.items()}
     elif scheme.projectors is not None:
-        require_two_cells(cs, "measuring planes without stored null spaces")
         null_dims = {key: dim for key, (dim, _, _)
                      in _projected_nulls(cs, scheme.projectors).items()}
     else:
@@ -357,14 +356,14 @@ def _residual(scheme: Scheme) -> float:
     return residual
 
 
-def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
-                 tol: Tolerance = Tolerance()) -> Scheme:
+def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray]) -> Scheme:
     """The scheme with each plane left-multiplied by an invertible Pi_m.
 
     The projector's null space, hence the alignment dimension condition,
     is unchanged, but row orthonormality is lost unless every Pi_m is
     unitary; the result keeps no stored null spaces.  A missing, extra or
-    misshapen Pi_m raises DimensionError, a zf or random scheme ContractError.
+    misshapen Pi_m raises DimensionError, a Pi_m singular at the scheme's
+    own tolerance RankError, and a zf or random scheme ContractError.
     """
     if scheme.projectors is None:
         raise ContractError(f"{scheme.name} scheme has no receive planes")
@@ -374,7 +373,7 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray],
                     {m: f"Pi[{m}]" for m in scheme.projectors})
     transformed = {}
     for m, p in scheme.projectors.items():
-        if linalg.numeric_rank(pi[m], tol) < rows:
+        if linalg.numeric_rank(pi[m], scheme.channels.config.tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
         transformed[m] = pi[m] @ p
     return replace(scheme, projectors=transformed, projected_nulls=None)

@@ -1,14 +1,16 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from doflab import bounds
 from doflab.bounds import (DofBoundReport, RX_HEAVY, TX_HEAVY,
                            converse_two_cell, dof_outer_bound,
                            per_message_set_bound, antenna_profile,
                            two_user_ic_dof)
-from doflab.errors import InputError
+from doflab.errors import ContractError, InputError
 
 
 def test_two_user_ic_single_antennas():
@@ -156,6 +158,39 @@ def test_converse_known_points():
     assert converse_two_cell(3, 2, TX_HEAVY) == 12
     assert converse_two_cell(1, 1, TX_HEAVY) == 2
     assert converse_two_cell(5, 1, RX_HEAVY) == 10
+
+
+def test_converse_refuses_a_wrong_bound(monkeypatch):
+    # a raised error, not an assert, so that python -O keeps the check
+    real = bounds.dof_outer_bound
+    monkeypatch.setattr(bounds, "dof_outer_bound", lambda K, L, M, N: replace(
+        real(K, L, M, N), final_bound=Fraction(2 * K + 1)))
+    with pytest.raises(ContractError, match=r"^outer bound 5 != 4 at K=2, "
+                       r"beta=1, variant=tx-heavy$"):
+        converse_two_cell(2, 1, TX_HEAVY)
+
+
+def test_bound_meets_the_two_cell_siso_uplink_dof():
+    # Suh and Tse, "Interference alignment for cellular networks"
+    # (Allerton 2008): the two-cell uplink with K single-antenna users per
+    # cell and single-antenna base stations has 2K/(K+1) DoF, reached by
+    # asymptotic alignment.  The bound is tight there.
+    for K in range(1, 30):
+        assert dof_outer_bound(K, 2, 1, 1).final_bound == Fraction(2 * K, K + 1)
+
+
+def test_bound_is_loose_on_the_l_user_interference_channel():
+    # At K=1 the network is the L-user M x M interference channel, whose
+    # DoF is LM/2 (Cadambe and Jafar, "Interference alignment and degrees
+    # of freedom of the K-user interference channel", IEEE Trans. IT 2008;
+    # for constant MIMO coefficients, Ghasemi, Motahari and Khandani,
+    # ISIT 2010).
+    # The bound is (L-1)M: valid, and loose by the factor 2(L-1)/L at L >= 3.
+    for L in range(3, 12):
+        for M in range(1, 8):
+            final = dof_outer_bound(1, L, M, M).final_bound
+            assert final == (L - 1) * M
+            assert final > Fraction(L * M, 2)
 
 
 def test_outer_bound_requires_two_cells():

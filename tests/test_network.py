@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,25 @@ def test_channel_set_refuses_a_rank_deficient_matrix(key):
     del channels[key]
     with pytest.raises(InputError, match="do not cover exactly"):
         channel_set(cs.config, channels)
+    channels[(4, 1, 1)] = cs.channels[key]  # as many links, one not in L=3
+    with pytest.raises(InputError, match="do not cover exactly"):
+        channel_set(cs.config, channels)
+
+
+def test_replay_declaring_far_more_links_is_refused_before_listing_them():
+    # a 4-link dump whose config declares K=100000 is refused by its link
+    # count; listing the 4*K declared (m, l, k) triples first took 63.7 MiB
+    doc = channel_set_to_dict(make_set(K=1, M=1, N=2))
+    doc["config"]["K"] = 100000
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"^channels do not cover exactly "
+                           r"the 400000 \(m, l, k\) triples of the config$"):
+            channel_set_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("key, bad", [

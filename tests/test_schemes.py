@@ -11,7 +11,7 @@ from doflab.schemes import (NSIA, SCHEME_VARIANT, ZF, Scheme,
                             alignment_planes, build_nsia, build_zf_precoders,
                             desired_matrix, other_cell, pi_transform,
                             verify_scheme)
-from doflab.simulation import random_precoders, sum_rate
+from doflab.simulation import estimate_dof_slope, random_precoders, sum_rate
 
 TOL = Tolerance()
 
@@ -428,6 +428,12 @@ def test_pi_transform_rejects_singular():
     scheme = build_nsia(cs)
     with pytest.raises(RankError):
         pi_transform(scheme, {1: np.zeros((2, 2)), 2: np.zeros((2, 2))})
+    # ranked at the scheme's own tolerance: diag(1, 1e-6) is singular at
+    # rel_rank_tol 1e-3, where it would leave each cell rank 1
+    coarse = build_nsia(channels_for(2, 1, bounds.RX_HEAVY, seed=11,
+                                     tol=Tolerance(rel_rank_tol=1e-3)))
+    with pytest.raises(RankError, match=r"^Pi\[1\] is singular at tolerance$"):
+        pi_transform(coarse, {m: np.diag([1.0, 1e-6]) for m in (1, 2)})
     # Pi is checked as the Scheme checks its planes: one missing or extra
     # is named, not a bare KeyError or silently ignored
     for pi, message in [({1: np.eye(2)}, "Pi[2] is missing"),
@@ -509,17 +515,34 @@ def test_verify_measures_projected_links_it_has_no_factors_for(monkeypatch):
         assert report.null_dims == {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): 1}
 
 
-def test_verify_refuses_planes_without_null_spaces_at_three_cells():
-    # the projected null dimensions are keyed (m, k) by the one other
-    # cell, so planes that carry no stored null spaces are measured at
-    # L=2 only; the residual and ranks alone would judge them at any L
-    cs = generate_channels(NetworkConfig(L=3, K=1, M=2, N=3, seed=0))
-    rng = linalg.seeded_rng(0, 99)
-    planes = {m: linalg.random_matrix(1, 3, rng=rng) for m in (1, 2, 3)}
-    scheme = Scheme(NSIA, cs, random_precoders(cs).precoders, planes)
-    with pytest.raises(ConfigurationError, match=r"^measuring planes without "
-                       r"stored null spaces needs L=2 cells, got L=3$"):
-        verify_scheme(scheme)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_three_user_alignment_verifies_planes_at_three_cells(seed):
+    # the 3-user 2x2 interference channel (L=3, K=1, M=N=2) has 3 DoF by
+    # one-shot alignment (Cadambe and Jafar, IEEE Trans. IT 2008), one
+    # below the outer bound 4: each base station sees its two interferers
+    # along one direction d and projects it away with a plane p, p d = 0
+    cs = generate_channels(NetworkConfig(L=3, K=1, M=2, N=2, seed=seed))
+    h = {(m, l): cs.channel(m, l, 1) for m in (1, 2, 3) for l in (1, 2, 3)}
+    inv = np.linalg.inv
+    e = inv(h[3, 2] @ inv(h[1, 2]) @ h[1, 3]) @ h[3, 1] @ inv(h[2, 1]) @ h[2, 3]
+    v3 = np.linalg.eig(e)[1][:, :1]
+    v = {1: inv(h[2, 1]) @ h[2, 3] @ v3, 2: inv(h[1, 2]) @ h[1, 3] @ v3, 3: v3}
+    precoders = {(l, 1): w / np.linalg.norm(w) for l, w in v.items()}
+    planes = {}
+    for m, l in ((1, 2), (2, 1), (3, 1)):
+        d = (h[m, l] @ precoders[(l, 1)])[:, 0]
+        planes[m] = np.array([[-d[1], d[0]]]) / np.linalg.norm(d)
+    scheme = Scheme("ia", cs, precoders, planes)
+    report = verify_scheme(scheme)
+    assert report.decodable
+    assert report.residual_interference <= 1e-12
+    assert report.effective_rank == {1: 1, 2: 1, 3: 1}
+    # (m, j): base station m's j-th interfering user, cells before users
+    assert report.null_dims == {(m, j): 1 for m in (1, 2, 3) for j in (1, 2)}
+    est = estimate_dof_slope(scheme, report=report)
+    assert abs(est.slope - 3) <= 0.03 * 3
+    assert est.r_squared >= 0.999
+    assert bounds.dof_outer_bound(1, 3, 2, 2).final_bound == 4
 
 
 def test_scheme_report_serialization():
