@@ -324,8 +324,10 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     Returns ``(report, estimate, expected, ok)``, where ``expected`` is the
     two-cell converse at ``variant``.  Without a grid, ``ok`` is
     decodability and ``estimate`` and ``expected`` are None.  With one, a
-    built scheme must also fit within --tol-slope of ``expected`` with
-    r² >= --min-r2, and the random baseline must saturate (slope <= 0.5).
+    built scheme is fitted only when it is decodable (else ``estimate`` is
+    None and ``ok`` False: a verdict, not an error) and must then fit
+    within --tol-slope of ``expected`` with r² >= --min-r2; the random
+    baseline is always fitted and must saturate (slope <= 0.5).
     """
     from . import schemes, simulation
     # looked up at call time, so that a patched module attribute (the
@@ -337,13 +339,24 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     if grid is None:
         return report, None, None, report.decodable
     expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
+    if scheme != RANDOM and not report.decodable:
+        return report, None, expected, False
     estimate = simulation.estimate_dof_slope(built, grid, report=report)
     if scheme == RANDOM:
         return report, estimate, expected, estimate.slope <= 0.5
-    ok = (report.decodable
-          and abs(estimate.slope - expected) <= args.tol_slope * expected
+    ok = (abs(estimate.slope - expected) <= args.tol_slope * expected
           and estimate.r_squared >= args.min_r2)
     return report, estimate, expected, ok
+
+
+def _fit_doc(estimate, grid: SnrGrid) -> dict:
+    """``estimate.to_dict()``, or for a scheme _evaluate did not fit the
+    same keys with the grid's points and null rates and fit."""
+    if estimate is not None:
+        return estimate.to_dict()
+    return {"snr_db": list(grid.points_db),
+            "sum_rates": [None] * len(grid.points_db),
+            "slope": None, "intercept": None, "r_squared": None}
 
 
 # Each command has a runner, args -> (report document, verdict), and a CSV
@@ -395,7 +408,7 @@ def _run_slope(args):
     report, estimate, expected, ok = _evaluate(args, cs, args.scheme, variant,
                                                grid)
     doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
-           "result": {**estimate.to_dict(), "expected_slope": expected,
+           "result": {**_fit_doc(estimate, grid), "expected_slope": expected,
                       "verification": report.to_dict()}}
     return doc, ok
 
@@ -446,10 +459,11 @@ def _run_sweep(args):
         report, estimate, bound, row_ok = _evaluate(args, cs, scheme, variant,
                                                     grid)
         ok = ok and row_ok
+        fit = _fit_doc(estimate, grid)
         rows.append({
             "K": k, "beta": beta, "scheme": scheme, "seed": seed,
-            "bound": bound, "slope": estimate.slope,
-            "r_squared": estimate.r_squared,
+            "bound": bound, "slope": fit["slope"],
+            "r_squared": fit["r_squared"],
             "residual": report.residual_interference,
             "decodable": report.decodable,
         })

@@ -78,6 +78,16 @@ class NetworkConfig:
                 f"{linalg.DISTRIBUTIONS}")
         self.tol.require_rankable(max(self.M, self.N), "max(M, N)")
 
+    def interferers(self, m: int) -> list[tuple[int, int]]:
+        """The users (l, k) that interfere at base station m: every user of
+        the other cells, cells before users.  The 1-based position j of a
+        user in this list keys base station m's per-link results (m, j);
+        at L=2, j is the other cell's user k."""
+        if not 1 <= m <= self.L:
+            raise IndexError(f"cell index m={m} out of range 1..{self.L}")
+        return [(l, k) for l in range(1, self.L + 1) if l != m
+                for k in range(1, self.K + 1)]
+
     def to_dict(self) -> dict:
         return {"L": self.L, "K": self.K, "M": self.M, "N": self.N,
                 "beta": self.beta, "seed": self.seed, "dist": self.dist,

@@ -31,13 +31,6 @@ from .network import ChannelSet
 RESIDUAL_THRESHOLD = 1e-10
 
 
-def other_cell(m: int) -> int:
-    """The opposite cell in a two-cell network."""
-    if m not in (1, 2):
-        raise IndexError(f"cell index m={m} out of range 1..2")
-    return 3 - m
-
-
 @dataclass(frozen=True, eq=False)
 class Scheme:
     """A linear scheme on the L-cell channel set ``channels``, named after
@@ -50,12 +43,12 @@ class Scheme:
     scheme is made: a missing, extra or misshapen precoder or plane raises
     DimensionError naming its user or base station, so every scheme
     carries beta streams per user, the rank K*beta that verify_scheme asks
-    of each cell.  build_nsia also keeps the null space of each projected cross
-    channel P_m H_m,lk, keyed (m, k), in ``projected_nulls``; verify_scheme
-    reads their dimensions instead of factoring the products again.  Planes
-    from anywhere else (pi_transform, or a Scheme built by hand) carry
-    none, and verify_scheme measures them as build_nsia does
-    (_projected_nulls), at any L.  ``==`` is identity.
+    of each cell.  build_nsia also keeps the null space of each projected
+    cross channel P_m H_m,lk in ``projected_nulls``, keyed (m, j) like
+    SchemeReport.null_dims; verify_scheme reads their dimensions instead of
+    factoring the products again.  Planes from anywhere else (pi_transform,
+    or a Scheme built by hand) carry none, and verify_scheme measures them
+    as build_nsia does (_projected_nulls), at any L.  ``==`` is identity.
     """
 
     name: str
@@ -124,6 +117,7 @@ class SchemeReport:
 
 def _require_profile(cs: ChannelSet, scheme: str, label: str):
     cfg = cs.config
+    # at L=2 each user interferes at one base station: one precoder each
     if cfg.L != 2:
         raise ConfigurationError(
             f"{label} construction needs L=2 cells, got L={cfg.L}")
@@ -147,13 +141,12 @@ def build_zf_precoders(cs: ChannelSet) -> Scheme:
     beta = cfg.beta
     _require_profile(cs, ZF, "zero forcing")
     precoders = {}
-    for l in (1, 2):
-        victim = other_cell(l)
-        for k in range(1, cfg.K + 1):
-            null = cs.cross_null(victim, l, k)
+    for m in (2, 1):  # cell 1's users, base station 2's interferers, first
+        for l, k in cfg.interferers(m):
+            null = cs.cross_null(m, l, k)
             if null.dim != beta:
                 raise DegeneracyError(
-                    f"null space of cross channel (m={victim}, l={l}, k={k}) "
+                    f"null space of cross channel (m={m}, l={l}, k={k}) "
                     f"has dimension {null.dim}, expected {beta}")
             precoders[(l, k)] = null.basis
     return Scheme(ZF, cs, precoders)
@@ -167,18 +160,18 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     beta-dimensional null spaces N_mk, which alignment_planes stacks into
     the plane P_m.  Each projected cross channel P_m H is then square with
     a beta-dimensional null space, which becomes the precoder of the
-    interfering user and is kept on the scheme for verify_scheme.
+    interfering user and is kept on the scheme for verify_scheme, keyed
+    (m, j) by the user's position j in NetworkConfig.interferers(m).
 
     A stored null space of another dimension (only in a hand-built
     ChannelSet) is refused first.  The 2K projected cross channels are
     factored as one stack, and the errors are raised from the stacked
     results base station by base station: the plane's, then its projected
-    links' in user order.
+    links' in interferer order.
     """
     cfg = cs.config
     beta = cfg.beta
     _require_profile(cs, NSIA, "null-space alignment")
-    users = range(1, cfg.K + 1)
     for (m, l, k), null in sorted(cs.cross_nulls.items()):
         if null.dim != beta:
             raise DegeneracyError(
@@ -187,26 +180,24 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     planes = {}
     for chunk in linalg.stack_chunks([1, 2], cfg.K * beta, cfg.N):
         q, full_rank = alignment_planes(np.array(
-            [[cs.cross_null(m, other_cell(m), k).basis for k in users]
+            [[cs.cross_null(m, *user).basis for user in cfg.interferers(m)]
              for m in chunk]), cfg.tol)
         planes.update((m, p) for m, p, ok in zip(chunk, q, full_rank) if ok)
     projected = _projected_nulls(cs, planes)
-    precoders = {}
-    projected_nulls = {}
+    precoders, projected_nulls = {}, {}
     for m in (1, 2):
         if m not in planes:
             raise DegeneracyError(
                 f"stacked alignment plane at base station {m} lost rank")
-        src = other_cell(m)
-        for k in users:
-            dim, basis, ok = projected[(m, k)]
+        for j, (l, k) in enumerate(cfg.interferers(m), start=1):
+            dim, basis, ok = projected[(m, j)]
             if dim != beta:
                 raise DegeneracyError(
-                    f"projected cross channel (m={m}, l={src}, k={k}) has "
+                    f"projected cross channel (m={m}, l={l}, k={k}) has "
                     f"null dimension {dim}, expected {beta}")
             null = SubspaceBasis(basis.shape[0], beta, basis, checked=ok)
-            precoders[(src, k)] = null.basis
-            projected_nulls[(m, k)] = null
+            precoders[(l, k)] = null.basis
+            projected_nulls[(m, j)] = null
     return Scheme(NSIA, cs, precoders, planes, projected_nulls)
 
 
@@ -215,9 +206,9 @@ def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
     a stack of base stations, and which of them have full rank.
 
     ``nulls`` is shaped (..., K, N, beta): the null spaces of the
-    conjugated cross channels H*_m,lk of the other cell's users in user
-    order (network.cross_null_bases).  User k's basis, conjugate-
-    transposed, fills rows (k-1)*beta+1 .. k*beta of P_m; one SVD ranks
+    conjugated cross channels H*_m,lk of NetworkConfig.interferers(m) in
+    order (network.cross_null_bases).  The j-th basis, conjugate-
+    transposed, fills rows (j-1)*beta+1 .. j*beta of P_m; one SVD ranks
     the planes and one QR orthonormalizes their rows, which keeps the
     projected noise white.  build_nsia and lemma2's nsia source build
     their planes here.
@@ -230,10 +221,9 @@ def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
 def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
                      ) -> dict[tuple[int, int], tuple[int, np.ndarray, bool]]:
     """linalg.null_space_bases of each projected cross channel P_m H_m,lk,
-    keyed (m, j) for every plane given, j = 1, 2, ... numbering base
-    station m's interfering users (l != m, k), cells before users (at L=2,
-    the other cell's user k): its null dimension, its beta-column basis
-    and whether that is its null space and passed the Gram check.
+    keyed (m, j) for every plane given, j the position of user (l, k) in
+    NetworkConfig.interferers(m): its null dimension, its beta-column
+    basis and whether that is its null space and passed the Gram check.
 
     Each stack_chunks run stacks one plane and one link per pair and takes
     their threshold anchors (linalg.product_scales) first: they bound
@@ -245,9 +235,8 @@ def _projected_nulls(cs: ChannelSet, planes: dict[int, np.ndarray]
     arrays beyond the null spaces it keeps.
     """
     cfg = cs.config
-    cells, users = range(1, cfg.L + 1), range(1, cfg.K + 1)
-    pairs = [((m, j), (m, l, k)) for m in planes for j, (l, k) in enumerate(
-        [(l, k) for l in cells if l != m for k in users], start=1)]
+    pairs = [((m, j), (m, *user)) for m in planes
+             for j, user in enumerate(cfg.interferers(m), start=1)]
     found = {}
     for chunk in linalg.stack_chunks(pairs, cfg.K * cfg.beta, cfg.M):
         p = np.stack([planes[m] for (m, _), _ in chunk])
@@ -293,8 +282,8 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     null spaces when it has them; planes without them (pi_transform, or a
     Scheme built by hand) are measured at any L by build_nsia's
     _projected_nulls, which refuses a threshold scale that overflows.  Both
-    are keyed (m, j), j numbering base station m's interfering users
-    (l != m, k), cells before users: at L=2, the other cell's user k.
+    are keyed (m, j), j the position of user (l, k) in
+    NetworkConfig.interferers(m): at L=2, the other cell's user k.
     Each leak is measured on its link scaled by the power of two that puts
     the largest entry in [1/2, 1) (linalg.unit_scaled): exact, so a
     residual keeps its bits, and the norms of a link far from unit
@@ -335,11 +324,10 @@ def _residual(scheme: Scheme) -> float:
     A function of its own, so that the last link's unit-scaled copies are
     freed before verify_scheme forms the desired matrices."""
     cs = scheme.channels
-    cells, users = range(1, cs.config.L + 1), range(1, cs.config.K + 1)
     residual = 0.0
-    for m in cells:
+    for m in range(1, cs.config.L + 1):
         p = scheme.projector(m)
-        for l, k in ((l, k) for l in cells if l != m for k in users):
+        for l, k in cs.config.interferers(m):
             h = cs.channel(m, l, k)
             w = scheme.precoder(l, k)
             unit, _ = linalg.unit_scaled(h)

@@ -436,6 +436,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # every trial's network but for its seed, validated once
         config = NetworkConfig(L=2, K=users, M=M, N=N, beta=beta, dist=dist,
                                tol=tol)
+        interferers = config.interferers(1)
 
     redrawn = []
 
@@ -459,7 +460,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         # the stacked checks below refused: it redraws, warns and raises
         # exactly where a one-trial-at-a-time run would
         cfg = replace(config, seed=sub_seed)
-        cross = [draw_channel(cfg, 1, 2, k) for k in range(1, users + 1)]
+        cross = [draw_channel(cfg, 1, *user) for user in interferers]
         plane, full_rank = schemes.alignment_planes(
             np.stack([null.basis for _, null in cross]), tol)
         if not full_rank:
@@ -468,15 +469,15 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         return cross[0][0], plane
 
     def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
-        # only P_1 and H_1,21 enter the verdict, so only the channels from
-        # cell 2 into base station 1 are drawn, as one stack from
-        # draw_channel's streams (sub-seed, 1, 2, k) for each user k, then
+        # only P_1 and H_1,21 enter the verdict, so only the channels of
+        # base station 1's interferers (cell 2's users) are drawn, as one
+        # stack from draw_channel's streams (sub-seed, 1, l, k), then
         # checked and stacked into planes by the scheme's own functions.
         # The sub-seed is word 0 of the (seed, i) stream's state words.
         sub_seeds = linalg.stream_words([(seed, i) for i in chunk], 1)[:, 0].tolist()
         (h,) = linalg.random_matrices(
-            [(N, M)], dist, [(sub_seed, 1, 2, k) for sub_seed in sub_seeds
-                             for k in range(1, users + 1)])
+            [(N, M)], dist, [(sub_seed, 1, *user) for sub_seed in sub_seeds
+                             for user in interferers])
         _, nulls, ok = network.cross_null_bases(config, h)
         planes, full_rank = schemes.alignment_planes(
             nulls.reshape(-1, users, N, beta), tol)

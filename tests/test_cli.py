@@ -139,6 +139,62 @@ def test_slope_assert_failure_exits_2(capsys):
     assert code == 2
 
 
+# zf at K=3, seed 14 and rel_rank_tol 0.01 is not decodable: cell 1's
+# smallest singular value is 0.58 of its rank threshold, so it ranks 2 of 3
+UNDECODABLE = ["--K", "3", "--beta", "1", "--seed", "14",
+               "--rel-rank-tol", "0.01"]
+
+
+@pytest.mark.parametrize("asserted", [True, False])
+def test_slope_of_a_scheme_failing_verification_is_a_verdict(capsys, asserted):
+    code, doc = run_json(capsys, ["slope", "--scheme", "zf", *UNDECODABLE]
+                         + ["--assert"] * asserted)
+    assert code == (2 if asserted else 0)
+    result = doc["result"]
+    assert result["verification"]["decodable"] is False
+    assert result["verification"]["effective_rank"][0]["rank"] == 2
+    assert result["expected_slope"] == 6
+    assert result["snr_db"] == [60.0, 70.0, 80.0, 90.0, 100.0]
+    assert result["sum_rates"] == [None] * 5
+    assert [result[key] for key in ("slope", "intercept", "r_squared")] == [
+        None, None, None]
+
+
+@pytest.mark.parametrize("output_format", ["json", "csv"])
+@pytest.mark.parametrize("asserted", [True, False])
+def test_sweep_row_of_a_scheme_failing_verification_is_a_verdict(
+        capsys, output_format, asserted):
+    argv = ["sweep", "--K", "2:3", "--beta", "1", "--seeds", "14",
+            "--schemes", "zf", "--rel-rank-tol", "0.01",
+            "--format", output_format] + ["--assert"] * asserted
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code == (2 if asserted else 0)
+    if output_format == "json":
+        rows = json.loads(out)["result"]["rows"]
+        decodable = [row["decodable"] for row in rows]
+        fits = [(row["slope"], row["r_squared"]) for row in rows]
+    else:
+        rows = list(csv.DictReader(io.StringIO(out)))
+        decodable = [row["decodable"] == "True" for row in rows]
+        fits = [(row["slope"] or None, row["r_squared"] or None)
+                for row in rows]
+    assert decodable == [True, False]
+    assert None not in fits[0] and fits[1] == (None, None)
+
+
+@pytest.mark.parametrize("asserted", [True, False])
+def test_slope_config_of_a_scheme_failing_verification_is_a_verdict(
+        tmp_path, capsys, asserted):
+    config = write_config(tmp_path, {
+        "command": "slope", "scheme": "zf", "K": 3, "seed": 14,
+        "rel_rank_tol": 0.01, "assert": asserted})
+    code, doc = run_json(capsys, ["--config", str(config)])
+    assert code == (2 if asserted else 0)
+    assert doc["result"]["verification"]["decodable"] is False
+    assert doc["result"]["slope"] is None
+
+
 def test_slope_random_requires_profile(capsys):
     assert run(["slope", "--scheme", "random", "--K", "2"]) == 1
     capsys.readouterr()

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from doflab import bounds, linalg
+from doflab import bounds, linalg, schemes
 from doflab.errors import (ConfigurationError, DegeneracyError,
                            DimensionError, DoflabError, RankError)
 from doflab.linalg import Tolerance, intersection_dim, null_space_basis, range_basis
@@ -9,8 +11,7 @@ from doflab.network import (ChannelSet, NetworkConfig, channel_set,
                             generate_channels)
 from doflab.schemes import (NSIA, SCHEME_VARIANT, ZF, Scheme,
                             alignment_planes, build_nsia, build_zf_precoders,
-                            desired_matrix, other_cell, pi_transform,
-                            verify_scheme)
+                            desired_matrix, pi_transform, verify_scheme)
 from doflab.simulation import estimate_dof_slope, random_precoders, sum_rate
 
 TOL = Tolerance()
@@ -29,10 +30,9 @@ def channels_for(K, beta, variant, seed=0, **kw):
 def test_zf_cancels_cross_channels():
     cs = channels_for(2, 1, bounds.TX_HEAVY, seed=3)
     pre = build_zf_precoders(cs)
-    for l in (1, 2):
-        victim = other_cell(l)
-        for k in (1, 2):
-            h = cs.channel(victim, l, k)
+    for m in (1, 2):
+        for l, k in cs.config.interferers(m):
+            h = cs.channel(m, l, k)
             w = pre.precoder(l, k)
             assert w.shape == (3, 1)
             assert np.linalg.norm(h @ w) / np.linalg.norm(h) <= 1e-10
@@ -43,9 +43,10 @@ def test_zf_single_user_closed_form():
     # (-h2, h1); verified against the construction and by direct product
     cs = channels_for(1, 1, bounds.TX_HEAVY, seed=5)
     pre = build_zf_precoders(cs)
-    for l in (1, 2):
-        h = cs.channel(other_cell(l), l, 1)
-        w = pre.precoder(l, 1)[:, 0]
+    for m in (1, 2):
+        [(l, k)] = cs.config.interferers(m)
+        h = cs.channel(m, l, k)
+        w = pre.precoder(l, k)[:, 0]
         expected = np.array([-h[0, 1], h[0, 0]])
         expected /= np.linalg.norm(expected)
         assert abs(abs(np.vdot(expected, w)) - 1.0) <= 1e-12
@@ -220,7 +221,8 @@ def test_nsia_single_user_closed_form():
     scheme = build_nsia(cs)
     report = verify_scheme(scheme)
     for m in (1, 2):
-        h = cs.channel(m, other_cell(m), 1)
+        [user] = cs.config.interferers(m)
+        h = cs.channel(m, *user)
         p = scheme.projector(m)
         expected = np.array([-h[1, 0].conj(), h[0, 0].conj()])
         expected /= np.linalg.norm(expected)
@@ -267,7 +269,8 @@ def test_stacked_alignment_planes_equal_each_plane_alone():
     # mask marks the one plane whose two users share a null space
     sets = [channels_for(2, 2, bounds.RX_HEAVY, seed=seed) for seed in (0, 1)]
     nulls = np.stack([
-        np.stack([cs.cross_null(m, other_cell(m), k).basis for k in (1, 2)])
+        np.stack([cs.cross_null(m, *user).basis
+                  for user in cs.config.interferers(m)])
         for cs in sets for m in (1, 2)])
     nulls[3, 1] = nulls[3, 0]
     planes, full_rank = alignment_planes(nulls, TOL)
@@ -355,9 +358,9 @@ def test_nsia_dimension_chain_grid(K, beta, seed):
     for m in (1, 2):
         p = scheme.projector(m)
         p_null = null_space_basis(p, TOL)
-        for k in range(1, K + 1):
-            h = cs.channel(m, other_cell(m), k)
-            assert report.null_dims[(m, k)] == beta
+        for j, user in enumerate(cs.config.interferers(m), start=1):
+            h = cs.channel(m, *user)
+            assert report.null_dims[(m, j)] == beta
             assert intersection_dim(range_basis(h, TOL), p_null, TOL) == beta
 
 
@@ -544,6 +547,50 @@ def test_three_user_alignment_verifies_planes_at_three_cells(seed):
     assert est.r_squared >= 0.999
     assert bounds.dof_outer_bound(1, 3, 2, 2).final_bound == 4
 
+
+
+def test_interferers_key_every_projected_null_at_three_cells():
+    # NetworkConfig.interferers(m) lists the users of the other cells,
+    # cells before users; (m, j) keys the projected null of its j-th entry.
+    # Each plane P_m annihilates exactly its m-th interferer (H is N x 1),
+    # so only (m, m) has a null dimension of 1
+    cfg = NetworkConfig(L=3, K=2, M=1, N=3, seed=4)
+    assert [cfg.interferers(m) for m in (1, 2, 3)] == [
+        [(2, 1), (2, 2), (3, 1), (3, 2)],
+        [(1, 1), (1, 2), (3, 1), (3, 2)],
+        [(1, 1), (1, 2), (2, 1), (2, 2)]]
+    for m in (0, 4):
+        with pytest.raises(IndexError, match="out of range 1..3"):
+            cfg.interferers(m)
+    cs = generate_channels(cfg)
+    planes = {m: null_space_basis(
+                  cs.channel(m, *cfg.interferers(m)[m - 1]).conj().T,
+                  TOL).basis.conj().T
+              for m in (1, 2, 3)}
+    keys = [(m, j) for m in (1, 2, 3) for j in (1, 2, 3, 4)]
+    projected = schemes._projected_nulls(cs, planes)
+    assert list(projected) == keys
+    assert {key: dim for key, (dim, _, _) in projected.items()} == {
+        (m, j): int(j == m) for m, j in keys}
+    report = verify_scheme(Scheme("hand", cs, random_precoders(cs).precoders,
+                                  planes))
+    assert list(report.null_dims) == keys
+    assert report.null_dims == {(m, j): int(j == m) for m, j in keys}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1, 2])
+def test_nsia_stores_projected_nulls_under_the_verified_keys(K, beta):
+    # build_nsia stores the null space of (m, j) as the precoder of user
+    # interferers(m)[j - 1], under the keys verify_scheme measures afresh
+    scheme = build_nsia(channels_for(K, beta, bounds.RX_HEAVY, seed=K))
+    cfg = scheme.channels.config
+    measured = verify_scheme(replace(scheme, projected_nulls=None)).null_dims
+    assert list(scheme.projected_nulls) == list(measured)
+    assert list(measured) == [(m, j) for m in (1, 2) for j in range(1, K + 1)]
+    for (m, j), null in scheme.projected_nulls.items():
+        assert scheme.precoder(*cfg.interferers(m)[j - 1]) is null.basis
+        assert null.dim == measured[(m, j)] == beta
 
 def test_scheme_report_serialization():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=13)

@@ -65,19 +65,19 @@ def reference_nsia(cs):
     cfg = cs.config
     planes, precoders = {}, {}
     for m in (1, 2):
-        src = schemes.other_cell(m)
-        rows = np.hstack([cs.cross_null(m, src, k).basis
-                          for k in range(1, cfg.K + 1)]).conj().T
+        interferers = cfg.interferers(m)
+        rows = np.hstack([cs.cross_null(m, *user).basis
+                          for user in interferers]).conj().T
         assert np.linalg.matrix_rank(rows) == rows.shape[0]
         q, _ = np.linalg.qr(rows.conj().T)  # numpy's QR, not linalg's
         p = q.conj().T
         planes[m] = p
-        for k in range(1, cfg.K + 1):
-            h = cs.channel(m, src, k)
+        for l, k in interferers:
+            h = cs.channel(m, l, k)
             null = linalg.null_space_basis(
                 p @ h, cfg.tol, scale=np.linalg.norm(p) * np.linalg.norm(h))
             assert null.dim == cfg.beta
-            precoders[(src, k)] = null.basis
+            precoders[(l, k)] = null.basis
     return planes, precoders
 
 
@@ -86,17 +86,16 @@ def reference_report(scheme) -> dict:
     cfg = cs.config
     residual, ranks, null_dims = 0.0, {}, {}
     for m in (1, 2):
-        src = schemes.other_cell(m)
         p = scheme.projector(m)
-        for k in range(1, cfg.K + 1):
-            h = cs.channel(m, src, k)
+        for j, (l, k) in enumerate(cfg.interferers(m), start=1):
+            h = cs.channel(m, l, k)
             cross = h if p is None else p @ h
-            leak = float(np.linalg.norm(cross @ scheme.precoder(src, k))
+            leak = float(np.linalg.norm(cross @ scheme.precoder(l, k))
                          / np.linalg.norm(h))
             assert math.isfinite(leak)
             residual = max(residual, leak)
             if p is not None:
-                null_dims[(m, k)] = cross.shape[1] - linalg.numeric_rank(
+                null_dims[(m, j)] = cross.shape[1] - linalg.numeric_rank(
                     cross, cfg.tol, scale=np.linalg.norm(p) * np.linalg.norm(h))
         ranks[m] = linalg.numeric_rank(schemes.desired_matrix(scheme, m),
                                        cfg.tol)
@@ -115,13 +114,13 @@ def reference_interference_rate(scheme, rho: float) -> float:
     power = rho / cfg.beta
     total = 0.0
     for m in (1, 2):
-        src = schemes.other_cell(m)
         q_signal = np.zeros((cfg.N, cfg.N), dtype=complex)
         q_interf = np.zeros((cfg.N, cfg.N), dtype=complex)
         for k in range(1, cfg.K + 1):
             hw = cs.channel(m, m, k) @ scheme.precoder(m, k)
             q_signal += power * (hw @ hw.conj().T)
-            hw = cs.channel(m, src, k) @ scheme.precoder(src, k)
+        for l, k in cfg.interferers(m):
+            hw = cs.channel(m, l, k) @ scheme.precoder(l, k)
             q_interf += power * (hw @ hw.conj().T)
         eye = np.eye(cfg.N)
         _, num = np.linalg.slogdet(eye + q_interf + q_signal)
