@@ -469,7 +469,8 @@ def _run_sweep(args):
         })
     doc = {"params": {"K": args.K, "beta": args.beta,
                       "seeds": args.seeds, "schemes": args.schemes,
-                      "snr": args.snr, "dist": args.dist},
+                      "snr": args.snr, "dist": args.dist,
+                      "rel_rank_tol": args.rel_rank_tol},
            "result": {"rows": rows}}
     return doc, ok
 

@@ -448,14 +448,17 @@ def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False):
     are non-negative, so a zero reference gives rank 0.  ``scale`` is a
     float, or one value per matrix of a stack.  Returns the rank (an int
     array over the leading axes, 0-d for one matrix) and, with
-    ``vectors``, the full ``(rank, u, vh)`` of the SVD.
+    ``vectors``, the full ``(rank, u, vh)`` of the SVD.  Without vectors a
+    wide matrix is factored on its tall side, as its transpose, which has
+    the same singular values and factors faster.
     """
     arr = as_matrix(a)
     rows, cols = arr.shape[-2:]
     if vectors:
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
     else:
-        s = np.linalg.svd(arr, compute_uv=False)
+        tall = arr if rows >= cols else np.swapaxes(arr, -1, -2)
+        s = np.linalg.svd(tall, compute_uv=False)
     ref = s[..., :1]  # sigma_max, kept as an axis so a stack broadcasts
     if scale is not None:
         ref = np.maximum(ref, np.asarray(scale)[..., None])

@@ -379,18 +379,23 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     return LemmaTrialReport(trials=trials, passes=passes, dims=(m, n, l))
 
 
-def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _lemma2_holds(h: np.ndarray, p: np.ndarray, rank_h: np.ndarray,
+                  u: np.ndarray, tol: Tolerance) -> np.ndarray:
     """dim null(P H) == dim(ran(H) ∩ null(P)) for each stacked pair.
 
-    The left side thresholds P H against the factor magnitudes
+    ``rank_h`` and ``u`` are each H's rank and full left singular vectors
+    (linalg._rank_svd with vectors), from the factorization that checked
+    the draw.  The left side thresholds P H against the factor magnitudes
     (linalg.product_scales, the anchor of build_nsia's projected ranks;
     finite for the unit-magnitude draws here); the right side is
     dim U + dim V - rank([U V]) over orthonormal bases U of ran(H) and V
-    of null(P), evaluated per group of trials with equal dims.
+    of null(P), evaluated per group of trials with equal dims.  null(P) is
+    the orthogonal complement of ran(P*), so V is the trailing left
+    singular vectors of the tall P*, factored on its cheaper side.
     """
     lhs = h.shape[2] - linalg._rank_svd(p @ h, tol, linalg.product_scales(p, h))
-    rank_h, u, _ = linalg._rank_svd(h, tol, vectors=True)
-    rank_p, _, vh = linalg._rank_svd(p, tol, vectors=True)
+    rank_p, v, _ = linalg._rank_svd(np.swapaxes(p.conj(), -1, -2), tol,
+                                    vectors=True)
     null_p = p.shape[2] - rank_p
     rhs = np.zeros_like(lhs)
     for dim_u, dim_v in set(zip(rank_h.tolist(), null_p.tolist())):
@@ -398,8 +403,7 @@ def _lemma2_holds(h: np.ndarray, p: np.ndarray, tol: Tolerance) -> np.ndarray:
             continue
         group = (rank_h == dim_u) & (null_p == dim_v)
         bases = np.concatenate(
-            [u[group, :, :dim_u],
-             vh[group, p.shape[2] - dim_v:].conj().transpose(0, 2, 1)], axis=2)
+            [u[group, :, :dim_u], v[group, :, p.shape[2] - dim_v:]], axis=2)
         rhs[group] = dim_u + dim_v - linalg._rank_svd(bases, tol)
     return lhs == rhs
 
@@ -440,20 +444,27 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
 
     redrawn = []
 
-    def random_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+    def range_factors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rank, u, _ = linalg._rank_svd(h, tol, vectors=True)
+        return rank, u
+
+    def random_pairs(chunk: range) -> tuple[np.ndarray, ...]:
         h, p = linalg.random_matrices([(N, M), (M, N)], dist,
                                       [(seed, i) for i in chunk])
-        # a trial whose stacked draw of H came out rank-deficient draws
-        # again in stream order, checked by the same rank rule
-        for t in np.flatnonzero(linalg._rank_svd(h, tol) < M):
+        # one full SVD of the H stack both checks each draw and gives the
+        # verdict its range basis.  A trial whose stacked draw of H came
+        # out rank-deficient draws again in stream order, checked by the
+        # same rank rule, and takes the factors of the draw it keeps
+        rank_h, u = range_factors(h)
+        for t in np.flatnonzero(rank_h < M):
             i = chunk[t]
             redrawn.append(i)
-            h[t], _, rng = network.draw_until(
-                (seed, i), (N, M), dist,
-                lambda h: (linalg._rank_svd(h, tol), None), M, tol, None,
+            h[t], u[t], rng = network.draw_until(
+                (seed, i), (N, M), dist, range_factors, M, tol, None,
                 f"H of trial {i} is still rank-deficient")
+            rank_h[t] = M
             p[t] = linalg.random_matrix(M, N, dist, rng)
-        return h, p
+        return h, p, rank_h, u
 
     def one_nsia_trial(sub_seed: int) -> tuple[np.ndarray, np.ndarray]:
         # the trial as a scheme build makes it, link by link, for a trial
@@ -468,7 +479,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
                 "stacked alignment plane at base station 1 lost rank")
         return cross[0][0], plane
 
-    def nsia_pairs(chunk: range) -> tuple[np.ndarray, np.ndarray]:
+    def nsia_pairs(chunk: range) -> tuple[np.ndarray, ...]:
         # only P_1 and H_1,21 enter the verdict, so only the channels of
         # base station 1's interferers (cell 2's users) are drawn, as one
         # stack from draw_channel's streams (sub-seed, 1, l, k), then
@@ -486,7 +497,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         h = np.ascontiguousarray(h.reshape(-1, users, N, M)[:, 0])
         for t in np.flatnonzero(~ok):
             h[t], planes[t] = one_nsia_trial(sub_seeds[t])
-        return h, planes
+        return (h, planes, *range_factors(h))
 
     pairs = random_pairs if p_source == "random" else nsia_pairs
 

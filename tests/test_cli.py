@@ -171,7 +171,10 @@ def test_sweep_row_of_a_scheme_failing_verification_is_a_verdict(
     out = capsys.readouterr().out
     assert code == (2 if asserted else 0)
     if output_format == "json":
-        rows = json.loads(out)["result"]["rows"]
+        doc = json.loads(out)
+        # the tolerance the row failed at is on record, as in slope's params
+        assert doc["params"]["rel_rank_tol"] == 0.01
+        rows = doc["result"]["rows"]
         decodable = [row["decodable"] for row in rows]
         fits = [(row["slope"], row["r_squared"]) for row in rows]
     else:

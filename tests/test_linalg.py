@@ -184,6 +184,29 @@ def test_stacked_rank_covers_the_interesting_cases():
     assert anchored.tolist() == [3, 1, 0, 0, 3, 2]
 
 
+def test_values_only_rank_of_a_wide_stack_is_the_rank_of_its_transpose(
+        monkeypatch):
+    # P's rows span null(H*) of a rank-2 H, so the wide 2x3 product P H
+    # cancels to rounding level and ranks 0 only against its anchor
+    h = gaussian(4, 2, 36) @ gaussian(2, 3, 37)
+    p = null_space_basis(h.conj().T, TOL).basis.conj().T
+    cancelled = (p @ h)[None]
+    cases = [(rank_test_stack(), None, [3, 1, 0, 3, 3, 2]),
+             (np.zeros((3, 2, 5)), None, [0, 0, 0]),
+             (cancelled, linalg.product_scales(p, h[None]), [0])]
+    factored = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        factored.append(a.shape[-2:]) or svd(a, *args, **kwargs)))
+    for stack, scale, expected in cases:
+        transposed = np.swapaxes(stack, -1, -2)
+        assert linalg._rank_svd(stack, TOL, scale).tolist() == expected
+        assert linalg._rank_svd(transposed, TOL, scale).tolist() == expected
+    # every values-only factorization ran on the tall side
+    assert all(rows >= cols for rows, cols in factored)
+    assert linalg._rank_svd(cancelled, TOL).tolist() != [0]
+
+
 @pytest.mark.parametrize("scale", [None, (0.0, 5.0, 1.0, 1.0, 0.0, 3.0)])
 def test_null_space_bases_match_null_space_basis_or_give_none(scale):
     # a 3x4 slice of rank 3 has a 1-dimensional null space; of the test

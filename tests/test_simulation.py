@@ -501,9 +501,12 @@ def test_lemma2_nsia_matches_per_trial_reference(dist, M, N, trials, rel_tol,
     seen = []
     holds = simulation._lemma2_holds
 
-    def recording(h, p, tol):
+    def recording(h, p, rank_h, u, tol):
         seen.append((h, p))
-        return holds(h, p, tol)
+        # the verdict's range bases are each H's own, bit for bit
+        for h_t, rank_t, u_t in zip(h, rank_h, u):
+            assert np.array_equal(u_t[:, :rank_t], range_basis(h_t, tol).basis)
+        return holds(h, p, rank_h, u, tol)
 
     monkeypatch.setattr(simulation, "TRIAL_CHUNK", chunk)
     monkeypatch.setattr(simulation, "_lemma2_holds", recording)
@@ -549,6 +552,22 @@ def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
     assert counts[0]["qr"] == 1
 
 
+def test_lemma2_random_factors_each_stack_once(monkeypatch, caplog):
+    # a chunk factors H once (its draw check and its range basis), P* once
+    # (null(P)), and P H and [U V] without vectors
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (
+        calls.append(kwargs.get("compute_uv", True)) or svd(*args, **kwargs)))
+    counts = []
+    for trials in (1, simulation.TRIAL_CHUNK):
+        calls.clear()
+        assert monte_carlo_lemma2(2, 3, trials, seed=3).all_passed
+        counts.append(calls.copy())
+    assert not caplog.records  # no draw was redrawn
+    assert counts[0] == counts[1] == [True, False, True, False]
+
+
 def test_lemma1_seeds_every_stream_in_bulk_below_2_32(monkeypatch):
     built = []
     seed_sequence = np.random.SeedSequence
@@ -570,7 +589,8 @@ def test_lemmas_past_2_32_match_per_trial_references(dist, monkeypatch):
     seen = []
     holds = simulation._lemma2_holds
     monkeypatch.setattr(simulation, "_lemma2_holds",
-                        lambda h, p, tol: seen.append((h, p)) or holds(h, p, tol))
+                        lambda h, p, *factors: seen.append((h, p))
+                        or holds(h, p, *factors))
     got = monte_carlo_lemma2(2, 3, 40, seed=seed, p_source="nsia", dist=dist)
     h, p, passes = reference_lemma2_nsia(2, 3, 40, seed, dist, 1e-10)
     assert np.array_equal(seen[0][0], h) and np.array_equal(seen[0][1], p)
