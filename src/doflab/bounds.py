@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InputError, is_int
+from .errors import ConfigurationError, ContractError, InputError, is_int
 
 # Antenna profiles of the two-cell optimum: more transmit antennas than
 # receive (tx-heavy, M = K*beta + beta, N = K*beta) or the reverse
@@ -124,6 +124,17 @@ def antenna_profile(K: int, beta: int, variant: str) -> tuple[int, int]:
     if variant == RX_HEAVY:
         return K * beta, K * beta + beta
     raise InputError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+
+
+def require_profile(cfg, variant: str):
+    """Refuse, with ConfigurationError, a network config (its L, K, M, N
+    and beta, as network.NetworkConfig) that is not two-cell at ``variant``'s
+    profile: the paper builds its schemes, and meets 2*K*beta, only there."""
+    expected = antenna_profile(cfg.K, cfg.beta, variant)
+    if (cfg.L, cfg.M, cfg.N) != (2, *expected):
+        raise ConfigurationError(
+            f"the {variant} profile at K={cfg.K}, beta={cfg.beta} is L=2, "
+            f"(M, N)={expected}; got L={cfg.L}, (M, N)=({cfg.M}, {cfg.N})")
 
 
 def converse_two_cell(K: int, beta: int, variant: str) -> int:

@@ -287,8 +287,8 @@ def _generate_channels(args, K: int, beta: int, variant: str, seed: int):
 
 
 def _scheme_channel_set(args, variant: str):
-    """Channels for a scheme command: replayed from a dump (which must be
-    two-cell and at ``variant``'s antenna profile) or generated."""
+    """Channels for a scheme command: generated at ``variant``'s antenna
+    profile, or replayed from a dump that bounds.require_profile admits."""
     if args.channels and args.dump_channels:
         raise InputError("--channels and --dump-channels are mutually "
                          "exclusive: a replay writes no channel dump")
@@ -296,15 +296,7 @@ def _scheme_channel_set(args, variant: str):
     if args.channels:
         with open(args.channels) as fh:
             cs = network.channel_set_from_dict(json.load(fh))
-        cfg = cs.config
-        if cfg.L != 2:
-            raise InputError(f"replayed L={cfg.L} is not the two-cell network "
-                             f"the scheme commands run")
-        expected = bounds.antenna_profile(cfg.K, cfg.beta, variant)
-        if (cfg.M, cfg.N) != expected:
-            raise InputError(f"replayed (M, N)=({cfg.M}, {cfg.N}) is not the "
-                             f"{variant} profile (M, N)={expected} at K={cfg.K}, "
-                             f"beta={cfg.beta}")
+        bounds.require_profile(cs.config, variant)
         return cs
     if args.K is None:
         raise InputError("--K is required when --channels is not given")
@@ -317,17 +309,18 @@ def _scheme_channel_set(args, variant: str):
     return cs
 
 
-def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
+def _evaluate(args, cs, scheme: str, grid: SnrGrid | None = None):
     """Build ``scheme`` (zf, nsia or random) on ``cs``, verify it and, given
     an SNR grid, fit its DoF slope.
 
     Returns ``(report, estimate, expected, ok)``, where ``expected`` is the
-    two-cell converse at ``variant``.  Without a grid, ``ok`` is
-    decodability and ``estimate`` and ``expected`` are None.  With one, a
-    built scheme is fitted only when it is decodable (else ``estimate`` is
-    None and ``ok`` False: a verdict, not an error) and must then fit
-    within --tol-slope of ``expected`` with r² >= --min-r2; the random
-    baseline is always fitted and must saturate (slope <= 0.5).
+    outer bound of ``cs``'s config, 2*K*beta at either two-cell profile.
+    Without a grid, ``ok`` is decodability and ``estimate`` and
+    ``expected`` are None.  With one, a built scheme is fitted only when
+    it is decodable (else ``estimate`` is None and ``ok`` False: a
+    verdict, not an error) and must then fit within --tol-slope of
+    ``expected`` with r² >= --min-r2; the random baseline is always fitted
+    and must come within 0.5 of simulation.random_baseline_slope.
     """
     from . import schemes, simulation
     # looked up at call time, so that a patched module attribute (the
@@ -338,12 +331,14 @@ def _evaluate(args, cs, scheme: str, variant: str, grid: SnrGrid | None = None):
     report = schemes.verify_scheme(built)
     if grid is None:
         return report, None, None, report.decodable
-    expected = bounds.converse_two_cell(cs.config.K, cs.config.beta, variant)
+    cfg = cs.config
+    expected = int(bounds.dof_outer_bound(cfg.K, cfg.L, cfg.M, cfg.N).final_bound)
     if scheme != RANDOM and not report.decodable:
         return report, None, expected, False
     estimate = simulation.estimate_dof_slope(built, grid, report=report)
     if scheme == RANDOM:
-        return report, estimate, expected, estimate.slope <= 0.5
+        target = simulation.random_baseline_slope(cfg)
+        return report, estimate, expected, abs(estimate.slope - target) <= 0.5
     ok = (abs(estimate.slope - expected) <= args.tol_slope * expected
           and estimate.r_squared >= args.min_r2)
     return report, estimate, expected, ok
@@ -376,9 +371,8 @@ def _bound_rows(params, result):
 
 
 def _run_scheme(args):
-    variant = SCHEME_VARIANT[args.command]
-    cs = _scheme_channel_set(args, variant)
-    report, _, _, ok = _evaluate(args, cs, args.command, variant)
+    cs = _scheme_channel_set(args, SCHEME_VARIANT[args.command])
+    report, _, _, ok = _evaluate(args, cs, args.command)
     doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
     return doc, ok
 
@@ -405,8 +399,7 @@ def _run_slope(args):
                              f"profile, not --profile {args.profile}")
     grid = _fit_grid(args)
     cs = _scheme_channel_set(args, variant)
-    report, estimate, expected, ok = _evaluate(args, cs, args.scheme, variant,
-                                               grid)
+    report, estimate, expected, ok = _evaluate(args, cs, args.scheme, grid)
     doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
            "result": {**_fit_doc(estimate, grid), "expected_slope": expected,
                       "verification": report.to_dict()}}
@@ -433,7 +426,8 @@ def _run_lemma(args):
         options = {"p_source": args.p_source}
     report = monte_carlo(*params.values(), seed, dist=args.dist,
                          tol=Tolerance(args.rel_rank_tol), **options)
-    doc = {"params": {**params, **options, "seed": seed},
+    doc = {"params": {**params, **options, "seed": seed, "dist": args.dist,
+                      "rel_rank_tol": args.rel_rank_tol},
            "result": report.to_dict()}
     return doc, report.all_passed
 
@@ -454,10 +448,8 @@ def _run_sweep(args):
     rows = []
     ok = True
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
-        variant = SCHEME_VARIANT[scheme]
-        cs = _generate_channels(args, k, beta, variant, seed)
-        report, estimate, bound, row_ok = _evaluate(args, cs, scheme, variant,
-                                                    grid)
+        cs = _generate_channels(args, k, beta, SCHEME_VARIANT[scheme], seed)
+        report, estimate, bound, row_ok = _evaluate(args, cs, scheme, grid)
         ok = ok and row_ok
         fit = _fit_doc(estimate, grid)
         rows.append({

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import bounds, linalg
 from .bounds import NSIA, RANDOM, SCHEME_VARIANT, ZF  # re-exported
-from .errors import (ConfigurationError, ContractError, DegeneracyError,
-                     DimensionError, RankError)
+from .errors import ContractError, DegeneracyError, DimensionError, RankError
 from .linalg import SubspaceBasis, Tolerance
 from .network import ChannelSet
 
@@ -43,20 +42,19 @@ class Scheme:
     scheme is made: a missing, extra or misshapen precoder or plane raises
     DimensionError naming its user or base station, so every scheme
     carries beta streams per user, the rank K*beta that verify_scheme asks
-    of each cell.  build_nsia also keeps the null space of each projected
-    cross channel P_m H_m,lk in ``projected_nulls``, keyed (m, j) like
-    SchemeReport.null_dims; verify_scheme reads their dimensions instead of
-    factoring the products again.  Planes from anywhere else (pi_transform,
-    or a Scheme built by hand) carry none, and verify_scheme measures them
-    as build_nsia does (_projected_nulls), at any L.  ``==`` is identity.
+    of each cell.  build_nsia also keeps the null dimension of each
+    projected cross channel P_m H_m,lk in ``null_dims``, keyed (m, j) like
+    SchemeReport.null_dims; verify_scheme reports them instead of factoring
+    the products again.  Planes from anywhere else (pi_transform, or a
+    Scheme built by hand) carry none, and verify_scheme measures them as
+    build_nsia does (_projected_nulls), at any L.  ``==`` is identity.
     """
 
     name: str
     channels: ChannelSet = field(repr=False)
     precoders: dict[tuple[int, int], np.ndarray] = field(repr=False)
     projectors: dict[int, np.ndarray] | None = field(default=None, repr=False)
-    projected_nulls: dict[tuple[int, int], SubspaceBasis] | None = field(
-        default=None, repr=False)
+    null_dims: dict[tuple[int, int], int] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         cfg = self.channels.config
@@ -115,19 +113,6 @@ class SchemeReport:
         return doc
 
 
-def _require_profile(cs: ChannelSet, scheme: str, label: str):
-    cfg = cs.config
-    # at L=2 each user interferes at one base station: one precoder each
-    if cfg.L != 2:
-        raise ConfigurationError(
-            f"{label} construction needs L=2 cells, got L={cfg.L}")
-    expected = bounds.antenna_profile(cfg.K, cfg.beta, SCHEME_VARIANT[scheme])
-    if (cfg.M, cfg.N) != expected:
-        raise ConfigurationError(
-            f"{label} with K={cfg.K}, beta={cfg.beta} needs (M, N)="
-            f"{expected}, got ({cfg.M}, {cfg.N})")
-
-
 def build_zf_precoders(cs: ChannelSet) -> Scheme:
     """Zero-forcing precoders: span(W_lk) inside null(H_cross).
 
@@ -139,7 +124,7 @@ def build_zf_precoders(cs: ChannelSet) -> Scheme:
     """
     cfg = cs.config
     beta = cfg.beta
-    _require_profile(cs, ZF, "zero forcing")
+    bounds.require_profile(cfg, SCHEME_VARIANT[ZF])
     precoders = {}
     for m in (2, 1):  # cell 1's users, base station 2's interferers, first
         for l, k in cfg.interferers(m):
@@ -160,18 +145,19 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     beta-dimensional null spaces N_mk, which alignment_planes stacks into
     the plane P_m.  Each projected cross channel P_m H is then square with
     a beta-dimensional null space, which becomes the precoder of the
-    interfering user and is kept on the scheme for verify_scheme, keyed
-    (m, j) by the user's position j in NetworkConfig.interferers(m).
+    interfering user; ``null_dims`` keeps its dimension for verify_scheme,
+    keyed (m, j) by the user's position j in NetworkConfig.interferers(m).
 
-    A stored null space of another dimension (only in a hand-built
-    ChannelSet) is refused first.  The 2K projected cross channels are
-    factored as one stack, and the errors are raised from the stacked
-    results base station by base station: the plane's, then its projected
-    links' in interferer order.
+    A network off the profile (bounds.require_profile), then a stored null
+    space of another dimension (only in a hand-built ChannelSet), is
+    refused first.  The 2K projected cross channels are factored as one
+    stack, and the errors are raised from the stacked results base station
+    by base station: the plane's, then its projected links' in interferer
+    order.
     """
     cfg = cs.config
     beta = cfg.beta
-    _require_profile(cs, NSIA, "null-space alignment")
+    bounds.require_profile(cfg, SCHEME_VARIANT[NSIA])
     for (m, l, k), null in sorted(cs.cross_nulls.items()):
         if null.dim != beta:
             raise DegeneracyError(
@@ -184,7 +170,7 @@ def build_nsia(cs: ChannelSet) -> Scheme:
              for m in chunk]), cfg.tol)
         planes.update((m, p) for m, p, ok in zip(chunk, q, full_rank) if ok)
     projected = _projected_nulls(cs, planes)
-    precoders, projected_nulls = {}, {}
+    precoders, null_dims = {}, {}
     for m in (1, 2):
         if m not in planes:
             raise DegeneracyError(
@@ -195,10 +181,10 @@ def build_nsia(cs: ChannelSet) -> Scheme:
                 raise DegeneracyError(
                     f"projected cross channel (m={m}, l={l}, k={k}) has "
                     f"null dimension {dim}, expected {beta}")
-            null = SubspaceBasis(basis.shape[0], beta, basis, checked=ok)
-            precoders[(l, k)] = null.basis
-            projected_nulls[(m, j)] = null
-    return Scheme(NSIA, cs, precoders, planes, projected_nulls)
+            precoders[(l, k)] = SubspaceBasis(basis.shape[0], beta, basis,
+                                              checked=ok).basis
+            null_dims[(m, j)] = dim
+    return Scheme(NSIA, cs, precoders, planes, null_dims)
 
 
 def alignment_planes(nulls: np.ndarray, tol: Tolerance) -> tuple:
@@ -278,9 +264,9 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     K*beta and the residual is at most RESIDUAL_THRESHOLD.  K*beta is the
     right target because the Scheme checked its shapes when it was made,
     so one stacked SVD ranks every cell.  The report is named after the
-    scheme.  The projected null dimensions come from the scheme's stored
-    null spaces when it has them; planes without them (pi_transform, or a
-    Scheme built by hand) are measured at any L by build_nsia's
+    scheme.  The projected null dimensions are the scheme's own
+    ``null_dims`` when it has them; planes without them (pi_transform, or
+    a Scheme built by hand) are measured at any L by build_nsia's
     _projected_nulls, which refuses a threshold scale that overflows.  Both
     are keyed (m, j), j the position of user (l, k) in
     NetworkConfig.interferers(m): at L=2, the other cell's user k.
@@ -297,14 +283,10 @@ def verify_scheme(scheme: Scheme) -> SchemeReport:
     cfg = cs.config
     kb = cfg.K * cfg.beta
     residual = _residual(scheme)
-    if scheme.projected_nulls is not None:
-        null_dims = {key: null.dim
-                     for key, null in scheme.projected_nulls.items()}
-    elif scheme.projectors is not None:
+    null_dims = scheme.null_dims
+    if null_dims is None and scheme.projectors is not None:
         null_dims = {key: dim for key, (dim, _, _)
                      in _projected_nulls(cs, scheme.projectors).items()}
-    else:
-        null_dims = None
     ranks = linalg.numeric_ranks(
         [desired_matrix(scheme, m) for m in range(1, cfg.L + 1)], cfg.tol)
     effective_rank = dict(enumerate(ranks, start=1))
@@ -349,9 +331,10 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray]) -> Scheme:
 
     The projector's null space, hence the alignment dimension condition,
     is unchanged, but row orthonormality is lost unless every Pi_m is
-    unitary; the result keeps no stored null spaces.  A missing, extra or
-    misshapen Pi_m raises DimensionError, a Pi_m singular at the scheme's
-    own tolerance RankError, and a zf or random scheme ContractError.
+    unitary; the result keeps no ``null_dims``, so verify_scheme measures
+    its planes afresh.  A missing, extra or misshapen Pi_m raises
+    DimensionError, a Pi_m singular at the scheme's own tolerance
+    RankError, and a zf or random scheme ContractError.
     """
     if scheme.projectors is None:
         raise ContractError(f"{scheme.name} scheme has no receive planes")
@@ -364,4 +347,4 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray]) -> Scheme:
         if linalg.numeric_rank(pi[m], scheme.channels.config.tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
         transformed[m] = pi[m] @ p
-    return replace(scheme, projectors=transformed, projected_nulls=None)
+    return replace(scheme, projectors=transformed, null_dims=None)

@@ -344,6 +344,17 @@ def random_precoders(cs: ChannelSet) -> Scheme:
                                        for user, w_user in zip(users, w)})
 
 
+def random_baseline_slope(cfg: NetworkConfig) -> int:
+    """The DoF slope of random_precoders' interference-limited sum rate:
+    each of the L base stations receives all L*K*beta streams in
+    min(N, L*K*beta) dimensions and their (L-1)*K*beta interferers in
+    min(N, (L-1)*K*beta).  0 at the two-cell tx-heavy profile, 2*beta at
+    rx-heavy."""
+    streams = cfg.K * cfg.beta
+    return cfg.L * (min(cfg.N, cfg.L * streams)
+                    - min(cfg.N, (cfg.L - 1) * streams))
+
+
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
     """Sum the passes of trials 0..trials-1, TRIAL_CHUNK trials at a time."""
     if trials < 1:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,9 +14,10 @@ import doflab
 from doflab import bounds, linalg
 from doflab.cli import (build_parser, config_to_argv, parse_int_range,
                         parse_snr, run)
-from doflab.errors import InputError
+from doflab.errors import ConfigurationError, InputError
 from doflab.network import (MAX_REDRAWS, NetworkConfig, channel_set_to_dict,
                             generate_channels)
+from doflab.schemes import build_nsia, build_zf_precoders
 
 
 def package_env():
@@ -209,6 +211,23 @@ def test_slope_random_baseline(capsys):
                                   "--seed", "0", "--assert"])
     assert code == 0
     assert doc["result"]["slope"] <= 0.5
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_slope_random_baseline_passes_at_rx_heavy(capsys, K, beta, seed):
+    # without alignment beta dimensions per cell still survive the
+    # interference at rx-heavy: the baseline is judged against that
+    # slope, 2*beta, not against saturation; the reported expected_slope
+    # stays the outer bound
+    code, doc = run_json(capsys, ["slope", "--scheme", "random",
+                                  "--profile", "rx-heavy", "--K", str(K),
+                                  "--beta", str(beta), "--seed", str(seed),
+                                  "--assert"])
+    assert code == 0
+    assert abs(doc["result"]["slope"] - 2 * beta) <= 1e-3
+    assert doc["result"]["expected_slope"] == 2 * K * beta
 
 
 @pytest.mark.parametrize("scheme, profile", [("zf", "rx-heavy"),
@@ -412,7 +431,8 @@ def test_replay_at_another_profile_exits_1(tmp_path, capsys):
 def test_replay_of_three_cells_exits_1(tmp_path, capsys, argv, variant):
     # verification and rates take any L, but the closed forms and the
     # two-cell converse a slope reports are for L=2: an L=3 dump at the
-    # command's own profile is refused where it is loaded
+    # command's own profile is refused where it is loaded, by the profile
+    # check the builders make
     M, N = bounds.antenna_profile(1, 1, variant)
     dump = tmp_path / "channels.json"
     dump.write_text(json.dumps(channel_set_to_dict(generate_channels(
@@ -420,7 +440,39 @@ def test_replay_of_three_cells_exits_1(tmp_path, capsys, argv, variant):
     assert run([*argv, "--channels", str(dump)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "replayed L=3 is not the two-cell network" in captured.err
+    assert captured.err == (f"doflab: error: the {variant} profile at K=1, "
+                            f"beta=1 is L=2, (M, N)={(M, N)}; got L=3, "
+                            f"(M, N)={(M, N)}\n")
+
+
+@pytest.mark.parametrize("cells, at", [(3, "own"), (2, "other")])
+@pytest.mark.parametrize("argv, build, variant", [
+    (["zf"], build_zf_precoders, bounds.TX_HEAVY),
+    (["nsia"], build_nsia, bounds.RX_HEAVY),
+    (["slope", "--scheme", "random", "--profile", "rx-heavy"], None,
+     bounds.RX_HEAVY)], ids=["zf", "nsia", "slope-random"])
+def test_builder_and_replay_refuse_with_one_text(tmp_path, capsys, argv, build,
+                                                 variant, cells, at):
+    # one check (bounds.require_profile) refuses a network that is not
+    # two-cell at the command's profile: the builder raises, and a replay
+    # of the same channels prints, the same ConfigurationError text
+    (other,) = set(bounds.VARIANTS) - {variant}
+    M, N = bounds.antenna_profile(2, 1, variant if at == "own" else other)
+    cs = generate_channels(NetworkConfig(L=cells, K=2, M=M, N=N, seed=3))
+    with pytest.raises(ConfigurationError) as exc:
+        bounds.require_profile(cs.config, variant)
+    text = str(exc.value)
+    assert text == (f"the {variant} profile at K=2, beta=1 is L=2, (M, N)="
+                    f"{bounds.antenna_profile(2, 1, variant)}; got L={cells}, "
+                    f"(M, N)={(M, N)}")
+    if build is not None:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(text)}$"):
+            build(cs)
+    dump = tmp_path / "channels.json"
+    dump.write_text(json.dumps(channel_set_to_dict(cs)))
+    assert run([*argv, "--channels", str(dump)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"doflab: error: {text}\n")
 
 
 def scaled_dump(tmp_path, capsys, factor, mutate=None, scheme="zf"):

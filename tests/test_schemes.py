@@ -155,21 +155,22 @@ def test_zf_rejects_wrong_profile():
         build_zf_precoders(generate_channels(cfg))
 
 
-@pytest.mark.parametrize("scheme, build, label", [
-    (ZF, build_zf_precoders, "zero forcing"),
-    (NSIA, build_nsia, "null-space alignment")])
-def test_builders_require_their_schemes_antenna_profile(scheme, build, label):
+@pytest.mark.parametrize("scheme, build", [(ZF, build_zf_precoders),
+                                           (NSIA, build_nsia)])
+def test_builders_require_their_schemes_antenna_profile(scheme, build):
     # each builder needs bounds.antenna_profile at the profile
-    # SCHEME_VARIANT names, and refuses the other one naming both
+    # SCHEME_VARIANT names, and refuses the other one naming both, with
+    # the text of bounds.require_profile
     assert set(SCHEME_VARIANT) == {ZF, NSIA}
-    (other,) = set(bounds.VARIANTS) - {SCHEME_VARIANT[scheme]}
+    variant = SCHEME_VARIANT[scheme]
+    (other,) = set(bounds.VARIANTS) - {variant}
     M, N = bounds.antenna_profile(3, 2, other)
     cs = generate_channels(NetworkConfig(L=2, K=3, M=M, N=N, beta=2, seed=0))
     with pytest.raises(ConfigurationError) as exc:
         build(cs)
-    expected = bounds.antenna_profile(3, 2, SCHEME_VARIANT[scheme])
-    assert str(exc.value) == (f"{label} with K=3, beta=2 needs (M, N)="
-                              f"{expected}, got ({M}, {N})")
+    expected = bounds.antenna_profile(3, 2, variant)
+    assert str(exc.value) == (f"the {variant} profile at K=3, beta=2 is L=2, "
+                              f"(M, N)={expected}; got L=2, (M, N)=({M}, {N})")
 
 
 def test_zf_rejects_three_cells():
@@ -396,14 +397,15 @@ def test_pi_transform_identity():
 
 
 def test_pi_transform_preserves_null_dims_and_ranks():
-    # the transformed planes carry no stored null spaces and are measured
-    # afresh, by the build's own function: they report the stored null_dims,
-    # also where K=1's projected cross channel cancels to zero
+    # the transformed planes carry no null_dims and are measured afresh,
+    # by the build's own function: they report the stored null_dims, also
+    # where K=1's projected cross channel cancels to zero
     for K, beta, seed in [(2, 1, 10), (1, 1, 9), (3, 2, 4)]:
         scheme = build_nsia(channels_for(K, beta, bounds.RX_HEAVY, seed=seed))
         baseline = verify_scheme(scheme)
-        assert baseline.null_dims == {
-            key: null.dim for key, null in scheme.projected_nulls.items()}
+        assert baseline.null_dims == scheme.null_dims
+        assert pi_transform(scheme, {m: np.eye(K * beta)
+                                     for m in (1, 2)}).null_dims is None
         rng = linalg.seeded_rng(seed, 99)
         for pi in [{m: np.eye(K * beta) for m in (1, 2)}] + [
                 {m: linalg.random_matrix(K * beta, K * beta, rng=rng)
@@ -581,16 +583,20 @@ def test_interferers_key_every_projected_null_at_three_cells():
 @pytest.mark.parametrize("K", [1, 2, 3])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_nsia_stores_projected_nulls_under_the_verified_keys(K, beta):
-    # build_nsia stores the null space of (m, j) as the precoder of user
-    # interferers(m)[j - 1], under the keys verify_scheme measures afresh
+    # build_nsia takes the null space of (m, j) as the precoder of user
+    # interferers(m)[j - 1], and stores its dimension in null_dims under
+    # the keys verify_scheme measures afresh
     scheme = build_nsia(channels_for(K, beta, bounds.RX_HEAVY, seed=K))
-    cfg = scheme.channels.config
-    measured = verify_scheme(replace(scheme, projected_nulls=None)).null_dims
-    assert list(scheme.projected_nulls) == list(measured)
+    cs, cfg = scheme.channels, scheme.channels.config
+    measured = verify_scheme(replace(scheme, null_dims=None)).null_dims
+    assert list(scheme.null_dims) == list(measured)
     assert list(measured) == [(m, j) for m in (1, 2) for j in range(1, K + 1)]
-    for (m, j), null in scheme.projected_nulls.items():
-        assert scheme.precoder(*cfg.interferers(m)[j - 1]) is null.basis
-        assert null.dim == measured[(m, j)] == beta
+    assert scheme.null_dims == measured == {key: beta for key in measured}
+    projected = schemes._projected_nulls(cs, scheme.projectors)
+    for m, j in scheme.null_dims:
+        _, basis, _ = projected[(m, j)]
+        np.testing.assert_array_equal(
+            scheme.precoder(*cfg.interferers(m)[j - 1]), basis)
 
 def test_scheme_report_serialization():
     cs = channels_for(2, 1, bounds.RX_HEAVY, seed=13)

@@ -240,6 +240,28 @@ def test_random_precoder_slope_with_excess_receive_antennas():
     assert est.slope == pytest.approx(2.0, rel=1e-3)
 
 
+def test_random_baseline_slope_at_the_two_cell_profiles():
+    # exact: the baseline saturates at tx-heavy and keeps beta dimensions
+    # per cell at rx-heavy
+    for K in range(1, 7):
+        for beta in range(1, 5):
+            for variant, slope in [(bounds.TX_HEAVY, 0), (bounds.RX_HEAVY, 2 * beta)]:
+                M, N = bounds.antenna_profile(K, beta, variant)
+                cfg = NetworkConfig(L=2, K=K, M=M, N=N, beta=beta)
+                assert simulation.random_baseline_slope(cfg) == slope
+
+
+@pytest.mark.parametrize("L, K, beta, M, N", [
+    (2, 2, 1, 3, 2), (2, 2, 2, 4, 6), (2, 1, 1, 3, 3), (3, 1, 1, 2, 3),
+    (3, 2, 1, 2, 5), (3, 2, 1, 3, 4), (4, 1, 1, 2, 3)])
+def test_random_baseline_slope_is_the_fitted_slope(L, K, beta, M, N):
+    cfg = NetworkConfig(L=L, K=K, M=M, N=N, beta=beta, seed=1)
+    target = simulation.random_baseline_slope(cfg)
+    assert type(target) is int
+    est = estimate_dof_slope(random_precoders(generate_channels(cfg)))
+    assert est.slope == pytest.approx(target, abs=1e-3)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 @pytest.mark.parametrize("beta", [1, 2])
 def test_slope_convergence_full_grid(K, beta):

@@ -189,7 +189,7 @@ def test_stacked_pipeline_equals_the_link_by_link_reference(
             for m in (1, 2):
                 assert same(scheme.projector(m), planes[m])
                 for k in range(1, K + 1):
-                    assert scheme.projected_nulls[(m, k)].dim == beta
+                    assert scheme.null_dims[(m, k)] == beta
         else:
             precoders = {(l, k): cs.cross_null(3 - l, l, k).basis
                          for l in (1, 2) for k in range(1, K + 1)}
