@@ -47,13 +47,23 @@ class DofBoundReport:
         return {
             "cooperative_bound": self.cooperative_bound,
             "per_set_bound": str(self.per_set_bound),
-            "per_set_bound_decimal": float(self.per_set_bound),
+            "per_set_bound_decimal": _decimal("per_set_bound", self.per_set_bound),
             "lambda_d": str(self.lambda_d),
-            "lambda_d_decimal": float(self.lambda_d),
+            "lambda_d_decimal": _decimal("lambda_d", self.lambda_d),
             "final_bound": str(self.final_bound),
-            "final_bound_decimal": float(self.final_bound),
+            "final_bound_decimal": _decimal("final_bound", self.final_bound),
             "binding_term": self.binding_term,
         }
+
+
+def _decimal(name: str, value: Fraction) -> float:
+    """The double nearest ``value``, or an InputError naming the term when
+    it is too large for one."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"the bound's {name} term is too large for a "
+                         f"double") from None
 
 
 def _require_positive(**dims: int):

@@ -523,6 +523,10 @@ def run(argv=None) -> int:
         # ValueError covers json.JSONDecodeError in a config file
         print(f"doflab: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's names the allocation that failed; a bare one has no text
+        print(f"doflab: error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
     report = {"command": args.command,
               "timestamp": datetime.now(timezone.utc).isoformat(),

@@ -6,7 +6,13 @@ inputs.  The rank rule (_rank_svd), as_matrix, orthonormal_columns,
 null_space_bases and orthonormalize_rows take a stack of matrices over the
 leading axes, as numpy.linalg.svd does, and report each matrix's result as
 arrays for the caller to refuse a failed one from; numeric_rank,
-null_space_basis and range_basis take one matrix.  product_scales is the
+null_space_basis and range_basis take one matrix.  A rank without vectors
+first tries a full-rank certificate (_full_rank_certified): one Cholesky
+of the stack's Gram matrices, shifted past the threshold and the rounding
+of the Gram, the Cholesky and the SVD, whose success proves that the SVD
+would count every singular value.  It is tried only on stacks whose SVD
+work reaches CERTIFY_WORK, the measured crossover, and a stack it cannot
+prove goes to the SVD, so every rank is the SVD's.  product_scales is the
 threshold anchor of every rank of a product P H, taken on factors scaled
 by powers of two (unit_scaled).  Every random draw comes
 from a stream keyed by ``(seed, *subkeys)``: numpy's own generator for the
@@ -62,6 +68,26 @@ _ORTHO_TOL = 1e-9
 # covers one link: at two links a call, build_nsia held twice the
 # temporaries, 2.0 against 1.0 MiB beyond the channel set and the scheme.
 STACK_BYTES = 2 ** 20
+
+# Unit roundoff of a double, the u of the full-rank certificate's error
+# bounds (_full_rank_certified).
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+# Largest |shift| (unit_scaled) at which the full-rank certificate is
+# tried.  Inside it a matrix's sigma_max stays finite, and every threshold
+# and sigma_min the certificate proves stays a normal double: at the floor
+# rel_rank_tol, 2 tau >= 2^-50 of the unit-scaled matrix, and 2^-50-960
+# is above 2^-1022.
+_CERTIFY_MAX_SHIFT = 960
+
+# Smallest SVD work, count * rows * cols^2 of a stack's tall orientation,
+# at which a rank without vectors first tries the full-rank certificate
+# (_full_rank_certified), the measured crossover (_rank_svd).  The
+# certificate costs a fixed run of about 20 numpy calls, which a small
+# stack's SVD does not amortize.  The lemma chunks (256 matrices of 2x2 to
+# 3x3, work 2048 to 6912) and K=32's 132x128 links reach it; of the K <= 4
+# schemes, only the eight 10x8 direct links of K=4, beta=2 do.
+CERTIFY_WORK = 2048
 
 # Smallest rel_rank_tol a Tolerance accepts.  An SVD computes singular
 # values to about machine epsilon (2.2e-16) times sigma_max, so below this
@@ -451,6 +477,18 @@ def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False):
     ``vectors``, the full ``(rank, u, vh)`` of the SVD.  Without vectors a
     wide matrix is factored on its tall side, as its transpose, which has
     the same singular values and factors faster.
+
+    Without vectors, a stack whose SVD work (count * r * c^2 of the tall
+    side, r x c) reaches CERTIFY_WORK first tries the full-rank
+    certificate (_full_rank_certified, which states its bound): one
+    shifted Cholesky that, when it succeeds, proves that the SVD would
+    count all c singular values of every matrix, so the rank is c without
+    an SVD.  A stack it cannot prove pays that Cholesky and the SVD.  The
+    cut is the measured crossover: the certificate's fixed cost, about 30
+    us of numpy calls, lost to the SVD on all 19 stacks of work below 128
+    and on 34 of the 47 below 2048, and won on 42 of the 43 from 2048 up,
+    all but a lone 16x16 matrix (stacks of 1 to 256 matrices from 2x1 to
+    32x32, one OpenBLAS thread).
     """
     arr = as_matrix(a)
     rows, cols = arr.shape[-2:]
@@ -458,12 +496,71 @@ def _rank_svd(a, tol: Tolerance, scale=None, vectors: bool = False):
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
     else:
         tall = arr if rows >= cols else np.swapaxes(arr, -1, -2)
+        if (tall.size * tall.shape[-1] >= CERTIFY_WORK
+                and _full_rank_certified(tall, tol, scale)):
+            return np.full(arr.shape[:-2], min(rows, cols))
         s = np.linalg.svd(tall, compute_uv=False)
     ref = s[..., :1]  # sigma_max, kept as an axis so a stack broadcasts
     if scale is not None:
         ref = np.maximum(ref, np.asarray(scale)[..., None])
     rank = (s > tol.absolute(rows, cols, ref)).sum(axis=-1)
     return (rank, u, vh) if vectors else rank
+
+
+def _full_rank_certified(tall: np.ndarray, tol: Tolerance, scale) -> bool:
+    """Whether one shifted Cholesky proves that the rank rule counts all c
+    singular values of every matrix of the stack ``tall`` (r x c, r >= c).
+
+    With T a matrix unit-scaled (unit_scaled, exact; ``scale`` scaled by
+    the same power of two), G = T* T, F = tr G, u = 2^-53 and
+    tau = rel_rank_tol * r * max(sqrt(F), scale), the shift is
+    s = (2 tau + r^2 u sqrt(F))^2 + 2 (c^2 + c + r + 2) u F.  Its second
+    term covers, with room, the rounding of the computed G (of order r u F
+    in norm), of the subtracted shift, and the backward error of a
+    Cholesky that succeeds, which is exact for a matrix within order
+    c u F of its input (Demmel, LAPACK Working Note 14).  So a Cholesky of
+    G - s I that succeeds proves lambda_min(T* T) >=
+    (2 tau + r^2 u sqrt(F))^2, that is sigma_min(T) >= 2 tau +
+    r^2 u sqrt(F).  sqrt(F) >= sigma_max, so the rule's threshold is below
+    2 tau even on the computed sigma_max, and the computed sigma_min is
+    within r^2 u sigma_max of the true one (LAPACK Users' Guide, section
+    4.9): the SVD would count it.
+
+    The margin 2 (c^2 + c + r + 2) u F asks sigma_min above about 1e-7
+    sigma_max, whatever the tolerance: the Gram matrix squares the
+    condition number.  False, and the caller runs the SVD, for an empty
+    stack, when the shift is not finite, when a matrix's largest entry is
+    outside 2^+-_CERTIFY_MAX_SHIFT (there the SVD's sigma_max may
+    overflow, or its sigma_min and threshold fall to subnormal numbers,
+    beyond the bounds above), or when any matrix of the stack fails its
+    Cholesky.
+    """
+    if not tall.size:
+        return False
+    rows, cols = tall.shape[-2:]
+    unit, power = unit_scaled(tall)
+    if np.abs(power).max() > _CERTIFY_MAX_SHIFT:
+        return False
+    gram = np.swapaxes(unit.conj(), -1, -2) @ unit
+    del unit  # only the Gram matrices are alive through the Cholesky
+    diag = np.einsum("...ii->...i", gram)  # a writeable view of G's diagonal
+    # unit-scaled entries are below 1 in modulus, so G and F are finite
+    frob2 = diag.real.sum(axis=-1)
+    frob = np.sqrt(frob2)
+    with np.errstate(over="ignore"):
+        ref = frob if scale is None else np.maximum(
+            frob, np.ldexp(np.asarray(scale, dtype=float), power))
+        tau = tol.rel_rank_tol * rows * ref
+        gap = 2.0 * tau + rows * rows * _UNIT_ROUNDOFF * frob
+        shift = gap * gap + 2 * (cols * cols + cols + rows + 2) * _UNIT_ROUNDOFF * frob2
+    if not np.isfinite(shift).all():
+        return False
+    diag -= shift[..., None]
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def unit_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -108,6 +108,40 @@ def test_bound_command_invalid_input(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_bound_refuses_a_term_too_large_for_a_double(capsys):
+    big = str(10 ** 400)
+    assert run(["bound", "--K", "1", "--L", "2", "--M", big, "--N", big]) == 1
+    assert capsys.readouterr().err == (
+        "doflab: error: the bound's per_set_bound term is too large for a double\n")
+    assert run(["bound", "--K", "1", "--L", "2", "--M", big, "--N", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "doflab: error: the bound's lambda_d term is too large for a double\n")
+    # a bound that fits keeps its exact keys
+    code, doc = run_json(capsys, ["bound", "--K", "1", "--L", "2",
+                                  "--M", str(10 ** 300), "--N", str(10 ** 300)])
+    assert code == 0
+    assert doc["result"]["final_bound"] == str(10 ** 300)
+    assert doc["result"]["final_bound_decimal"] == 1e300
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 5.96 GiB for an array with shape "
+                 "(1, 20000, 20000) and data type complex128"),
+     "Unable to allocate 5.96 GiB for an array with shape "
+     "(1, 20000, 20000) and data type complex128"),
+    (MemoryError(), "out of memory")])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, exc, line):
+    from doflab import simulation
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(simulation, "monte_carlo_lemma1", exhausted)
+    assert run(["lemma1", "--m", "20000", "--n", "20000", "--l", "3",
+                "--trials", "1"]) == 1
+    assert capsys.readouterr().err == f"doflab: error: {line}\n"
+
+
 def test_zf_command(capsys):
     code, doc = run_json(capsys, ["zf", "--K", "2", "--beta", "1",
                                   "--seed", "3", "--assert"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from doflab import linalg
+from doflab import linalg, simulation
 from doflab.errors import ContractError, DimensionError, InputError, RankError
 from doflab.linalg import (SubspaceBasis, Tolerance, intersection_dim,
                            null_space_basis, numeric_rank,
@@ -379,6 +379,165 @@ def test_state_words_refuse_any_request_but_pcg64s(n_words, dtype):
     assert words.generate_state(4, np.dtype("<u8")) is words.words
     with pytest.raises(ContractError, match="4 uint64 words"):
         words.generate_state(n_words, dtype)
+
+
+# ---------------------------------------------------------------------------
+# the full-rank certificate (_full_rank_certified)
+# ---------------------------------------------------------------------------
+
+# 1e-4 puts the threshold, not the rounding margin, in charge of the shift
+CERTIFY_TOLS = [Tolerance(linalg.MIN_REL_RANK_TOL), Tolerance(1e-10),
+                Tolerance(1e-4), Tolerance(0.2)]
+
+
+def gaussian_stack(count, rows, cols, seed):
+    (stack,) = linalg.random_matrices([(rows, cols)], "complex-gaussian",
+                                      [(seed, t) for t in range(count)])
+    return stack
+
+
+def tall_side(stack):
+    """The stack as the rank rule hands it to the certificate."""
+    return stack if stack.shape[-2] >= stack.shape[-1] else np.swapaxes(stack, -1, -2)
+
+
+def certified(stack, tol, scale=None) -> np.ndarray:
+    """Whether the certificate proves each matrix of the stack alone."""
+    tall = tall_side(stack)
+    scales = np.broadcast_to(np.nan if scale is None else scale, len(stack))
+    return np.array([linalg._full_rank_certified(
+        tall[t:t + 1], tol, None if scale is None else scales[t:t + 1])
+        for t in range(len(stack))], dtype=bool)
+
+
+def assert_certificate_agrees(stack, tol, scale=None) -> np.ndarray:
+    """The certificate never disagrees with the singular-value count:
+    wherever it proves a matrix, or a whole stack, the SVD counts all its
+    singular values, and a rank rule that tries it on every run gives the
+    SVD's ranks.  Returns which matrices it proved."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "CERTIFY_WORK", np.inf)
+        counted = linalg._rank_svd(stack, tol, scale)
+        patch.setattr(linalg, "CERTIFY_WORK", 0)
+        assert linalg._rank_svd(stack, tol, scale).tolist() == counted.tolist()
+    full = min(stack.shape[-2:])
+    proven = certified(stack, tol, scale)
+    assert (counted[proven] == full).all()
+    if linalg._full_rank_certified(tall_side(stack), tol, scale):
+        assert (counted == full).all()
+    return proven
+
+
+@pytest.mark.parametrize("tol", CERTIFY_TOLS, ids=lambda tol: f"{tol.rel_rank_tol:g}")
+def test_certificate_agrees_with_the_svd_on_gaussian_stacks(tol):
+    shapes = [(rows, cols) for rows in range(1, 9) for cols in range(1, 9)
+              if max(rows, cols) >= 2]
+    for rows, cols in shapes:
+        assert_certificate_agrees(gaussian_stack(16, rows, cols, 50), tol)
+    proven = assert_certificate_agrees(gaussian_stack(2, 132, 128, 51), tol)
+    # a 132x128 Gaussian link is proven far from the threshold: its
+    # sigma_min, about 0.2, is below 2 tau from 1e-4 up
+    assert proven.all() == (tol.rel_rank_tol <= 1e-10)
+
+
+@pytest.mark.parametrize("tol", CERTIFY_TOLS, ids=lambda tol: f"{tol.rel_rank_tol:g}")
+@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 2), (2, 3), (4, 4), (8, 6)])
+def test_certificate_never_proves_a_sigma_min_below_twice_the_threshold(
+        tol, rows, cols):
+    # U diag(sigma) V* with sigma_max 1 and sigma_min at multiples of the
+    # threshold tau: the certificate needs sigma_min >= 2 tau
+    tau = tol.absolute(rows, cols, 1.0)
+    u = np.linalg.qr(gaussian(rows, rows, 52))[0][:, :min(rows, cols)]
+    vh = np.linalg.qr(gaussian(cols, cols, 53))[0][:min(rows, cols)]
+    for factor in (0.5, 0.999, 1.001, 2.0, 4.0):
+        if factor * tau >= 1.0:
+            continue
+        sigma = np.ones(min(rows, cols))
+        sigma[-1] = factor * tau
+        proven = assert_certificate_agrees(((u * sigma) @ vh)[None], tol)
+        if factor < 2.0:
+            assert not proven.any()
+    # the Gram matrix squares the condition number, so the rounding margin
+    # needs sigma_min above about 1e-7 sigma_max, even where 2 tau is less
+    sigma = np.ones(min(rows, cols))
+    for ratio, provable in ((1e-6, tol.rel_rank_tol <= 1e-10), (1e-8, False)):
+        sigma[-1] = ratio
+        proven = assert_certificate_agrees(((u * sigma) @ vh)[None], tol)
+        assert proven.all() == provable
+
+
+@pytest.mark.parametrize("tol", CERTIFY_TOLS, ids=lambda tol: f"{tol.rel_rank_tol:g}")
+@pytest.mark.parametrize("M,N", [(2, 3), (4, 6)])
+def test_certificate_on_exactly_deficient_products(tol, M, N, monkeypatch):
+    # nsia's P H has rank M - (N - M) in exact arithmetic: the rounding
+    # level of its last singular values is never proven, with or without
+    # the factor anchor
+    seen = []
+    holds = simulation._lemma2_holds
+    monkeypatch.setattr(simulation, "_lemma2_holds", lambda h, p, *factors: (
+        seen.append((h, p)) or holds(h, p, *factors)))
+    simulation.monte_carlo_lemma2(M, N, 64, seed=54, p_source="nsia")
+    (h, p), = seen
+    product = p @ h
+    for scale in (None, linalg.product_scales(p, h)):
+        assert not assert_certificate_agrees(product, tol, scale).any()
+    # a product that cancels to rounding level ranks 0 against its anchor;
+    # alone, its noise may be full rank, and then both agree
+    h = gaussian(4, 2, 36) @ gaussian(2, 3, 37)
+    p = null_space_basis(h.conj().T, TOL).basis.conj().T
+    cancelled = (p @ h)[None]
+    assert not assert_certificate_agrees(
+        cancelled, tol, linalg.product_scales(p, h[None])).any()
+    assert_certificate_agrees(cancelled, tol)
+
+
+@pytest.mark.parametrize("tol", CERTIFY_TOLS, ids=lambda tol: f"{tol.rel_rank_tol:g}")
+def test_certificate_at_extreme_magnitudes_zero_and_empty_stacks(tol):
+    stack = gaussian_stack(16, 3, 2, 55)
+    proven = assert_certificate_agrees(stack, tol)
+    # scaling by a power of two is exact, so it proves the same matrices
+    for power in (500, -500):
+        scaled = stack * 2.0 ** power
+        assert (assert_certificate_agrees(scaled, tol) == proven).all()
+        assert (assert_certificate_agrees(scaled, tol, 2.0 ** power) == proven).all()
+    # past 2^+-960 the SVD's sigma_max may overflow or its small singular
+    # values go subnormal: never proven
+    for power in (1000, -1000, -1060):
+        assert not assert_certificate_agrees(stack * 2.0 ** power, tol).any()
+    assert not assert_certificate_agrees(np.full((4, 2, 2), 5e-324 + 0j), tol).any()
+    # full rank (determinant 2^-2148), but sigma_min, about 2^-1085,
+    # underflows to 0 in the SVD, which counts rank 1: a Cholesky of the
+    # unit-scaled Gram matrix would prove rank 2
+    tiny = np.array([[[1000, 999], [1001, 1000]]], dtype=complex) * 5e-324
+    assert not assert_certificate_agrees(tiny, tol).any()
+    # an infinite anchor ranks every matrix 0
+    assert not assert_certificate_agrees(stack, tol, np.inf).any()
+    # a zero matrix fails its Cholesky, and so its whole stack
+    with_zero = stack.copy()
+    with_zero[3] = 0
+    assert not assert_certificate_agrees(np.zeros((4, 3, 2)), tol).any()
+    assert_certificate_agrees(with_zero, tol)
+    assert not linalg._full_rank_certified(with_zero, tol, None)
+    for empty in (np.zeros((0, 3, 2)), np.zeros((3, 0, 2)), np.zeros((3, 2, 0))):
+        assert not linalg._full_rank_certified(empty, tol, None)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "CERTIFY_WORK", 0)
+            assert linalg._rank_svd(empty, tol).tolist() == [0] * len(empty)
+
+
+@pytest.mark.parametrize("rows,inner,cols", [(2, 2, 2), (3, 2, 2), (3, 3, 3),
+                                             (2, 4, 3)])
+def test_certificate_proves_generic_256_stacks(rows, inner, cols):
+    # the lemma chunks' shapes, as products A B like lemma 1's: the fast
+    # path must not go dead at the default tolerance
+    stacks = 100
+    proven = 0
+    for seed in range(stacks):
+        a, b = linalg.random_matrices([(rows, inner), (inner, cols)],
+                                      "complex-gaussian",
+                                      [(seed, t) for t in range(256)])
+        proven += linalg._full_rank_certified(tall_side(a @ b), TOL, None)
+    assert proven >= 0.99 * stacks
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import collections
 import functools
 import math
 import re
@@ -6,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from doflab import bounds, linalg, simulation
+from doflab import bounds, linalg, network, simulation
 from doflab.errors import ContractError, DegeneracyError, InputError
 from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
                            numeric_rank, random_matrix, range_basis,
@@ -556,38 +555,69 @@ def test_lemma2_nsia_raises_the_first_lost_plane_at_any_chunk_size(
         redraw.format(2), redraw.format(2), redraw.format(2), redraw.format(1)]
 
 
-def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
-    calls = collections.Counter()
-    for name in ("svd", "qr"):
+def counted_factorizations(monkeypatch):
+    """The numpy.linalg factorizations called, in order: ("svd", vectors),
+    "qr" or "cholesky"."""
+    calls = []
+    for name in ("svd", "qr", "cholesky"):
         def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
+            calls.append((_name, kwargs.get("compute_uv", True))
+                         if _name == "svd" else _name)
             return _call(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    counts = []
-    for trials in (1, simulation.TRIAL_CHUNK):
+    return calls
+
+
+# The calls of one lemma chunk.  A 1-trial chunk is below
+# linalg.CERTIFY_WORK, so each rank without vectors is one values-only SVD;
+# a full chunk tries the full-rank certificate (one Cholesky) first, and
+# pays the values-only SVD only where the certificate cannot prove.
+VALUES, VECTORS = ("svd", False), ("svd", True)
+
+
+def test_lemma2_nsia_factors_per_chunk_not_per_trial(monkeypatch, caplog):
+    # a chunk factors the cross links once (null spaces), the planes once
+    # (rank, then QR), H once and P* once; P H and [U V] are deficient by
+    # design, so their certificate fails and the SVD counts them
+    calls = counted_factorizations(monkeypatch)
+    expected = {
+        1: [VECTORS, VALUES, "qr", VECTORS, VALUES, VECTORS, VALUES],
+        simulation.TRIAL_CHUNK: [VECTORS, "cholesky", "qr", VECTORS, "cholesky",
+                                 VALUES, VECTORS, "cholesky", VALUES]}
+    expected[2 * simulation.TRIAL_CHUNK] = 2 * expected[simulation.TRIAL_CHUNK]
+    for trials, chunk_calls in expected.items():
         calls.clear()
         assert monte_carlo_lemma2(2, 3, trials, seed=4,
                                   p_source="nsia").all_passed
-        counts.append(dict(calls))
+        assert calls == chunk_calls
     assert not caplog.records  # no draw was redrawn
-    assert counts[0] == counts[1]
-    assert counts[0]["qr"] == 1
 
 
 def test_lemma2_random_factors_each_stack_once(monkeypatch, caplog):
     # a chunk factors H once (its draw check and its range basis), P* once
-    # (null(P)), and P H and [U V] without vectors
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: (
-        calls.append(kwargs.get("compute_uv", True)) or svd(*args, **kwargs)))
-    counts = []
-    for trials in (1, simulation.TRIAL_CHUNK):
+    # (null(P)), and P H and [U V] without vectors: a full chunk proves
+    # both full rank by the certificate
+    calls = counted_factorizations(monkeypatch)
+    expected = {1: [VECTORS, VALUES, VECTORS, VALUES],
+                simulation.TRIAL_CHUNK: [VECTORS, "cholesky", VECTORS, "cholesky"]}
+    expected[2 * simulation.TRIAL_CHUNK] = 2 * expected[simulation.TRIAL_CHUNK]
+    for trials, chunk_calls in expected.items():
         calls.clear()
         assert monte_carlo_lemma2(2, 3, trials, seed=3).all_passed
-        counts.append(calls.copy())
+        assert calls == chunk_calls
     assert not caplog.records  # no draw was redrawn
-    assert counts[0] == counts[1] == [True, False, True, False]
+
+
+def test_full_lemma1_chunk_and_large_direct_link_make_no_values_only_svd(
+        monkeypatch):
+    calls = counted_factorizations(monkeypatch)
+    assert monte_carlo_lemma1(2, 4, 3, simulation.TRIAL_CHUNK, seed=4).all_passed
+    assert calls == ["cholesky"]
+    # a K=32, beta=4 direct link, 128x132, as generate_channels checks it
+    calls.clear()
+    cfg = NetworkConfig(L=2, K=32, M=132, N=128, beta=4, seed=5)
+    network.draw_channel(cfg, 1, 1, 1)
+    assert calls == ["cholesky"]
 
 
 def test_lemma1_seeds_every_stream_in_bulk_below_2_32(monkeypatch):
