@@ -21,9 +21,9 @@ _EXPORTS = {name: module for module, names in {
                "antenna_profile", "two_user_ic_dof"),
     "errors": ("ConfigurationError", "ContractError", "DegeneracyError",
                "DimensionError", "DoflabError", "InputError", "RankError"),
-    "linalg": ("SubspaceBasis", "Tolerance", "intersection_dim",
-               "null_space_basis", "numeric_rank", "orthonormalize_rows",
-               "random_matrix", "range_basis", "seeded_rng"),
+    "linalg": ("Tolerance", "intersection_dim", "null_space_basis",
+               "numeric_rank", "orthonormalize_rows", "random_matrix",
+               "range_basis", "seeded_rng"),
     "network": ("ChannelSet", "NetworkConfig", "channel_set",
                 "channel_set_from_dict", "channel_set_to_dict",
                 "generate_channels"),

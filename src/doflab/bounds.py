@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ConfigurationError, ContractError, InputError, is_int
+from .errors import (ConfigurationError, ContractError, InputError,
+                     require_positive)
 
 # Antenna profiles of the two-cell optimum: more transmit antennas than
 # receive (tx-heavy, M = K*beta + beta, N = K*beta) or the reverse
@@ -66,16 +67,10 @@ def _decimal(name: str, value: Fraction) -> float:
                          f"double") from None
 
 
-def _require_positive(**dims: int):
-    for name, value in dims.items():
-        if not is_int(value) or value < 1:
-            raise InputError(f"{name} must be a positive integer, got {value!r}")
-
-
 def two_user_ic_dof(M1: int, N1: int, M2: int, N2: int) -> int:
     """Optimal DoF of the (M1, N1), (M2, N2) two-user MIMO interference
     channel: min(M1+M2, N1+N2, max(M1, N2), max(M2, N1))."""
-    _require_positive(M1=M1, N1=N1, M2=M2, N2=N2)
+    require_positive(M1=M1, N1=N1, M2=M2, N2=N2)
     return min(M1 + M2, N1 + N2, max(M1, N2), max(M2, N1))
 
 
@@ -86,7 +81,7 @@ def per_message_set_bound(K: int, L: int, M: int, N: int) -> int:
     channel with antenna pairs (KM, N) and ((L-1)M, (L-1)N), whose DoF
     two_user_ic_dof gives.
     """
-    _require_positive(K=K, L=L, M=M, N=N)
+    require_positive(K=K, L=L, M=M, N=N)
     if L < 2:
         raise InputError(f"L must be >= 2 (the subset network needs another cell), got {L}")
     return two_user_ic_dof(K * M, N, (L - 1) * M, (L - 1) * N)
@@ -102,7 +97,7 @@ def dof_outer_bound(K: int, L: int, M: int, N: int) -> DofBoundReport:
     per-set bound is kept inside the min even though K*L/(K+L-1)*LN >= LN
     makes it non-binding there; the cooperative LN term covers it.
     """
-    _require_positive(K=K, L=L, M=M, N=N)
+    require_positive(K=K, L=L, M=M, N=N)
     if L < 2:
         raise InputError(f"L must be >= 2, got {L}")
     scale = Fraction(K * L, K + L - 1)
@@ -128,7 +123,7 @@ def dof_outer_bound(K: int, L: int, M: int, N: int) -> DofBoundReport:
 
 def antenna_profile(K: int, beta: int, variant: str) -> tuple[int, int]:
     """(M, N) for the chosen two-cell antenna profile."""
-    _require_positive(K=K, beta=beta)
+    require_positive(K=K, beta=beta)
     if variant == TX_HEAVY:
         return K * beta + beta, K * beta
     if variant == RX_HEAVY:

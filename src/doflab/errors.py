@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check that
+"""Exception types shared across the package, and the integer checks that
 input validation raises them on."""
 
 
@@ -6,6 +6,14 @@ def is_int(value) -> bool:
     """An int that is not a bool: bool is an int subclass, so a JSON true
     would otherwise pass as 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def require_positive(**values):
+    """Refuse, naming it, the first value that is not a positive int
+    (is_int): a float, a bool or a count below 1."""
+    for name, value in values.items():
+        if not is_int(value) or value < 1:
+            raise InputError(f"{name} must be a positive integer, got {value!r}")
 
 
 class DoflabError(Exception):

@@ -2,11 +2,12 @@
 
 Numeric rank, null/range bases, subspace intersection, row
 orthonormalization and seeded random matrices, each a pure function of its
-inputs.  The rank rule (_rank_svd), as_matrix, orthonormal_columns,
-null_space_bases and orthonormalize_rows take a stack of matrices over the
-leading axes, as numpy.linalg.svd does, and report each matrix's result as
-arrays for the caller to refuse a failed one from; numeric_rank,
-null_space_basis and range_basis take one matrix.  A rank without vectors
+inputs.  A subspace is an (n, d) array with orthonormal columns
+(require_orthonormal).  The rank rule (_rank_svd), as_matrix,
+orthonormal_columns, null_space_bases and orthonormalize_rows take a stack
+of matrices over the leading axes, as numpy.linalg.svd does, and report
+each matrix's result as arrays for the caller to refuse a failed one from;
+numeric_rank, null_space_basis and range_basis take one matrix.  A rank without vectors
 first tries a full-rank certificate (_full_rank_certified): one Cholesky
 of the stack's Gram matrices, shifted past the threshold and the rounding
 of the Gram, the Cholesky and the SVD, whose success proves that the SVD
@@ -29,7 +30,7 @@ import contextlib
 import functools
 import logging
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,38 +135,6 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Orthonormal basis of a subspace of C^ambient_dim.
-
-    ``basis`` has shape (ambient_dim, dim) with orthonormal columns;
-    ``dim`` may be zero (the trivial subspace).  ``checked`` skips the
-    orthonormality check, for a basis that a stacked Gram check
-    (null_space_bases) has passed.  ``==`` is identity.
-    """
-
-    ambient_dim: int
-    dim: int
-    basis: np.ndarray = field(repr=False)
-    checked: InitVar[bool] = False
-
-    def __post_init__(self, checked):
-        if self.ambient_dim < 1:
-            raise DimensionError(f"ambient_dim must be >= 1, got {self.ambient_dim}")
-        if not 0 <= self.dim <= self.ambient_dim:
-            raise DimensionError(
-                f"dim must be in [0, {self.ambient_dim}], got {self.dim}")
-        if self.basis.shape != (self.ambient_dim, self.dim):
-            raise DimensionError(
-                f"basis shape {self.basis.shape} does not match "
-                f"({self.ambient_dim}, {self.dim})")
-        if self.dim > 0 and not checked:
-            ok, err = orthonormal_columns(self.basis)
-            if not ok:
-                raise RankError(
-                    f"basis columns are not orthonormal (max Gram error {err:.3e})")
-
-
 def orthonormal_columns(a: np.ndarray):
     """(ok, err): err is max |A* A - I|, ok that it is within _ORTHO_TOL.
 
@@ -175,6 +144,18 @@ def orthonormal_columns(a: np.ndarray):
     gram = np.swapaxes(a.conj(), -1, -2) @ a
     err = np.abs(gram - np.eye(a.shape[-1])).max(axis=(-2, -1))
     return err <= _ORTHO_TOL, err
+
+
+def require_orthonormal(basis: np.ndarray) -> np.ndarray:
+    """``basis``, refused with RankError unless its columns are orthonormal
+    (orthonormal_columns).  A basis without columns (the trivial subspace)
+    passes."""
+    if basis.shape[-1]:
+        ok, err = orthonormal_columns(basis)
+        if not ok:
+            raise RankError(
+                f"basis columns are not orthonormal (max Gram error {err:.3e})")
+    return basis
 
 
 @functools.cache
@@ -237,10 +218,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _require_one_matrix(a):
-    # the contract of the one-matrix functions: a stack is refused
+def _require_one_matrix(a, scale=None):
+    # the contract of the one-matrix functions: a stack is refused, and so
+    # is a NaN or infinite scale, which would rank every matrix 0
     if np.ndim(a) != 2:
         raise DimensionError(f"matrix must be 2-D, got ndim={np.ndim(a)}")
+    if scale is not None and not np.isfinite(scale):
+        raise InputError(f"scale must be finite, got {scale!r}")
 
 
 def require_seed(seed: int):
@@ -608,7 +592,7 @@ def numeric_rank(a, tol: Tolerance = DEFAULT_TOL, scale: float | None = None) ->
     singular values may all cancel, otherwise a fully cancelled product
     (entries at rounding level) would still count as rank >= 1.
     """
-    _require_one_matrix(a)
+    _require_one_matrix(a, scale)
     return int(_rank_svd(a, tol, scale))
 
 
@@ -623,7 +607,7 @@ def numeric_ranks(matrices, tol: Tolerance = DEFAULT_TOL) -> list[int]:
 
 
 def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
-                     scale: float | None = None) -> SubspaceBasis:
+                     scale: float | None = None) -> np.ndarray:
     """Orthonormal basis of the right null space {x : A x = 0}.
 
     Basis columns are the right singular vectors whose singular values fall
@@ -631,10 +615,9 @@ def null_space_basis(a, tol: Tolerance = DEFAULT_TOL,
     output is deterministic for a given input.  ``scale`` as in
     numeric_rank.
     """
-    _require_one_matrix(a)
+    _require_one_matrix(a, scale)
     rank, _, vh = _rank_svd(a, tol, scale, vectors=True)
-    cols = vh.shape[0]
-    return SubspaceBasis(cols, cols - int(rank), vh[rank:].conj().T)
+    return require_orthonormal(vh[rank:].conj().T)
 
 
 def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL, scale=None):
@@ -645,7 +628,7 @@ def null_space_bases(a, dim: int, tol: Tolerance = DEFAULT_TOL, scale=None):
     right singular vectors as columns: where dims is ``dim``, bit for bit
     null_space_basis's basis.  ``ok`` marks the matrices whose null
     dimension is ``dim`` and whose basis passes one stacked Gram check
-    (SubspaceBasis raises the RankError of a basis that failed it).
+    (require_orthonormal raises the RankError of a basis that failed it).
     ``scale`` as in numeric_rank, one value per matrix.  ``bases`` holds
     only the null-space rows, so it keeps no factor of the stack alive.
     """
@@ -668,27 +651,29 @@ def stack_chunks(items, rows: int, cols: int) -> list:
     return [items[i:i + size] for i in range(0, len(items), size)]
 
 
-def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> SubspaceBasis:
+def range_basis(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column space (range) of A."""
     _require_one_matrix(a)
     rank, u, _ = _rank_svd(a, tol, vectors=True)
-    return SubspaceBasis(u.shape[0], int(rank), u[:, :rank])
+    return require_orthonormal(u[:, :rank])
 
 
-def intersection_dim(u: SubspaceBasis, v: SubspaceBasis,
-                     tol: Tolerance = DEFAULT_TOL) -> int:
+def intersection_dim(u, v, tol: Tolerance = DEFAULT_TOL) -> int:
     """dim(span(U) ∩ span(V)) via dim U + dim V - rank([U V]).
 
     Exact at the tolerance granularity; symmetric in its arguments and
     invariant under right-multiplication of either basis by a unitary.
+    U and V must be 2-D, of one ambient dimension, with orthonormal columns.
     """
-    if u.ambient_dim != v.ambient_dim:
+    _require_one_matrix(u)
+    _require_one_matrix(v)
+    u, v = (require_orthonormal(as_matrix(b)) for b in (u, v))
+    if u.shape[0] != v.shape[0]:
         raise DimensionError(
-            f"ambient dimensions differ: {u.ambient_dim} vs {v.ambient_dim}")
-    if u.dim == 0 or v.dim == 0:
+            f"ambient dimensions differ: {u.shape[0]} vs {v.shape[0]}")
+    if not u.shape[1] or not v.shape[1]:
         return 0
-    stacked = np.hstack([u.basis, v.basis])
-    return u.dim + v.dim - numeric_rank(stacked, tol)
+    return u.shape[1] + v.shape[1] - numeric_rank(np.hstack([u, v]), tol)
 
 
 def orthonormalize_rows(a, tol: Tolerance = DEFAULT_TOL):

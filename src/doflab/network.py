@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegeneracyError, InputError, is_int
-from .linalg import SubspaceBasis, Tolerance
+from .errors import (DegeneracyError, DimensionError, InputError, is_int,
+                     require_positive)
+from .linalg import Tolerance
 
 log = logging.getLogger(__name__)
 
@@ -66,10 +67,8 @@ class NetworkConfig:
     tol: Tolerance = field(default_factory=Tolerance)
 
     def __post_init__(self):
-        for name in ("L", "K", "M", "N", "beta"):
-            value = getattr(self, name)
-            if not is_int(value) or value < 1:
-                raise InputError(f"{name} must be a positive integer, got {value!r}")
+        require_positive(L=self.L, K=self.K, M=self.M, N=self.N,
+                         beta=self.beta)
         if not is_int(self.seed) or self.seed < 0:
             raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.dist not in linalg.DISTRIBUTIONS:
@@ -119,14 +118,22 @@ class ChannelSet:
 
     ``cross_nulls`` holds the factor of each cross link (m != l) that the
     schemes build from, keyed like ``channels``: the null space of its wide
-    orientation (cross_null_bases).  generate_channels and channel_set
-    store it while checking the link, so no link is factored after the set
-    is built.  ``==`` is identity.
+    orientation (cross_null_bases), read-only and max(M, N) x |M - N|,
+    which is checked when the set is made.  generate_channels and
+    channel_set store it while checking the link, so no link is factored
+    after the set is built.  ``==`` is identity.
     """
 
     config: NetworkConfig
     channels: dict[tuple[int, int, int], np.ndarray] = field(repr=False)
-    cross_nulls: dict[tuple[int, int, int], SubspaceBasis] = field(repr=False)
+    cross_nulls: dict[tuple[int, int, int], np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        require_shapes("cross-link null space", self.cross_nulls,
+                       (max(cfg.M, cfg.N), abs(cfg.M - cfg.N)),
+                       {(m, l, k): f"null space of cross link (m={m}, l={l}, k={k})"
+                        for m, l, k in _links(cfg) if m != l})
 
     def channel(self, m: int, l: int, k: int) -> np.ndarray:
         """Channel from user (l, k) to base station m (all 1-based)."""
@@ -139,12 +146,27 @@ class ChannelSet:
             raise IndexError(f"user index k={k} out of range 1..{cfg.K}")
         return self.channels[(m, l, k)]
 
-    def cross_null(self, m: int, l: int, k: int) -> SubspaceBasis:
+    def cross_null(self, m: int, l: int, k: int) -> np.ndarray:
         """Stored null space of cross link (m, l, k)'s wide orientation."""
         if m == l:
             raise IndexError(f"link (m={m}, l={l}, k={k}) is not a cross link")
         self.channel(m, l, k)  # checks the indices
         return self.cross_nulls[(m, l, k)]
+
+
+def require_shapes(what: str, arrays: dict, shape: tuple, names: dict):
+    """Refuse ``arrays`` unless it maps exactly the keys of ``names`` to
+    arrays of ``shape``, naming the first one missing or misshapen, or a
+    key the network does not have."""
+    for key, name in names.items():
+        if key not in arrays:
+            raise DimensionError(f"{name} is missing")
+        if arrays[key].shape != shape:
+            raise DimensionError(f"{name} has shape {arrays[key].shape}, "
+                                 f"expected {shape}")
+    if len(arrays) > len(names):
+        extra = next(key for key in arrays if key not in names)
+        raise DimensionError(f"{what} keyed {extra!r} is not in the network")
 
 
 def cross_null_bases(config: NetworkConfig, h: np.ndarray):
@@ -157,11 +179,11 @@ def cross_null_bases(config: NetworkConfig, h: np.ndarray):
 
 
 def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
-                 h: np.ndarray) -> Iterator[tuple[int, SubspaceBasis | None]]:
+                 h: np.ndarray) -> Iterator[tuple[int, np.ndarray | None]]:
     """The nondegeneracy check of a stack of links, link by link: yields,
     for each link (m, l, k) with matrix h[t] in order, its numeric rank
-    and, for a cross link of full rank min(M, N), the null space of its
-    wide orientation (cross_null_bases; None for any other link).
+    and, for a cross link of full rank min(M, N), the read-only null space
+    of its wide orientation (cross_null_bases; None for any other link).
 
     One full SVD covers the cross links and one singular-values-only SVD
     the direct links, before the first link is yielded.  A basis that
@@ -175,13 +197,15 @@ def _link_checks(config: NetworkConfig, links: list[tuple[int, int, int]],
     bases = {}
     if cross:
         dims, stack, ok = cross_null_bases(cfg, h[cross])
+        stack.setflags(write=False)  # a zf precoder is the null space itself
         ranks[cross] = max(cfg.M, cfg.N) - dims
         bases = dict(zip(cross, zip(stack, ok.tolist())))
     for t, rank in enumerate(ranks.tolist()):
         null = None
         if t in bases and rank == min(cfg.M, cfg.N):
-            basis, good = bases[t]
-            null = SubspaceBasis(*basis.shape, basis, checked=good)
+            null, good = bases[t]
+            if not good:
+                linalg.require_orthonormal(null)
         yield rank, null
 
 
@@ -226,7 +250,7 @@ def generate_channels(config: NetworkConfig) -> ChannelSet:
 
 
 def draw_channel(config: NetworkConfig, m: int, l: int,
-                 k: int) -> tuple[np.ndarray, SubspaceBasis | None]:
+                 k: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Channel from user (l, k) to base station m, read-only, and for a
     cross link the null space of its wide orientation (else None): by
     draw_until, from the (seed, m, l, k) stream, checked by _link_checks."""

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import bounds, linalg
 from .bounds import NSIA, RANDOM, SCHEME_VARIANT, ZF  # re-exported
-from .errors import ContractError, DegeneracyError, DimensionError, RankError
-from .linalg import SubspaceBasis, Tolerance
-from .network import ChannelSet
+from .errors import ContractError, DegeneracyError, RankError
+from .linalg import Tolerance
+from .network import ChannelSet, require_shapes
 
 # Largest residual interference verify_scheme still calls decodable.
 RESIDUAL_THRESHOLD = 1e-10
@@ -59,12 +59,12 @@ class Scheme:
     def __post_init__(self):
         cfg = self.channels.config
         cells = range(1, cfg.L + 1)
-        _require_shapes("precoder", self.precoders, (cfg.M, cfg.beta), {
+        require_shapes("precoder", self.precoders, (cfg.M, cfg.beta), {
             (l, k): f"precoder of user (l={l}, k={k})"
             for l in cells for k in range(1, cfg.K + 1)})
         if self.projectors is not None:
-            _require_shapes("plane", self.projectors, (cfg.K * cfg.beta, cfg.N),
-                            {m: f"plane at base station {m}" for m in cells})
+            require_shapes("plane", self.projectors, (cfg.K * cfg.beta, cfg.N),
+                           {m: f"plane at base station {m}" for m in cells})
 
     def precoder(self, l: int, k: int) -> np.ndarray:
         return self.precoders[(l, k)]
@@ -72,21 +72,6 @@ class Scheme:
     def projector(self, m: int) -> np.ndarray | None:
         """P_m, or None for a scheme without receive planes."""
         return None if self.projectors is None else self.projectors[m]
-
-
-def _require_shapes(what: str, arrays: dict, shape: tuple, names: dict):
-    """Refuse ``arrays`` unless it maps exactly the keys of ``names`` to
-    arrays of ``shape``, naming the first one missing or misshapen, or a
-    key the network does not have."""
-    for key, name in names.items():
-        if key not in arrays:
-            raise DimensionError(f"{name} is missing")
-        if arrays[key].shape != shape:
-            raise DimensionError(f"{name} has shape {arrays[key].shape}, "
-                                 f"expected {shape}")
-    if len(arrays) > len(names):
-        extra = next(key for key in arrays if key not in names)
-        raise DimensionError(f"{what} keyed {extra!r} is not in the network")
 
 
 @dataclass(frozen=True)
@@ -123,18 +108,10 @@ def build_zf_precoders(cs: ChannelSet) -> Scheme:
     for free).  The base stations receive unprojected.
     """
     cfg = cs.config
-    beta = cfg.beta
     bounds.require_profile(cfg, SCHEME_VARIANT[ZF])
-    precoders = {}
-    for m in (2, 1):  # cell 1's users, base station 2's interferers, first
-        for l, k in cfg.interferers(m):
-            null = cs.cross_null(m, l, k)
-            if null.dim != beta:
-                raise DegeneracyError(
-                    f"null space of cross channel (m={m}, l={l}, k={k}) "
-                    f"has dimension {null.dim}, expected {beta}")
-            precoders[(l, k)] = null.basis
-    return Scheme(ZF, cs, precoders)
+    # cell 1's users, base station 2's interferers, first
+    return Scheme(ZF, cs, {(l, k): cs.cross_null(m, l, k) for m in (2, 1)
+                           for l, k in cfg.interferers(m)})
 
 
 def build_nsia(cs: ChannelSet) -> Scheme:
@@ -148,9 +125,9 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     interfering user; ``null_dims`` keeps its dimension for verify_scheme,
     keyed (m, j) by the user's position j in NetworkConfig.interferers(m).
 
-    A network off the profile (bounds.require_profile), then a stored null
-    space of another dimension (only in a hand-built ChannelSet), is
-    refused first.  The 2K projected cross channels are factored as one
+    A network off the profile (bounds.require_profile) is refused first;
+    on it, the ChannelSet's own shape check gives every stored null space
+    beta columns.  The 2K projected cross channels are factored as one
     stack, and the errors are raised from the stacked results base station
     by base station: the plane's, then its projected links' in interferer
     order.
@@ -158,15 +135,10 @@ def build_nsia(cs: ChannelSet) -> Scheme:
     cfg = cs.config
     beta = cfg.beta
     bounds.require_profile(cfg, SCHEME_VARIANT[NSIA])
-    for (m, l, k), null in sorted(cs.cross_nulls.items()):
-        if null.dim != beta:
-            raise DegeneracyError(
-                f"null space of conjugated cross channel (m={m}, l={l}, "
-                f"k={k}) has dimension {null.dim}, expected {beta}")
     planes = {}
     for chunk in linalg.stack_chunks([1, 2], cfg.K * beta, cfg.N):
         q, full_rank = alignment_planes(np.array(
-            [[cs.cross_null(m, *user).basis for user in cfg.interferers(m)]
+            [[cs.cross_null(m, *user) for user in cfg.interferers(m)]
              for m in chunk]), cfg.tol)
         planes.update((m, p) for m, p, ok in zip(chunk, q, full_rank) if ok)
     projected = _projected_nulls(cs, planes)
@@ -181,8 +153,9 @@ def build_nsia(cs: ChannelSet) -> Scheme:
                 raise DegeneracyError(
                     f"projected cross channel (m={m}, l={l}, k={k}) has "
                     f"null dimension {dim}, expected {beta}")
-            precoders[(l, k)] = SubspaceBasis(basis.shape[0], beta, basis,
-                                              checked=ok).basis
+            if not ok:
+                linalg.require_orthonormal(basis)
+            precoders[(l, k)] = basis
             null_dims[(m, j)] = dim
     return Scheme(NSIA, cs, precoders, planes, null_dims)
 
@@ -340,8 +313,8 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray]) -> Scheme:
         raise ContractError(f"{scheme.name} scheme has no receive planes")
     pi = {m: linalg.as_matrix(pi_m, name=f"Pi[{m}]") for m, pi_m in pi.items()}
     rows = scheme.projector(1).shape[0]  # K*beta
-    _require_shapes("Pi", pi, (rows, rows),
-                    {m: f"Pi[{m}]" for m in scheme.projectors})
+    require_shapes("Pi", pi, (rows, rows),
+                   {m: f"Pi[{m}]" for m in scheme.projectors})
     transformed = {}
     for m, p in scheme.projectors.items():
         if linalg.numeric_rank(pi[m], scheme.channels.config.tol) < rows:

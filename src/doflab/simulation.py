@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, network, schemes
-from .errors import ContractError, DegeneracyError, InputError
+from .errors import (ContractError, DegeneracyError, InputError,
+                     require_positive)
 from .linalg import Tolerance
 from .network import ChannelSet, NetworkConfig, draw_channel
 from .schemes import Scheme, SchemeReport
@@ -357,8 +358,6 @@ def random_baseline_slope(cfg: NetworkConfig) -> int:
 
 def _count_passes(chunk_passes: Callable[[range], int], trials: int) -> int:
     """Sum the passes of trials 0..trials-1, TRIAL_CHUNK trials at a time."""
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
     return sum(chunk_passes(range(start, min(start + TRIAL_CHUNK, trials)))
                for start in range(0, trials, TRIAL_CHUNK))
 
@@ -372,8 +371,7 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
     full rank with probability one.  Trial i draws A then B from the
     stream (seed, i).
     """
-    if min(m, n, l) < 1:
-        raise InputError(f"dimensions must be >= 1, got ({m}, {n}, {l})")
+    require_positive(m=m, n=n, l=l, trials=trials)
     if n < max(m, l):
         raise InputError(f"lemma requires n >= max(m, l), got n={n}, "
                          f"max(m, l)={max(m, l)}")
@@ -433,8 +431,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     an nsia trial builds P_1 and takes H = H_1,21 from the channels of a
     network seeded from (seed, i).
     """
-    if min(M, N) < 1:
-        raise InputError(f"dimensions must be >= 1, got ({M}, {N})")
+    require_positive(M=M, N=N, trials=trials)
     if N <= M:
         raise InputError(f"lemma requires N > M, got M={M}, N={N}")
     if p_source not in ("random", "nsia"):
@@ -484,7 +481,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
         cfg = replace(config, seed=sub_seed)
         cross = [draw_channel(cfg, 1, *user) for user in interferers]
         plane, full_rank = schemes.alignment_planes(
-            np.stack([null.basis for _, null in cross]), tol)
+            np.stack([null for _, null in cross]), tol)
         if not full_rank:
             raise DegeneracyError(
                 "stacked alignment plane at base station 1 lost rank")

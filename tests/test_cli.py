@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -958,13 +959,14 @@ def test_importing_the_cli_builds_no_parser():
     assert done.stdout.split() == ["0", "1"]
 
 
-# Every name doflab exported when its __init__ imported its submodules.
+# Every name doflab exported when its __init__ imported its submodules,
+# less SubspaceBasis: a subspace is now an array with orthonormal columns.
 EXPORTED_NAMES = [
     "ChannelSet", "ConfigurationError", "ContractError", "DegeneracyError",
     "DimensionError", "DofBoundReport", "DoflabError", "InputError",
     "LemmaTrialReport", "NSIA", "NetworkConfig", "RANDOM", "RX_HEAVY",
     "RankError", "Scheme", "SchemeReport", "SlopeEstimate", "SnrGrid",
-    "SubspaceBasis", "TX_HEAVY", "Tolerance", "ZF", "antenna_profile",
+    "TX_HEAVY", "Tolerance", "ZF", "antenna_profile",
     "bounds", "build_nsia", "build_zf_precoders", "channel_set",
     "channel_set_from_dict", "channel_set_to_dict", "converse_two_cell",
     "dof_outer_bound", "errors", "estimate_dof_slope", "generate_channels",
@@ -1055,11 +1057,29 @@ def test_the_package_resolves_every_exported_name():
     exec(f"from doflab import {', '.join(EXPORTED_NAMES)}", namespace)
     for name in EXPORTED_NAMES:
         assert getattr(doflab, name) is namespace[name]
+    assert set(EXPORTED_NAMES) == set(doflab.__all__)
     assert set(EXPORTED_NAMES) <= set(dir(doflab))
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         doflab.no_such_name
     with pytest.raises(ImportError):
         exec("from doflab import no_such_name", {})
+
+
+def test_the_benchmark_tracer_finds_every_function_it_pins():
+    # perfbench/tracer.py's Tracer looks up every function its LAYERS
+    # names when it is made, so deleting or renaming one fails here; while
+    # active it records a span per call, and it restores the originals
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    tracer = module.Tracer()
+    original = linalg.numeric_rank
+    with tracer.active():
+        assert linalg.numeric_rank is not original
+        assert linalg.numeric_rank([[1.0, 0.0], [0.0, 2.0]]) == 2
+    assert linalg.numeric_rank is original
+    assert "linalg.numeric_rank" in {span[1] for span in tracer.spans}
 
 
 def write_config(tmp_path, doc):

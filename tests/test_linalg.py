@@ -9,10 +9,9 @@ from scipy.linalg import subspace_angles
 
 from doflab import linalg, simulation
 from doflab.errors import ContractError, DimensionError, InputError, RankError
-from doflab.linalg import (SubspaceBasis, Tolerance, intersection_dim,
-                           null_space_basis, numeric_rank,
-                           orthonormalize_rows, random_matrix, range_basis,
-                           seeded_rng)
+from doflab.linalg import (Tolerance, intersection_dim, null_space_basis,
+                           numeric_rank, orthonormalize_rows, random_matrix,
+                           range_basis, seeded_rng)
 
 TOL = Tolerance()
 
@@ -189,7 +188,7 @@ def test_values_only_rank_of_a_wide_stack_is_the_rank_of_its_transpose(
     # P's rows span null(H*) of a rank-2 H, so the wide 2x3 product P H
     # cancels to rounding level and ranks 0 only against its anchor
     h = gaussian(4, 2, 36) @ gaussian(2, 3, 37)
-    p = null_space_basis(h.conj().T, TOL).basis.conj().T
+    p = null_space_basis(h.conj().T, TOL).conj().T
     cancelled = (p @ h)[None]
     cases = [(rank_test_stack(), None, [3, 1, 0, 3, 3, 2]),
              (np.zeros((3, 2, 5)), None, [0, 0, 0]),
@@ -218,11 +217,11 @@ def test_null_space_bases_match_null_space_basis_or_give_none(scale):
     assert bases.shape == (len(stack), 4, 1)
     for a, sc, dim, got, good in zip(stack, per_slice, dims, bases, ok):
         expected = null_space_basis(a, TOL, sc)
-        assert dim == expected.dim
-        assert good == (expected.dim == 1)
+        assert dim == expected.shape[1]
+        assert good == (expected.shape[1] == 1)
         if good:
-            assert got.strides == expected.basis.strides
-            assert np.array_equal(got, expected.basis)
+            assert got.strides == expected.strides
+            assert np.array_equal(got, expected)
     assert ok.tolist() == (
         [True, False, False, True, True, False] if scale is None
         else [True, False, False, False, True, False])
@@ -484,7 +483,7 @@ def test_certificate_on_exactly_deficient_products(tol, M, N, monkeypatch):
     # a product that cancels to rounding level ranks 0 against its anchor;
     # alone, its noise may be full rank, and then both agree
     h = gaussian(4, 2, 36) @ gaussian(2, 3, 37)
-    p = null_space_basis(h.conj().T, TOL).basis.conj().T
+    p = null_space_basis(h.conj().T, TOL).conj().T
     cancelled = (p @ h)[None]
     assert not assert_certificate_agrees(
         cancelled, tol, linalg.product_scales(p, h[None])).any()
@@ -547,40 +546,38 @@ def test_certificate_proves_generic_256_stacks(rows, inner, cols):
 def test_null_space_of_wide_random():
     a = gaussian(2, 3, 11)
     null = null_space_basis(a, TOL)
-    assert null.dim == 1
-    assert np.linalg.norm(a @ null.basis) <= 10 * TOL.absolute(2, 3, np.linalg.norm(a, 2))
+    assert null.shape == (3, 1)
+    assert np.linalg.norm(a @ null) <= 10 * TOL.absolute(2, 3, np.linalg.norm(a, 2))
 
 
 def test_null_space_full_rank_square():
-    assert null_space_basis(gaussian(3, 3, 2), TOL).dim == 0
+    assert null_space_basis(gaussian(3, 3, 2), TOL).shape == (3, 0)
 
 
 def test_null_space_zero_matrix():
     null = null_space_basis(np.zeros((2, 3)), TOL)
-    assert null.dim == 3
-    np.testing.assert_allclose(null.basis.conj().T @ null.basis, np.eye(3),
-                               atol=1e-12)
+    assert null.shape == (3, 3)
+    np.testing.assert_allclose(null.conj().T @ null, np.eye(3), atol=1e-12)
 
 
 def test_range_identity():
     basis = range_basis(np.eye(3), TOL)
-    assert basis.dim == 3
+    assert basis.shape == (3, 3)
     # spans C^3: any vector is reproduced by projection onto the basis
     v = np.array([1.0, 2.0 - 1j, 3j])
-    np.testing.assert_allclose(basis.basis @ (basis.basis.conj().T @ v), v,
-                               atol=1e-12)
+    np.testing.assert_allclose(basis @ (basis.conj().T @ v), v, atol=1e-12)
 
 
 def test_range_random_tall():
     a = gaussian(3, 2, 4)
     assert np.linalg.matrix_rank(a) == 2
-    assert range_basis(a, TOL).dim == 2
+    assert range_basis(a, TOL).shape == (3, 2)
 
 
 def test_range_rank_one_outer_product():
     u = gaussian(4, 1, 6)
     v = gaussian(3, 1, 7)
-    assert range_basis(u @ v.conj().T, TOL).dim == 1
+    assert range_basis(u @ v.conj().T, TOL).shape == (4, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +591,15 @@ def test_intersection_equal_subspaces():
 
 def test_intersection_orthogonal_complements():
     q, _ = np.linalg.qr(gaussian(4, 4, 9))
-    u = SubspaceBasis(4, 2, q[:, :2])
-    v = SubspaceBasis(4, 2, q[:, 2:])
-    assert intersection_dim(u, v, TOL) == 0
+    assert intersection_dim(q[:, :2], q[:, 2:], TOL) == 0
 
 
 def test_intersection_generic_subspaces():
     u = range_basis(gaussian(4, 2, 10), TOL)
     v = range_basis(gaussian(4, 2, 11, 1), TOL)
     # oracles: rank of the concatenation, and principal angles
-    assert np.linalg.matrix_rank(np.hstack([u.basis, v.basis])) == 4
-    assert np.count_nonzero(subspace_angles(u.basis, v.basis) < 1e-8) == 0
+    assert np.linalg.matrix_rank(np.hstack([u, v])) == 4
+    assert np.count_nonzero(subspace_angles(u, v) < 1e-8) == 0
     assert intersection_dim(u, v, TOL) == 0
 
 
@@ -613,7 +608,7 @@ def test_intersection_detected_by_principal_angles():
     shared = gaussian(5, 1, 12)
     u = range_basis(np.hstack([shared, gaussian(5, 1, 13)]), TOL)
     v = range_basis(np.hstack([shared, gaussian(5, 1, 14)]), TOL)
-    assert np.count_nonzero(subspace_angles(u.basis, v.basis) < 1e-8) == 1
+    assert np.count_nonzero(subspace_angles(u, v) < 1e-8) == 1
     assert intersection_dim(u, v, TOL) == 1
 
 
@@ -627,8 +622,9 @@ def test_intersection_ambient_mismatch():
 def test_intersection_with_trivial_subspace():
     u = range_basis(gaussian(4, 2, 17), TOL)
     empty = null_space_basis(gaussian(4, 4, 18), TOL)
-    assert empty.dim == 0
+    assert empty.shape == (4, 0)
     assert intersection_dim(u, empty, TOL) == 0
+    assert intersection_dim(empty, empty, TOL) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -755,17 +751,42 @@ def test_openblas_lookup_without_the_symbols_logs_once(monkeypatch, caplog):
 
 
 # ---------------------------------------------------------------------------
-# SubspaceBasis invariants
+# subspaces are orthonormal-column arrays
 # ---------------------------------------------------------------------------
 
-def test_subspace_basis_rejects_non_orthonormal():
-    with pytest.raises(RankError):
-        SubspaceBasis(3, 2, np.ones((3, 2), dtype=complex))
+def test_intersection_dim_rejects_non_orthonormal_columns():
+    u = range_basis(gaussian(3, 2, 15), TOL)
+    for bad in (np.ones((3, 2), dtype=complex), 2 * u):
+        for pair in ((bad, u), (u, bad)):
+            with pytest.raises(RankError, match="not orthonormal"):
+                intersection_dim(*pair, TOL)
 
 
-def test_subspace_basis_rejects_shape_mismatch():
-    with pytest.raises(DimensionError):
-        SubspaceBasis(3, 2, np.eye(3))
+def test_intersection_dim_rejects_bases_that_are_not_2d():
+    u = range_basis(gaussian(3, 2, 15), TOL)
+    for bad in (u[:, 0], u[None]):
+        for pair in ((bad, u), (u, bad)):
+            with pytest.raises(DimensionError, match="must be 2-D"):
+                intersection_dim(*pair, TOL)
+
+
+def test_one_matrix_bases_refuse_a_basis_that_fails_the_gram_check(
+        monkeypatch):
+    a = gaussian(2, 3, 11)
+    monkeypatch.setattr(linalg, "_ORTHO_TOL", -1.0)
+    for one_matrix in (null_space_basis, range_basis):
+        with pytest.raises(RankError, match="not orthonormal"):
+            one_matrix(a, TOL)
+    # the trivial subspace has no columns to check
+    assert null_space_basis(gaussian(3, 3, 2), TOL).shape == (3, 0)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+def test_one_matrix_ranks_refuse_a_scale_that_is_not_finite(scale):
+    # a NaN anchor would rank every matrix 0, folding it into a verdict
+    for one_matrix in (numeric_rank, null_space_basis):
+        with pytest.raises(InputError, match="scale must be finite"):
+            one_matrix(np.eye(3), TOL, scale=scale)
 
 
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
@@ -774,10 +795,10 @@ def test_subspace_basis_rejects_shape_mismatch():
 def test_null_range_duality(rows, cols, seed):
     a = gaussian(rows, cols, seed)
     null = null_space_basis(a, TOL)
-    assert numeric_rank(a, TOL) + null.dim == cols
-    assert numeric_rank(null.basis, TOL) == null.dim
+    assert numeric_rank(a, TOL) + null.shape[1] == cols
+    assert numeric_rank(null, TOL) == null.shape[1]
     rng = range_basis(a, TOL)
-    assert numeric_rank(rng.basis, TOL) == rng.dim
+    assert numeric_rank(rng, TOL) == rng.shape[1]
 
 
 @given(dim_u=st.integers(1, 3), dim_v=st.integers(1, 3),
@@ -789,6 +810,6 @@ def test_intersection_symmetric_and_unitary_invariant(dim_u, dim_v, seed):
     v = range_basis(gaussian(ambient, dim_v, seed, 1), TOL)
     d = intersection_dim(u, v, TOL)
     assert d == intersection_dim(v, u, TOL)
-    q, _ = np.linalg.qr(gaussian(u.dim, u.dim, seed, 2))
-    rotated = SubspaceBasis(ambient, u.dim, u.basis @ q)
-    assert intersection_dim(rotated, v, TOL) == d
+    dim = u.shape[1]
+    q, _ = np.linalg.qr(gaussian(dim, dim, seed, 2))
+    assert intersection_dim(u @ q, v, TOL) == d

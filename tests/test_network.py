@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from doflab.errors import DegeneracyError, InputError
+from doflab.errors import DegeneracyError, DimensionError, InputError
 from doflab.linalg import (Tolerance, null_space_basis, random_matrix,
                            seeded_rng)
-from doflab.network import (MAX_REDRAWS, NetworkConfig, channel_set,
-                            channel_set_from_dict, channel_set_to_dict,
-                            draw_channel, draw_until, generate_channels)
+from doflab.network import (MAX_REDRAWS, ChannelSet, NetworkConfig,
+                            channel_set, channel_set_from_dict,
+                            channel_set_to_dict, draw_channel, draw_until,
+                            generate_channels)
 
 
 def make_set(L=2, K=2, M=3, N=2, seed=1, **kw):
@@ -33,10 +34,10 @@ def test_cross_links_keep_the_null_space_of_their_wide_orientation(M, N):
         h = cs.channel(m, l, k)
         expected = null_space_basis(h if N <= M else h.conj().T)
         null = cs.cross_null(m, l, k)
-        assert null.dim == abs(M - N)
-        assert np.array_equal(null.basis, expected.basis)
-        assert np.array_equal(draw_channel(cs.config, m, l, k)[1].basis,
-                              expected.basis)
+        assert null.shape == (max(M, N), abs(M - N))
+        assert not null.flags.writeable
+        assert np.array_equal(null, expected)
+        assert np.array_equal(draw_channel(cs.config, m, l, k)[1], expected)
     assert draw_channel(cs.config, 1, 1, 1)[1] is None
     with pytest.raises(IndexError, match="not a cross link"):
         cs.cross_null(2, 2, 1)
@@ -50,8 +51,34 @@ def test_channel_set_checks_and_factors_given_matrices():
                                       for key, h in cs.channels.items()})
     assert set(rebuilt.cross_nulls) == set(cs.cross_nulls)
     for key, null in cs.cross_nulls.items():
-        assert np.array_equal(rebuilt.cross_nulls[key].basis, null.basis)
+        assert np.array_equal(rebuilt.cross_nulls[key], null)
+        assert not rebuilt.cross_nulls[key].flags.writeable
         assert not rebuilt.channels[key].flags.writeable
+
+
+def test_channel_set_refuses_a_stored_null_space_of_the_wrong_shape():
+    # a hand-built set is refused when it is made, naming the link, before
+    # any scheme is built on it; at M=2, N=3 a null space is 3 x 1
+    cs = make_set(M=2, N=3, seed=14)
+    nulls = dict(cs.cross_nulls)
+    nulls[(1, 2, 2)] = null_space_basis(np.zeros((2, 3)))
+    with pytest.raises(DimensionError) as exc:
+        ChannelSet(cs.config, cs.channels, nulls)
+    assert str(exc.value) == ("null space of cross link (m=1, l=2, k=2) has "
+                              "shape (3, 3), expected (3, 1)")
+
+
+def test_channel_set_refuses_null_spaces_that_miss_or_add_a_link():
+    cs = make_set(M=2, N=3, seed=14)
+    missing = dict(cs.cross_nulls)
+    del missing[(2, 1, 1)]
+    with pytest.raises(DimensionError, match=re.escape(
+            "null space of cross link (m=2, l=1, k=1) is missing")):
+        ChannelSet(cs.config, cs.channels, missing)
+    extra = {**cs.cross_nulls, (1, 1, 1): cs.cross_null(1, 2, 1)}
+    with pytest.raises(DimensionError, match=re.escape(
+            "cross-link null space keyed (1, 1, 1) is not in the network")):
+        ChannelSet(cs.config, cs.channels, extra)
 
 
 @pytest.mark.parametrize("key", [(1, 1, 2), (3, 1, 1)])
@@ -277,7 +304,7 @@ def test_channel_serialization_round_trip():
     # the replay's nondegeneracy check stores the same cross-link factors
     assert set(back.cross_nulls) == set(cs.cross_nulls)
     for key, null in cs.cross_nulls.items():
-        np.testing.assert_array_equal(back.cross_nulls[key].basis, null.basis)
+        np.testing.assert_array_equal(back.cross_nulls[key], null)
 
 
 def test_channel_deserialization_rejects_bad_docs():

@@ -355,7 +355,7 @@ def test_multicell_transmit_zero_forcing_meets_the_bound(L, K, M, N):
     cells = range(1, L + 1)
     users = [(l, k) for l in cells for k in range(1, K + 1)]
     precoders = {(l, k): null_space_basis(np.vstack(
-        [cs.channel(m, l, k) for m in cells if m != l])).basis
+        [cs.channel(m, l, k) for m in cells if m != l]))
         for l, k in users}
     for (l, k), w in precoders.items():
         assert w.shape == (M, 1)
@@ -442,7 +442,7 @@ def test_lemma_pass_counts_independent_of_chunk_size(chunk, monkeypatch):
 def reference_lemma2_holds(h, p, tol):
     """The lemma on one (H, P) pair, from one basis at a time."""
     scale = np.linalg.norm(p) * np.linalg.norm(h)
-    lhs = null_space_basis(p @ h, tol, scale=scale).dim
+    lhs = null_space_basis(p @ h, tol, scale=scale).shape[1]
     rhs = intersection_dim(range_basis(h, tol), null_space_basis(p, tol), tol)
     return lhs == rhs
 
@@ -496,11 +496,11 @@ def reference_lemma2_nsia(M, N, trials, seed, dist, rel_tol):
             while True:
                 h = random_matrix(N, M, dist, rng)
                 null = null_space_basis(h.conj().T, tol)
-                if null.dim == beta:
+                if null.shape[1] == beta:
                     break
             if k == 1:
                 hs.append(h)
-            nulls.append(null.basis)
+            nulls.append(null)
         # the plane's rows orthonormalized by numpy's QR, not linalg's
         q, _ = np.linalg.qr(np.hstack(nulls))
         ps.append(q.conj().T)
@@ -526,7 +526,7 @@ def test_lemma2_nsia_matches_per_trial_reference(dist, M, N, trials, rel_tol,
         seen.append((h, p))
         # the verdict's range bases are each H's own, bit for bit
         for h_t, rank_t, u_t in zip(h, rank_h, u):
-            assert np.array_equal(u_t[:, :rank_t], range_basis(h_t, tol).basis)
+            assert np.array_equal(u_t[:, :rank_t], range_basis(h_t, tol))
         return holds(h, p, rank_h, u, tol)
 
     monkeypatch.setattr(simulation, "TRIAL_CHUNK", chunk)
@@ -724,6 +724,28 @@ def test_rate_refuses_a_spectrum_that_is_not_finite(monkeypatch):
         sum_rate(scheme, 1e3)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("m", 2.0), ("n", 4.5), ("l", True), ("trials", True), ("trials", 10.0),
+    ("trials", 0)])
+def test_lemma1_refuses_a_count_that_is_not_a_positive_int(name, value):
+    # as NetworkConfig refuses one: a float or a bool is not a count
+    args = {"m": 2, "n": 4, "l": 3, "trials": 10, **{name: value}}
+    with pytest.raises(InputError, match=re.escape(
+            f"{name} must be a positive integer, got {value!r}")):
+        monte_carlo_lemma1(**args, seed=0)
+
+
+@pytest.mark.parametrize("p_source", ["random", "nsia"])
+@pytest.mark.parametrize("name, value", [
+    ("M", 2.0), ("N", True), ("trials", True), ("trials", 1.5)])
+def test_lemma2_refuses_a_count_that_is_not_a_positive_int(name, value,
+                                                           p_source):
+    args = {"M": 2, "N": 3, "trials": 10, **{name: value}}
+    with pytest.raises(InputError, match=re.escape(
+            f"{name} must be a positive integer, got {value!r}")):
+        monte_carlo_lemma2(**args, seed=0, p_source=p_source)
+
+
 def test_lemma2_rejects_wide_h():
     with pytest.raises(InputError):
         monte_carlo_lemma2(3, 3, trials=10, seed=0)
@@ -747,7 +769,7 @@ def test_lemma2_zero_plane_edge_case():
     tol = Tolerance()
     h = random_matrix(3, 2, rng=seeded_rng(6))
     p = np.zeros((2, 3), dtype=complex)
-    lhs = null_space_basis(p @ h, tol).dim
+    lhs = null_space_basis(p @ h, tol).shape[1]
     rhs = intersection_dim(range_basis(h, tol), null_space_basis(p, tol), tol)
     assert lhs == rhs == 2
 
