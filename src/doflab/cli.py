@@ -311,16 +311,18 @@ def _scheme_channel_set(args, variant: str):
 
 def _evaluate(args, cs, scheme: str, grid: SnrGrid | None = None):
     """Build ``scheme`` (zf, nsia or random) on ``cs``, verify it and, given
-    an SNR grid, fit its DoF slope.
+    an SNR grid, fit its DoF slope: ``(result, ok)``, the report result of
+    zf, nsia and slope, of which a sweep row is a projection.
 
-    Returns ``(report, estimate, expected, ok)``, where ``expected`` is the
-    outer bound of ``cs``'s config, 2*K*beta at either two-cell profile.
-    Without a grid, ``ok`` is decodability and ``estimate`` and
-    ``expected`` are None.  With one, a built scheme is fitted only when
-    it is decodable (else ``estimate`` is None and ``ok`` False: a
-    verdict, not an error) and must then fit within --tol-slope of
-    ``expected`` with r² >= --min-r2; the random baseline is always fitted
-    and must come within 0.5 of simulation.random_baseline_slope.
+    Without a grid, ``result`` is the verification document and ``ok``
+    decodability.  With one, ``result`` is the fit with ``expected_slope``,
+    the outer bound of ``cs``'s config (2*K*beta at either two-cell
+    profile), and ``verification``.  A built scheme is fitted only when it
+    is decodable (else its fit keeps the grid's points with null rates and
+    fit, and ``ok`` is False: a verdict, not an error) and must then fit
+    within --tol-slope of the bound with r² >= --min-r2; the random
+    baseline is always fitted and must come within 0.5 of
+    simulation.random_baseline_slope.
     """
     from . import schemes, simulation
     # looked up at call time, so that a patched module attribute (the
@@ -329,40 +331,35 @@ def _evaluate(args, cs, scheme: str, grid: SnrGrid | None = None):
                RANDOM: simulation.random_precoders}[scheme]
     built = builder(cs)
     report = schemes.verify_scheme(built)
+    verification = report.to_dict()
     if grid is None:
-        return report, None, None, report.decodable
+        return verification, report.decodable
     cfg = cs.config
     expected = int(bounds.dof_outer_bound(cfg.K, cfg.L, cfg.M, cfg.N).final_bound)
     if scheme != RANDOM and not report.decodable:
-        return report, None, expected, False
-    estimate = simulation.estimate_dof_slope(built, grid, report=report)
-    if scheme == RANDOM:
-        target = simulation.random_baseline_slope(cfg)
-        return report, estimate, expected, abs(estimate.slope - target) <= 0.5
-    ok = (abs(estimate.slope - expected) <= args.tol_slope * expected
-          and estimate.r_squared >= args.min_r2)
-    return report, estimate, expected, ok
+        fit = {"snr_db": list(grid.points_db),
+               "sum_rates": [None] * len(grid.points_db),
+               "slope": None, "intercept": None, "r_squared": None}
+        ok = False
+    else:
+        estimate = simulation.estimate_dof_slope(built, grid, report=report)
+        fit = estimate.to_dict()
+        if scheme == RANDOM:
+            target = simulation.random_baseline_slope(cfg)
+            ok = abs(estimate.slope - target) <= 0.5
+        else:
+            ok = (abs(estimate.slope - expected) <= args.tol_slope * expected
+                  and estimate.r_squared >= args.min_r2)
+    return {**fit, "expected_slope": expected, "verification": verification}, ok
 
 
-def _fit_doc(estimate, grid: SnrGrid) -> dict:
-    """``estimate.to_dict()``, or for a scheme _evaluate did not fit the
-    same keys with the grid's points and null rates and fit."""
-    if estimate is not None:
-        return estimate.to_dict()
-    return {"snr_db": list(grid.points_db),
-            "sum_rates": [None] * len(grid.points_db),
-            "slope": None, "intercept": None, "r_squared": None}
-
-
-# Each command has a runner, args -> (report document, verdict), and a CSV
+# Each command has a runner, args -> (params, result, verdict), and a CSV
 # projection, (params, result) -> rows.  Every projection returns at least
 # one row, and the first row's keys are the CSV columns.
 
 def _run_bound(args):
-    report = bounds.dof_outer_bound(args.K, args.L, args.M, args.N)
-    doc = {"params": {"K": args.K, "L": args.L, "M": args.M, "N": args.N},
-           "result": report.to_dict()}
-    return doc, True
+    params = {"K": args.K, "L": args.L, "M": args.M, "N": args.N}
+    return params, bounds.dof_outer_bound(**params).to_dict(), True
 
 
 def _bound_rows(params, result):
@@ -372,9 +369,7 @@ def _bound_rows(params, result):
 
 def _run_scheme(args):
     cs = _scheme_channel_set(args, SCHEME_VARIANT[args.command])
-    report, _, _, ok = _evaluate(args, cs, args.command)
-    doc = {"params": cs.config.to_dict(), "result": report.to_dict()}
-    return doc, ok
+    return (cs.config.to_dict(), *_evaluate(args, cs, args.command))
 
 
 def _scheme_rows(params, result):
@@ -399,11 +394,8 @@ def _run_slope(args):
                              f"profile, not --profile {args.profile}")
     grid = _fit_grid(args)
     cs = _scheme_channel_set(args, variant)
-    report, estimate, expected, ok = _evaluate(args, cs, args.scheme, grid)
-    doc = {"params": {**cs.config.to_dict(), "scheme": args.scheme},
-           "result": {**_fit_doc(estimate, grid), "expected_slope": expected,
-                      "verification": report.to_dict()}}
-    return doc, ok
+    return ({**cs.config.to_dict(), "scheme": args.scheme},
+            *_evaluate(args, cs, args.scheme, grid))
 
 
 def _slope_rows(params, result):
@@ -426,10 +418,9 @@ def _run_lemma(args):
         options = {"p_source": args.p_source}
     report = monte_carlo(*params.values(), seed, dist=args.dist,
                          tol=Tolerance(args.rel_rank_tol), **options)
-    doc = {"params": {**params, **options, "seed": seed, "dist": args.dist,
-                      "rel_rank_tol": args.rel_rank_tol},
-           "result": report.to_dict()}
-    return doc, report.all_passed
+    return ({**params, **options, "seed": seed, "dist": args.dist,
+             "rel_rank_tol": args.rel_rank_tol},
+            report.to_dict(), report.all_passed)
 
 
 def _lemma_rows(params, result):
@@ -449,22 +440,20 @@ def _run_sweep(args):
     ok = True
     for k, beta, scheme, seed in itertools.product(ks, betas, scheme_list, seeds):
         cs = _generate_channels(args, k, beta, SCHEME_VARIANT[scheme], seed)
-        report, estimate, bound, row_ok = _evaluate(args, cs, scheme, grid)
+        result, row_ok = _evaluate(args, cs, scheme, grid)
         ok = ok and row_ok
-        fit = _fit_doc(estimate, grid)
+        verification = result["verification"]
         rows.append({
             "K": k, "beta": beta, "scheme": scheme, "seed": seed,
-            "bound": bound, "slope": fit["slope"],
-            "r_squared": fit["r_squared"],
-            "residual": report.residual_interference,
-            "decodable": report.decodable,
+            "bound": result["expected_slope"], "slope": result["slope"],
+            "r_squared": result["r_squared"],
+            "residual": verification["residual_interference"],
+            "decodable": verification["decodable"],
         })
-    doc = {"params": {"K": args.K, "beta": args.beta,
-                      "seeds": args.seeds, "schemes": args.schemes,
-                      "snr": args.snr, "dist": args.dist,
-                      "rel_rank_tol": args.rel_rank_tol},
-           "result": {"rows": rows}}
-    return doc, ok
+    params = {"K": args.K, "beta": args.beta, "seeds": args.seeds,
+              "schemes": args.schemes, "snr": args.snr, "dist": args.dist,
+              "rel_rank_tol": args.rel_rank_tol}
+    return params, {"rows": rows}, ok
 
 
 def _sweep_rows(params, result):
@@ -510,12 +499,12 @@ def run(argv=None) -> int:
             return 1
         runner, _ = _RUNNERS[args.command]
         if args.command == "bound":  # exact arithmetic: no numpy
-            doc, ok = runner(args)
+            params, result, ok = runner(args)
         else:
             _load_numpy_on_one_blas_thread()
             from .linalg import one_blas_thread
             with one_blas_thread():
-                doc, ok = runner(args)
+                params, result, ok = runner(args)
     except SystemExit as exc:
         # raised by argparse for usage errors (remapped to 1) and --help (0)
         return int(exc.code or 0)
@@ -530,7 +519,7 @@ def run(argv=None) -> int:
 
     report = {"command": args.command,
               "timestamp": datetime.now(timezone.utc).isoformat(),
-              **doc}
+              "params": params, "result": result}
     text = render_report(args.command, report, args.output_format)
     if args.output_path:
         try:

@@ -16,6 +16,13 @@ def require_positive(**values):
             raise InputError(f"{name} must be a positive integer, got {value!r}")
 
 
+def require_seed(seed):
+    """Refuse a seed that is not a non-negative int (is_int): no generator
+    stream is keyed by a negative seed, a float or a bool."""
+    if not is_int(seed) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 class DoflabError(Exception):
     """Base class for all errors raised by this package."""
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, InputError, RankError
+from .errors import (ContractError, DimensionError, InputError, RankError,
+                     require_seed)
 
 log = logging.getLogger(__name__)
 
@@ -225,12 +226,6 @@ def _require_one_matrix(a, scale=None):
         raise DimensionError(f"matrix must be 2-D, got ndim={np.ndim(a)}")
     if scale is not None and not np.isfinite(scale):
         raise InputError(f"scale must be finite, got {scale!r}")
-
-
-def require_seed(seed: int):
-    """Refuse a negative seed, which no generator stream is keyed by."""
-    if seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {seed}")
 
 
 def seeded_rng(seed: int, *subkeys: int) -> np.random.Generator:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DegeneracyError, DimensionError, InputError, is_int,
-                     require_positive)
+                     require_positive, require_seed)
 from .linalg import Tolerance
 
 log = logging.getLogger(__name__)
@@ -69,8 +69,7 @@ class NetworkConfig:
     def __post_init__(self):
         require_positive(L=self.L, K=self.K, M=self.M, N=self.N,
                          beta=self.beta)
-        if not is_int(self.seed) or self.seed < 0:
-            raise InputError(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_seed(self.seed)
         if self.dist not in linalg.DISTRIBUTIONS:
             raise InputError(
                 f"unknown distribution {self.dist!r}, expected one of "
@@ -156,13 +155,13 @@ class ChannelSet:
 
 def require_shapes(what: str, arrays: dict, shape: tuple, names: dict):
     """Refuse ``arrays`` unless it maps exactly the keys of ``names`` to
-    arrays of ``shape``, naming the first one missing or misshapen, or a
-    key the network does not have."""
+    arrays (or nested lists) of ``shape``, naming the first one missing or
+    misshapen, or a key the network does not have."""
     for key, name in names.items():
         if key not in arrays:
             raise DimensionError(f"{name} is missing")
-        if arrays[key].shape != shape:
-            raise DimensionError(f"{name} has shape {arrays[key].shape}, "
+        if np.shape(arrays[key]) != shape:
+            raise DimensionError(f"{name} has shape {np.shape(arrays[key])}, "
                                  f"expected {shape}")
     if len(arrays) > len(names):
         extra = next(key for key in arrays if key not in names)

@@ -42,12 +42,15 @@ class Scheme:
     scheme is made: a missing, extra or misshapen precoder or plane raises
     DimensionError naming its user or base station, so every scheme
     carries beta streams per user, the rank K*beta that verify_scheme asks
-    of each cell.  build_nsia also keeps the null dimension of each
-    projected cross channel P_m H_m,lk in ``null_dims``, keyed (m, j) like
-    SchemeReport.null_dims; verify_scheme reports them instead of factoring
-    the products again.  Planes from anywhere else (pi_transform, or a
-    Scheme built by hand) carry none, and verify_scheme measures them as
-    build_nsia does (_projected_nulls), at any L.  ``==`` is identity.
+    of each cell.  The builders (build_zf_precoders, build_nsia,
+    random_precoders) and pi_transform hand it read-only arrays.
+    build_nsia also keeps the null dimension of each projected cross
+    channel P_m H_m,lk in ``null_dims``, keyed (m, j) like
+    SchemeReport.null_dims; verify_scheme reports them instead of
+    factoring the products again, and no write to a plane can leave them
+    stale.  Planes from anywhere else (pi_transform, or a Scheme built by
+    hand) carry none, and verify_scheme measures them as build_nsia does
+    (_projected_nulls), at any L.  ``==`` is identity.
     """
 
     name: str
@@ -157,6 +160,9 @@ def build_nsia(cs: ChannelSet) -> Scheme:
                 linalg.require_orthonormal(basis)
             precoders[(l, k)] = basis
             null_dims[(m, j)] = dim
+    # read-only, so that null_dims keeps describing the planes
+    for array in (*planes.values(), *precoders.values()):
+        array.setflags(write=False)
     return Scheme(NSIA, cs, precoders, planes, null_dims)
 
 
@@ -320,4 +326,5 @@ def pi_transform(scheme: Scheme, pi: dict[int, np.ndarray]) -> Scheme:
         if linalg.numeric_rank(pi[m], scheme.channels.config.tol) < rows:
             raise RankError(f"Pi[{m}] is singular at tolerance")
         transformed[m] = pi[m] @ p
+        transformed[m].setflags(write=False)
     return replace(scheme, projectors=transformed, null_dims=None)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg, network, schemes
 from .errors import (ContractError, DegeneracyError, InputError,
-                     require_positive)
+                     require_positive, require_seed)
 from .linalg import Tolerance
 from .network import ChannelSet, NetworkConfig, draw_channel
 from .schemes import Scheme, SchemeReport
@@ -341,8 +341,10 @@ def random_precoders(cs: ChannelSet) -> Scheme:
     users = [(l, k) for l in range(1, cfg.L + 1) for k in range(1, cfg.K + 1)]
     (w,) = linalg.random_matrices([(cfg.M, beta)], cfg.dist,
                                   [(cfg.seed, *user) for user in users])
-    return Scheme(schemes.RANDOM, cs, {user: np.linalg.qr(w_user)[0]
-                                       for user, w_user in zip(users, w)})
+    precoders = {user: np.linalg.qr(w_user)[0] for user, w_user in zip(users, w)}
+    for w_user in precoders.values():
+        w_user.setflags(write=False)
+    return Scheme(schemes.RANDOM, cs, precoders)
 
 
 def random_baseline_slope(cfg: NetworkConfig) -> int:
@@ -376,7 +378,7 @@ def monte_carlo_lemma1(m: int, n: int, l: int, trials: int, seed: int,
         raise InputError(f"lemma requires n >= max(m, l), got n={n}, "
                          f"max(m, l)={max(m, l)}")
     tol.require_rankable(max(m, l), "max(m, l)")
-    linalg.require_seed(seed)
+    require_seed(seed)
 
     def chunk_passes(chunk: range) -> int:
         a, b = linalg.random_matrices([(m, n), (n, l)], dist,
@@ -437,7 +439,7 @@ def monte_carlo_lemma2(M: int, N: int, trials: int, seed: int,
     if p_source not in ("random", "nsia"):
         raise InputError(f"p_source must be 'random' or 'nsia', got {p_source!r}")
     tol.require_rankable(N, "N")
-    linalg.require_seed(seed)
+    require_seed(seed)
     if p_source == "nsia":
         beta = N - M
         if M % beta != 0:

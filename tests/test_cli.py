@@ -339,20 +339,48 @@ def test_sweep_columns_fixed(capsys):
 
 
 def test_sweep_single_point_matches_slope_command(capsys):
-    code, rows = run_csv(capsys, ["sweep", "--K", "2", "--beta", "1",
-                                  "--schemes", "zf", "--seeds", "5",
-                                  "--format", "csv"])
-    assert code == 0
-    code, doc = run_json(capsys, ["slope", "--scheme", "zf", "--K", "2",
-                                  "--beta", "1", "--seed", "5"])
-    assert code == 0
-    assert float(rows[0]["slope"]) == pytest.approx(doc["result"]["slope"],
-                                                    rel=1e-12)
+    # a sweep row is the slope result projected at its point, bit for bit,
+    # at a decodable point and at one whose scheme fails verification
+    for point, decodable in [(["--K", "2", "--beta", "1", "--seed", "5"], True),
+                             (UNDECODABLE, False)]:
+        sweep_point = ["--seeds" if flag == "--seed" else flag
+                       for flag in point]
+        code, sweep = run_json(capsys, ["sweep", "--schemes", "zf",
+                                        *sweep_point])
+        assert code == 0
+        code, slope = run_json(capsys, ["slope", "--scheme", "zf", *point])
+        assert code == 0
+        (row,) = sweep["result"]["rows"]
+        result = slope["result"]
+        verification = result["verification"]
+        assert row["decodable"] is verification["decodable"] is decodable
+        assert [row[key] for key in ("bound", "slope", "r_squared",
+                                     "residual", "decodable")] == [
+            result["expected_slope"], result["slope"], result["r_squared"],
+            verification["residual_interference"], verification["decodable"]]
 
 
 def test_sweep_empty_range(capsys):
     assert run(["sweep", "--K", "3:1", "--beta", "1"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, env_seed, message", [
+    (["slope", "--scheme", "zf", "--K", "1", "--snr", "a:b:c"], None,
+     "cannot parse SNR range 'a:b:c'"),
+    (["zf", "--K", "1"], "x", "DOFLAB_SEED='x' is not an integer"),
+    (["zf"], None, "--K is required when --channels is not given"),
+])
+def test_refused_input_exits_1_with_one_message(capsys, monkeypatch, argv,
+                                                env_seed, message):
+    if env_seed is None:
+        monkeypatch.delenv("DOFLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("DOFLAB_SEED", env_seed)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"doflab: error: {message}\n"
 
 
 def test_unknown_command_exits_1(capsys):

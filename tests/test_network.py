@@ -416,3 +416,5 @@ def test_channel_accessor_validates_indices():
         cs.channel(1, 1, 3)
     with pytest.raises(IndexError):
         cs.channel(0, 1, 1)
+    with pytest.raises(IndexError, match=r"^cell index l=3 out of range 1\.\.2$"):
+        cs.channel(1, 3, 1)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -114,6 +115,36 @@ def test_a_scheme_refuses_misshapen_precoders_and_planes_when_made():
         with pytest.raises(DimensionError) as exc:
             Scheme(built.name, built.channels, precoders, projectors)
         assert str(exc.value) == message
+
+
+def test_a_scheme_takes_nested_lists_of_the_checked_shapes():
+    # the shape check reads np.shape, so a list is checked like an array:
+    # refused by its user's name when misshapen, verified when it fits
+    zf = build_zf_precoders(channels_for(1, 1, bounds.TX_HEAVY, seed=3))
+    with pytest.raises(DimensionError, match=re.escape(
+            "precoder of user (l=1, k=1) has shape (2,), expected (2, 1)")):
+        Scheme(ZF, zf.channels, {**zf.precoders, (1, 1): [1.0, 0.0]})
+    listed = Scheme(ZF, zf.channels, {user: w.tolist()
+                                      for user, w in zf.precoders.items()})
+    assert verify_scheme(listed).decodable
+
+
+def test_every_builder_hands_the_scheme_read_only_arrays():
+    # a write into a plane of build_nsia's would leave its null_dims stale:
+    # verify_scheme would still report null dimension 1 where the written
+    # plane has none
+    cs = generate_channels(NetworkConfig(L=2, K=2, M=2, N=3, seed=3))
+    with pytest.raises(ValueError, match="read-only"):
+        build_nsia(cs).projector(1)[...] = (np.arange(6).reshape(2, 3)
+                                            + 1j * np.eye(2, 3))
+    zf = build_zf_precoders(channels_for(2, 1, bounds.TX_HEAVY, seed=3))
+    nsia = build_nsia(cs)
+    made = [zf, nsia, random_precoders(zf.channels),
+            pi_transform(nsia, {m: 2 * np.eye(2) for m in (1, 2)})]
+    for scheme in made:
+        for array in (*scheme.precoders.values(),
+                      *(scheme.projectors or {}).values()):
+            assert not array.flags.writeable, scheme.name
 
 
 def test_builders_and_transforms_make_schemes_of_the_checked_shapes():

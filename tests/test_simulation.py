@@ -107,8 +107,9 @@ def test_rate_vanishes_at_zero_power():
 
 def test_rate_rejects_non_positive_power():
     cs, pre = zf_setup()
-    with pytest.raises(InputError):
-        sum_rate(pre, 0.0)
+    for rate in (sum_rate, interference_limited_rate):
+        with pytest.raises(InputError, match=r"^rho must be positive, got 0\.0$"):
+            rate(pre, 0.0)
 
 
 def test_rate_single_user_scalar_closed_form():
@@ -744,6 +745,34 @@ def test_lemma2_refuses_a_count_that_is_not_a_positive_int(name, value,
     with pytest.raises(InputError, match=re.escape(
             f"{name} must be a positive integer, got {value!r}")):
         monte_carlo_lemma2(**args, seed=0, p_source=p_source)
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+@pytest.mark.parametrize("seeded", [
+    lambda seed: monte_carlo_lemma1(2, 4, 3, 5, seed),
+    lambda seed: monte_carlo_lemma2(2, 3, 5, seed),
+    lambda seed: monte_carlo_lemma2(2, 3, 5, seed, p_source="nsia"),
+    lambda seed: seeded_rng(seed, 1),
+    lambda seed: NetworkConfig(L=2, K=1, M=2, N=1, seed=seed),
+], ids=["lemma1", "lemma2", "lemma2-nsia", "seeded_rng", "NetworkConfig"])
+def test_every_seed_is_checked_by_one_rule(seeded, seed):
+    # one text for every seed taker: unchecked, True would run a lemma as
+    # seed 1, and 1.5 would reach the stream keys as a float dtype
+    with pytest.raises(InputError, match=re.escape(
+            f"seed must be a non-negative integer, got {seed!r}")):
+        seeded(seed)
+
+
+def test_lemma2_refuses_an_unknown_p_source():
+    with pytest.raises(InputError,
+                       match="p_source must be 'random' or 'nsia', got 'x'"):
+        monte_carlo_lemma2(2, 3, trials=10, seed=0, p_source="x")
+
+
+def test_random_precoders_refuse_more_streams_than_antennas():
+    cs = generate_channels(NetworkConfig(L=2, K=1, M=1, N=3, beta=2))
+    with pytest.raises(InputError, match=r"^beta=2 exceeds M=1$"):
+        random_precoders(cs)
 
 
 def test_lemma2_rejects_wide_h():
